@@ -20,7 +20,14 @@ from importlib import resources
 
 from .baselines import bh, holm_k
 from .core import EvidenceKind, EvidenceVector, RejectionSet
-from .engine import DEFAULT_BRUTE_FORCE_CAP, DominoConfig, Mode, domino_e, domino_p
+from .engine import (
+    DEFAULT_BRUTE_FORCE_CAP,
+    MAX_BRUTE_FORCE_CAP,
+    DominoConfig,
+    Mode,
+    domino_e,
+    domino_p,
+)
 from .local_tests import TestId, local_test
 from .simulate import SimScenario, emit_table, make_procedure, run_grid
 from .validation import SUITES, run_suites
@@ -53,9 +60,15 @@ def _brute_cap() -> int:
     if raw is None:
         return DEFAULT_BRUTE_FORCE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ParseFailure(f"DOMINO_BRUTE_CAP is not an integer: {raw!r}") from exc
+    if not 1 <= cap <= MAX_BRUTE_FORCE_CAP:
+        raise ParseFailure(
+            f"DOMINO_BRUTE_CAP must lie in [1, {MAX_BRUTE_FORCE_CAP}], got {cap} "
+            f"(brute force enumerates up to 2^(m-k) supersets per rank)"
+        )
+    return cap
 
 
 def read_evidence_csv(path: str) -> EvidenceVector:
@@ -127,6 +140,12 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
             return bh(ev, args.alpha, k=args.k)
         return holm_k(ev, args.k, args.alpha)
     test_id = _resolve_run_test(args)
+    if mode is Mode.FAST and test_id is TestId.BONFERRONI_K:
+        print(
+            "warning: --mode fast runs the Bonferroni chain scan, which is more "
+            "liberal than the closure and does not control k-bFDR",
+            file=sys.stderr,
+        )
     try:
         test = local_test(test_id, args.k)
         cfg = DominoConfig(
@@ -280,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--test", choices=sorted(_TEST_TOKENS),
                        help="local test (default: resolved from --dependence)")
     run_p.add_argument("--mode", choices=sorted(_MODE_TOKENS),
-                       help="condition-check backend (default: fast where defined)")
+                       help="condition-check backend (default: the closure-exact "
+                       "scan; fast selects the liberal chain scan for bonferroni)")
     run_p.add_argument("--dependence", default="independent",
                        choices=["independent", "prds", "arbitrary"],
                        help="declared dependence among null p-values")

@@ -6,27 +6,41 @@ of the size-r candidate set) is rejected by the configured k-local test; the
 first passing rank fixes the rejection threshold.  If no rank passes, the
 trivial fallback keeps only the k-1 most significant hypotheses.
 
-Three interchangeable backends verify the condition at a rank:
+Write A_a for the a least significant indices stronger than M and B_b for
+the b least significant indices overall.  For an elementwise-monotone
+symmetric test every superset of M is dominated, after sorting, by the
+rectangular member M ∪ A_a ∪ B_b with the same a and b; and of two
+rectangular members of one size, the one with the smaller a is harder to
+reject, since it trades a stronger added value for a weaker one.  The
+closure condition at rank r therefore reduces to an L-shaped family of
+m-k+1 members: a = 0 for b = 0..m-r, then b = m-r for a = 1..r-k.
 
-* BRUTE_FORCE enumerates all 2^(m-k) supersets (capped; the reference
-  oracle).
-* EXACT evaluates the rectangular family M ∪ A_a ∪ B_b, where A_a holds the
-  a least significant stronger indices and B_b the b least significant
-  indices overall.  For an elementwise-monotone symmetric test each family
-  member dominates every same-shape superset after sorting, so the family
-  decision equals the brute-force decision exactly.
-* FAST gives the O(m^2) shortcut scans: the chain scan for the
-  generalized Bonferroni test, the recursive harmonic-mean update for the
-  harmonic combination, and the mean-reduction scan for e-values.  The
-  e-value reduction decides exactly like brute force; the p-value shortcuts
-  check only rank-contiguous augmentations and usually reject more than the
-  closure allows.  See ``validation`` for the documented divergence
-  instance.
+Three backends decide the scan:
+
+* BRUTE_FORCE enumerates all 2^(m-k) supersets at each rank (capped; the
+  reference oracle).
+* EXACT evaluates the L-shaped family with one vectorized kernel per local
+  test, sorting once per decision: the generalized Holm critical values
+  ((m+k-l)/k) * p_(l) for the generalized Bonferroni test, a Hommel-style
+  pass over the top-n sets for Simes, suffix sums of 1/p for the harmonic
+  mean, and cumulative sums for e-value means.  The last two preselect
+  ranks with a closed-form margin and let the member statistics decide.
+* FAST is the same L-shaped scan for the harmonic and e-value tests.  For
+  the generalized Bonferroni test it is the chain scan, which checks only
+  rank-contiguous augmentations and is more liberal than the closure (see
+  ``validation`` for the documented divergence instance).  Simes has no
+  FAST backend.
+
+The full rectangular family (:func:`check_condition_rectangular`), the
+superset enumeration (:func:`check_condition_bruteforce`) and the per-rank
+mean reduction (:func:`domino_e_mean_reduction_check`) stay public as
+oracles for the tests and ``kbfdr validate``; no default path calls them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -56,6 +70,9 @@ from .local_tests import (
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 20
+# Largest brute-force cap a caller may configure: at m = 30 one rank already
+# enumerates up to 2^29 supersets.
+MAX_BRUTE_FORCE_CAP = 30
 
 
 class Mode(enum.Enum):
@@ -66,11 +83,12 @@ class Mode(enum.Enum):
     BRUTE_FORCE = "brute"
 
 
-# Tests whose fast path is the default.  The Bonferroni chain scan is
-# excluded on purpose: it checks no weak augmentations, does not control the
-# boundary error rate (simulated k-bFDR reaches ~0.5 where exact search stays
-# at the nominal level), and so cannot reproduce the reference experiments.
-# It stays available behind an explicit Mode.FAST.
+# Tests whose default mode is FAST, which for them is the closure-exact
+# L-shaped scan.  The Bonferroni chain scan is excluded on purpose: it checks
+# no weak augmentations, does not control the boundary error rate (simulated
+# k-bFDR reaches ~0.5 where exact search stays at the nominal level), and so
+# cannot reproduce the reference experiments.  It stays available behind an
+# explicit Mode.FAST.
 _FAST_DEFAULT = frozenset(
     {TestId.HARMONIC_MEAN, TestId.E_AVERAGE, TestId.E_CLOSURE_K}
 )
@@ -80,10 +98,11 @@ _FAST_DEFAULT = frozenset(
 class DominoConfig:
     """Order, level, local test and backend for one Domino invocation.
 
-    ``mode=None`` resolves to FAST for the harmonic and e-value tests, whose
-    shortcuts decide exactly like the full closure at the scales that matter,
-    and to EXACT otherwise (including the Bonferroni test, whose shortcut is
-    strictly more liberal than the closure condition).
+    ``mode=None`` resolves to FAST for the harmonic and e-value tests and to
+    EXACT otherwise.  Either way the default decides exactly like the full
+    closure: FAST for those tests is the same L-shaped scan as EXACT.  The
+    one liberal backend, the Bonferroni chain scan, runs only under an
+    explicit ``Mode.FAST``.
     """
 
     k: int
@@ -294,7 +313,8 @@ def domino_e_mean_reduction_check(
 
     The mean over supersets of M_{r,k} is minimized, at every cardinality, by
     adding the smallest e-values outside M; checking those m - k prefixes is
-    therefore equivalent to checking every superset.
+    therefore equivalent to checking every superset.  Sums are Python floats,
+    so an overflowing sum becomes +inf without a warning.
     """
     _require_rank(sv, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
@@ -305,7 +325,7 @@ def domino_e_mean_reduction_check(
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
     outsider_ranks = list(range(m - 1, r - 1, -1)) + list(range(r - k - 1, -1, -1))
-    base = float(rank_vals[r - k : r].sum())
+    base = sum(float(v) for v in rank_vals[r - k : r])
     running = base
     for t in range(0, m - k + 1):
         if t > 0:
@@ -336,28 +356,209 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     return RejectionSet(indices, 0, marginal)
 
 
-def _checker(
-    cfg: DominoConfig, e_reduction: bool
-) -> Callable[[SortedView, int], ConditionTrace]:
-    mode = cfg.resolved_mode()
-    if mode is Mode.BRUTE_FORCE:
-        return lambda sv, r: check_condition_bruteforce(
+# L-shaped scan kernels.  Each takes the rank values v (v[i] is the evidence
+# at rank i+1), the order k and the level, and returns the largest rank that
+# passes the closure condition, or a number below k when none does.  The
+# Bonferroni and Simes statistics are the floating-point expressions of the
+# local tests in ``local_tests`` (and of the rectangular Bonferroni grid), so
+# a member passes here exactly when the local test accepts it.  The harmonic
+# and e-value kernels add their sums in another order than the local tests
+# (the e-value one in the order of the mean-reduction check), which can move
+# a member lying within rounding of the threshold.
+
+
+def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:
+    """Generalized Bonferroni: the generalized Holm critical values.
+
+    The L-shaped member of size m+k-l has its k-th smallest p-value at rank
+    l, and on the a = 0 leg the b = m-r end is the hardest.  So rank r passes
+    iff ((m+k-l)/k) * p_(l) <= alpha for every l in [k, r]; the condition
+    does not depend on r, and the largest passing rank is the first failing
+    l minus one.
+    """
+    m = v.size
+    ell = np.arange(k, m + 1)
+    failing = np.flatnonzero(((m + k - ell) / k) * v[k - 1 :] > alpha)
+    return m if failing.size == 0 else k + int(failing[0]) - 1
+
+
+def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
+    """Smallest n whose tail terms pass, m + 1 if none does.
+
+    V_n holds when (n/j) * p_(m-n+j) <= alpha for some j in [2, n]: the
+    Simes terms of {r} ∪ (top n-1) that do not involve p_(r).  Each term
+    only shrinks as n grows (n/j with j = n - (m - i) falls towards 1, and
+    rounding keeps that order), so V_n is monotone in n and a bisection
+    finds the threshold.
+    """
+    m = v.size
+    lo, hi = 2, m + 1
+    while lo < hi:
+        n = (lo + hi) // 2
+        if ((n / np.arange(2, n + 1)) * v[m - n + 1 :] <= alpha).any():
+            hi = n
+        else:
+            lo = n + 1
+    return lo
+
+
+def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
+    """Simes (k = 1): closed testing with Simes, as in Hommel's procedure.
+
+    The b = m-r leg consists of the top-n sets (the n least significant
+    p-values) for n >= m-r+1; T_n says Simes rejects the top-n set.  The
+    a = 0 leg is {r} ∪ (top n-1) for n <= m-r+1, rejected iff V_n or
+    n * p_(r) <= alpha; the hardest such n is the largest one without V_n.
+    """
+    m = v.size
+    n_star = _simes_tail_threshold(v, alpha)
+    n = np.arange(1, m + 1)
+    top = (n >= n_star) | (n * v[::-1] <= alpha)
+    failing = np.flatnonzero(~top)
+    r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
+    ranks = np.arange(1, r_top + 1)
+    passing = np.flatnonzero(
+        np.minimum(m - ranks + 1, n_star - 1) * v[:r_top] <= alpha
+    )
+    return int(passing[-1]) + 1 if passing.size else 0
+
+
+@functools.lru_cache(maxsize=8)
+def _harmonic_scale(m: int) -> np.ndarray:
+    """e * ln(n) for n = 0..m, rounded as ``scaled_harmonic_mean`` rounds."""
+    scale = np.array([0.0] + [math.e * math.log(n) for n in range(1, m + 1)])
+    scale.flags.writeable = False
+    return scale
+
+
+def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
+    """Scaled harmonic mean (k = 1) from one suffix sum of 1/p.
+
+    The b = m-r leg is the top-n sets for n >= m-r+1, checked for all ranks
+    at once.  The a = 0 leg, {r} with the b least significant p-values for
+    1 <= b < m-r, passes iff 1/p_(r) >= scale(b+1) * (b+1)/alpha - tail(b)
+    for each b, so a running maximum of that bound preselects the ranks.
+    The bound is rounded differently from the local test, so it carries a
+    slack of 4*m*eps times the finite magnitudes involved, and one vector
+    per preselected rank, scanned from the top, decides.
+    """
+    m = v.size
+    scale = _harmonic_scale(m)
+    # 1/0 := inf, and a sum that overflows is inf too: either way the
+    # harmonic mean is 0 and the local test rejects the member, as it does
+    # on Python floats.
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / v
+        tail = np.cumsum(inv[::-1])  # tail[n-1]: sum over the top-n set
+        n = np.arange(1, m + 1)
+        top = scale[1:] * (n / tail) <= alpha
+        top[0] = v[m - 1] <= alpha  # a singleton is tested by its p-value
+        failing = np.flatnonzero(~top)
+        r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
+        r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
+        need = scale[2:m] * n[1 : m - 1] / alpha - tail[: m - 2]
+        hardest = np.concatenate(([-np.inf], np.maximum.accumulate(need)))
+        widths = np.maximum(m - 1 - n[:r_top], 0)  # the largest b at rank r
+        bound = scale[m] * m / alpha + float(inv[np.isfinite(inv)].sum())
+        slack = 4 * m * np.finfo(float).eps * bound
+        candidates = np.flatnonzero(inv[:r_top] >= hardest[widths] - slack) + 1
+        for r in candidates[::-1]:
+            b = max(m - r - 1, 0)  # members {r} ∪ (top b) with 1 <= b < m-r
+            sums = inv[r - 1] + tail[:b]
+            if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
+                return int(r)
+    return 0
+
+
+def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
+    """Mean of e-values (``eavg``, and ``eclosure`` at any k).
+
+    At each rank the L-shaped members are M padded with the outsiders in
+    ascending order, weak tail first, which is the order of
+    :func:`domino_e_mean_reduction_check`; one cumulative sum over
+    [sum(M), outsiders...] gives every member sum, bit for bit as that check
+    adds them, and decides the rank.
+
+    Because the padding order is ascending, the smallest member margin
+    sum(v - 1/alpha) pads M with exactly the outsiders below 1/alpha.  So
+    rank r passes iff the excess of M over 1/alpha covers the total
+    deficit: sum over M of max(v - 1/alpha, 0) >= sum over all of
+    max(1/alpha - v, 0).  That margin, found for every rank at once, is
+    rounded differently from the member means, so it only preselects the
+    ranks that the cumulative sum then decides.  Its slack, 4*m*eps times
+    the finite sum plus m/alpha, exceeds the rounding error of both the
+    margin and the member sums, so no rank that passes is left out.
+    """
+    m = v.size
+    threshold = 1.0 / alpha
+    sizes = k + np.arange(m - k + 1)
+    # A partial sum overflows to +inf only when its exact value exceeds the
+    # largest double (~1.8e308).  Its mean over at most m terms then still
+    # exceeds 1/alpha for any m and alpha that fit in memory, so the +inf
+    # mean decides the comparison as the exact mean would.
+    with np.errstate(over="ignore"):
+        excess = np.maximum(v - threshold, 0.0)
+        deficit = float(np.maximum(threshold - v, 0.0).sum())
+        base = v[: m - k + 1].copy()  # base[r-k]: sum of M_{r,k}, left fold
+        cover = excess[: m - k + 1].copy()
+        for i in range(1, k):
+            base += v[i : m - k + 1 + i]
+            cover += excess[i : m - k + 1 + i]
+        finite_sum = float(v[np.isfinite(v)].sum())
+        slack = 4 * m * np.finfo(float).eps * (finite_sum + m * threshold)
+        candidates = (base / k >= threshold) & (cover - deficit >= -slack)
+        for r in (np.flatnonzero(candidates) + k)[::-1]:
+            outsiders = np.concatenate(
+                (base[r - k : r - k + 1], v[r:][::-1], v[: r - k][::-1])
+            )
+            if (np.cumsum(outsiders) / sizes >= threshold).all():
+                return int(r)
+    return 0
+
+
+_KERNELS = {
+    TestId.BONFERRONI_K: _bonferroni_rank,
+    TestId.SIMES: _simes_rank,
+    TestId.HARMONIC_MEAN: _harmonic_rank,
+    TestId.E_AVERAGE: _e_mean_rank,
+    TestId.E_CLOSURE_K: _e_mean_rank,
+}
+
+
+def _l_scan(ev: EvidenceVector, k: int, alpha: float, test_id: TestId) -> RejectionSet:
+    """Domino over the L-shaped family: the largest passing rank wins."""
+    sv = sort_evidence(ev)
+    r = _KERNELS[test_id](sv.rank_values(), k, alpha)
+    if r >= k:
+        return reject_by_rank(sv, r, k)
+    return _trivial_rejection(sv, k)
+
+
+def _brute_scan(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+    """Domino by superset enumeration at every rank, from m down to k."""
+    sv = sort_evidence(ev)
+    for r in range(sv.m, cfg.k - 1, -1):
+        trace = check_condition_bruteforce(
             sv, r, cfg.k, cfg.test, cfg.alpha, cap=cfg.brute_force_cap
         )
-    if mode is Mode.EXACT:
-        return lambda sv, r: check_condition_rectangular(
-            sv, r, cfg.k, cfg.test, cfg.alpha
-        )
-    if e_reduction and cfg.test.id in (TestId.E_AVERAGE, TestId.E_CLOSURE_K):
-        return lambda sv, r: domino_e_mean_reduction_check(sv, r, cfg.k, cfg.alpha)
-    raise ValueError(f"fast mode is not defined for test {cfg.test.id.value}")
+        if trace.passed:
+            return reject_by_rank(sv, r, cfg.k)
+    return _trivial_rejection(sv, cfg.k)
 
 
-def _scan(sv: SortedView, k: int, check: Callable[[SortedView, int], ConditionTrace]) -> RejectionSet:
-    for r in range(sv.m, k - 1, -1):
-        if check(sv, r).passed:
-            return reject_by_rank(sv, r, k)
-    return _trivial_rejection(sv, k)
+def _domino(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+    mode = cfg.resolved_mode()
+    if mode is Mode.BRUTE_FORCE:
+        return _brute_scan(ev, cfg)
+    if mode is Mode.EXACT and not cfg.test.monotone:
+        raise NotMonotoneError(f"{cfg.test.id.value} is not declared monotone")
+    test_id = cfg.test.id
+    if mode is Mode.FAST:
+        if test_id is TestId.BONFERRONI_K:
+            return domino_p_fast_bonferroni(ev, cfg.k, cfg.alpha)
+        if test_id is TestId.SIMES:
+            raise ValueError(f"fast mode is not defined for test {test_id.value}")
+    return _l_scan(ev, cfg.k, cfg.alpha, test_id)
 
 
 def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
@@ -368,13 +569,7 @@ def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
         raise ValueError(f"{cfg.test.id.value} is not a p-value test")
     if cfg.k > p.m:
         raise ValueError(f"k={cfg.k} exceeds m={p.m}")
-    if cfg.resolved_mode() is Mode.FAST:
-        if cfg.test.id is TestId.BONFERRONI_K:
-            return domino_p_fast_bonferroni(p, cfg.k, cfg.alpha)
-        if cfg.test.id is TestId.HARMONIC_MEAN:
-            return domino_p_fast_harmonic(p, cfg.alpha)
-        raise ValueError(f"fast mode is not defined for test {cfg.test.id.value}")
-    return _scan(sort_evidence(p), cfg.k, _checker(cfg, e_reduction=False))
+    return _domino(p, cfg)
 
 
 def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
@@ -385,7 +580,7 @@ def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
         raise ValueError(f"{cfg.test.id.value} is not an e-value test")
     if cfg.k > e.m:
         raise ValueError(f"k={cfg.k} exceeds m={e.m}")
-    return _scan(sort_evidence(e), cfg.k, _checker(cfg, e_reduction=True))
+    return _domino(e, cfg)
 
 
 def domino_p_fast_bonferroni(
@@ -419,33 +614,12 @@ def domino_p_fast_bonferroni(
 
 
 def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:
-    """O(m^2) harmonic-mean shortcut scan (order 1).
+    """Harmonic-mean Domino (order 1) over the L-shaped family.
 
-    Each candidate {pi(r)} is grown by the weak tail l = m..r+1 with the
-    constant-time harmonic update
-    Har(S ∪ {pi(l)}) = (|S|+1) / (|S|/Har(S) + 1/p_(l)),
-    requiring e*ln|S|*Har(S) <= alpha at every step.  Strong augmentations
-    are not checked, so the result can exceed the fully closed set.
+    Decides like the full closure: one suffix sum of 1/p covers the top-n
+    sets of every rank, and one vector per rank covers {r} with the weak
+    tail.  Any zero p-value makes every set it enters a rejection.
     """
     if p.kind is not EvidenceKind.P_VALUE:
         raise ValueError("domino_p_fast_harmonic requires p-values")
-    sv = sort_evidence(p)
-    rank_vals = sv.rank_values()
-    m = sv.m
-    r0 = int(np.searchsorted(rank_vals, alpha, side="right"))
-    for r in range(r0, 0, -1):
-        har = float(rank_vals[r - 1])
-        size = 1
-        ok = True
-        for ell in range(m, r, -1):
-            pv = float(rank_vals[ell - 1])
-            inv_har = math.inf if har == 0.0 else size / har
-            inv_p = math.inf if pv == 0.0 else 1.0 / pv
-            har = (size + 1) / (inv_har + inv_p)
-            size += 1
-            if math.e * math.log(size) * har > alpha:
-                ok = False
-                break
-        if ok:
-            return reject_by_rank(sv, r, 1)
-    return RejectionSet(frozenset(), 0, ())
+    return _l_scan(p, 1, alpha, TestId.HARMONIC_MEAN)

@@ -6,7 +6,7 @@ false-declaration probability at level alpha.  All five built-in tests are
 elementwise monotone: worsening any single piece of evidence (raising a
 p-value, lowering an e-value) can only flip a rejection to a non-rejection.
 That property is what lets the engine replace exponential subset enumeration
-with an exact rectangular search.
+with an exact search over an L-shaped family of m-k+1 subsets per rank.
 
 Conventions for extreme evidence: 1/0 := +inf, so a zero p-value drives the
 harmonic mean to 0 and forces rejection; a +inf e-value makes every mean it

@@ -199,8 +199,8 @@ def make_procedure(token: str) -> ProcedureSpec:
     """Parse a procedure token ``name[:k[:mode]]``.
 
     Names: simes, harmonic, bonferroni, eavg, eclosure (Domino variants),
-    bh, holm (baselines).  The default mode is the fast path where one is
-    defined and the exact rectangular search otherwise.
+    bh, holm (baselines).  The default mode is the configuration default,
+    which decides like the full closure for every test.
     """
     parts = [part.strip() for part in token.split(":")]
     name = parts[0].lower()

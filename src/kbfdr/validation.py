@@ -2,9 +2,10 @@
 
 These are trimmed-down versions of the test-suite invariants, sized to run
 in seconds: the rectangular search against brute-force enumeration, the
-e-value mean-reduction against direct closure enumeration, pointwise
-indicator ordering, and the documented divergence of the fast Bonferroni
-scan from the fully closed procedure.
+e-value mean-reduction against direct closure enumeration, the default and
+EXACT Domino backends against brute-force Domino, pointwise indicator
+ordering, and the documented divergence of the fast Bonferroni scan from the
+fully closed procedure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvidenceVector, sort_evidence
+from .core import EvidenceKind, EvidenceVector, sort_evidence
 from .engine import (
     DominoConfig,
     Mode,
@@ -93,6 +94,64 @@ def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteR
     )
 
 
+# Every built-in test at every order up to 3 for which it is defined.
+_DIFFERENTIAL_CASES = (
+    (TestId.BONFERRONI_K, 1), (TestId.BONFERRONI_K, 2), (TestId.BONFERRONI_K, 3),
+    (TestId.SIMES, 1), (TestId.HARMONIC_MEAN, 1), (TestId.E_AVERAGE, 1),
+    (TestId.E_CLOSURE_K, 1), (TestId.E_CLOSURE_K, 2), (TestId.E_CLOSURE_K, 3),
+)
+
+
+def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.ndarray:
+    """Random evidence with ties and the extremes of its range mixed in."""
+    if kind is EvidenceKind.P_VALUE:
+        values = _random_pvalues(rng, m)
+        extremes = [0.0, 1.0]
+    else:
+        values = np.where(rng.random(m) < 0.35, rng.uniform(5, 80, m),
+                          rng.uniform(0, 3, m))
+        extremes = [0.0, np.inf, 1e308]
+    draw = rng.random(m)
+    values[draw < 0.15] = rng.choice(extremes)
+    values[draw > 0.8] = values[rng.integers(m)]
+    return values
+
+
+def default_vs_bruteforce(n_instances: int = 120, seed: int = 13) -> SuiteResult:
+    """Default and EXACT Domino decide like brute-force Domino for m <= 12.
+
+    The explicit FAST Bonferroni chain is left out: it is the documented
+    liberal exception (see ``fastpath-divergence``).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    compared = 0
+    for _ in range(n_instances):
+        m = int(rng.integers(1, 13))
+        alpha = float(rng.choice([0.05, 0.2]))
+        for test_id, k in _DIFFERENTIAL_CASES:
+            if k > m:
+                continue
+            test = local_test(test_id, k)
+            values = _edge_evidence(rng, m, test.evidence_kind)
+            ev = EvidenceVector(test.evidence_kind, values)
+            decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
+            brute = decide(ev, DominoConfig(k, alpha, test, mode=Mode.BRUTE_FORCE))
+            expected = (brute.indices, brute.boundary_rank, brute.marginal_indices)
+            for mode in (None, Mode.EXACT):
+                got = decide(ev, DominoConfig(k, alpha, test, mode=mode))
+                compared += 1
+                if (got.indices, got.boundary_rank, got.marginal_indices) != expected:
+                    return SuiteResult(
+                        "default-vs-brute",
+                        False,
+                        f"{test_id.value} k={k} mode={mode} alpha={alpha} "
+                        f"differs from brute force at {values.tolist()}",
+                    )
+    return SuiteResult(
+        "default-vs-brute", True, f"{compared} Domino decisions equal brute force"
+    )
+
+
 def pointwise_indicators(seed: int = 5) -> SuiteResult:
     procedures = [make_procedure("bonferroni:1"), make_procedure("bonferroni:2")]
     mixed = SimScenario(m=30, pi1=0.2, mu_c=3.0, sigma=1.0, rho=0.25,
@@ -137,6 +196,7 @@ def fastpath_divergence() -> SuiteResult:
 SUITES = {
     "rectangular-vs-brute": rectangular_vs_bruteforce,
     "mean-reduction-equivalence": mean_reduction_equivalence,
+    "default-vs-brute": default_vs_bruteforce,
     "pointwise-indicators": pointwise_indicators,
     "fastpath-divergence": fastpath_divergence,
 }

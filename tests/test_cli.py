@@ -10,6 +10,7 @@ from kbfdr.cli import (
     main,
     read_evidence_csv,
 )
+from kbfdr.engine import MAX_BRUTE_FORCE_CAP
 from kbfdr.local_tests import TestId
 
 
@@ -95,6 +96,33 @@ class TestRun:
         assert main(["run", p_file, "--proc", "domino", "--k", "1",
                      "--alpha", "0.05", "--test", "bonferroni",
                      "--mode", "brute"]) == EXIT_CONFLICT
+
+    def test_brute_cap_above_ceiling_exits_2(self, p_file, monkeypatch, capsys):
+        for raw in (str(MAX_BRUTE_FORCE_CAP + 1), "60", "0"):
+            monkeypatch.setenv("DOMINO_BRUTE_CAP", raw)
+            assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
+                         "--test", "bonferroni", "--mode", "brute"]) == EXIT_PARSE
+            assert "DOMINO_BRUTE_CAP must lie in" in capsys.readouterr().err
+        monkeypatch.setenv("DOMINO_BRUTE_CAP", str(MAX_BRUTE_FORCE_CAP))
+        assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
+                     "--test", "bonferroni", "--mode", "brute"]) == EXIT_OK
+
+    def test_fast_bonferroni_warns_on_stderr(self, p_file, tmp_path, capsys):
+        outs = {}
+        for mode in ("fast", "exact"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
+                         "--test", "bonferroni", "--mode", mode,
+                         "--out", str(out)]) == EXIT_OK
+            captured = capsys.readouterr()
+            outs[mode] = (captured.out, captured.err, out.read_bytes())
+        fast_out, fast_err, fast_csv = outs["fast"]
+        exact_out, exact_err, exact_csv = outs["exact"]
+        assert fast_out == exact_out == "rejections=2 boundary=0.01\n"
+        assert fast_csv == exact_csv
+        assert exact_err == ""
+        assert len(fast_err.splitlines()) == 1
+        assert "more liberal than the closure" in fast_err
 
     def test_malformed_rows_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -224,13 +252,17 @@ class TestValidate:
         assert main(["validate", "--suite", "fastpath-divergence"]) == EXIT_OK
         assert "fastpath-divergence: PASS" in capsys.readouterr().out
 
+    def test_default_vs_brute_suite_passes(self, capsys):
+        assert main(["validate", "--suite", "default-vs-brute"]) == EXIT_OK
+        assert "default-vs-brute: PASS" in capsys.readouterr().out
+
     def test_unknown_suite_exits_2(self):
         assert main(["validate", "--suite", "not-a-suite"]) == EXIT_PARSE
 
     def test_all_suites_pass(self, capsys):
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
 
 

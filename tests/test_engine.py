@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbfdr import (
     CapExceededError,
@@ -16,7 +20,9 @@ from kbfdr import (
     domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     e_closure_k,
+    holm_k,
     local_test,
+    reject_by_rank,
     run_sample,
     sort_evidence,
 )
@@ -385,3 +391,158 @@ class TestLevelControlSmallScale:
         bound = alpha + 3.0 * np.sqrt(alpha * (1 - alpha) / reps)
         for mode, count in hits.items():
             assert count / reps <= bound, mode
+
+
+P_CASES = [("bonferroni", 1), ("bonferroni", 2), ("bonferroni", 3),
+           ("simes", 1), ("harmonic", 1)]
+E_CASES = [("eavg", 1), ("eclosure", 1), ("eclosure", 2), ("eclosure", 3)]
+
+# Ties come from the sampled values; p in {0, 1}, e = +inf and finite
+# e-values up to the largest double are all in the mix.
+P_LISTS = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.001, 0.01, 0.02, 0.05, 0.2, 1.0]),
+              st.floats(0.0, 1.0)),
+    min_size=1, max_size=12,
+)
+E_LISTS = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 5.0, 20.0, 40.0, 1e308, math.inf]),
+              st.floats(0.0, 100.0),
+              st.floats(0.0, 1.7976931348623157e308)),
+    min_size=1, max_size=12,
+)
+
+
+def _outcome(rej):
+    return rej.indices, rej.boundary_rank, rej.marginal_indices
+
+
+def _assert_matches_brute(decide, ev, cases, alpha):
+    for test_id, k in cases:
+        if k > ev.m:
+            continue
+        test = local_test(test_id, k)
+        brute = decide(ev, DominoConfig(k, alpha, test, mode=Mode.BRUTE_FORCE))
+        for mode in (None, Mode.EXACT):
+            got = decide(ev, DominoConfig(k, alpha, test, mode=mode))
+            assert _outcome(got) == _outcome(brute), (test_id, k, mode)
+
+
+class TestDefaultMatchesBruteForce:
+    """Every default and EXACT path decides like the brute-force closure.
+
+    The explicit Mode.FAST Bonferroni chain is the documented exception.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(values=P_LISTS, alpha=st.sampled_from([0.05, 0.2]))
+    def test_p_values(self, values, alpha):
+        _assert_matches_brute(domino_p, EvidenceVector.p_values(values), P_CASES, alpha)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(values=E_LISTS, alpha=st.sampled_from([0.05, 0.2]))
+    def test_e_values(self, values, alpha):
+        _assert_matches_brute(domino_e, EvidenceVector.e_values(values), E_CASES, alpha)
+
+    def test_harmonic_default_on_tied_pvalues(self):
+        # Every pair of the five p = 0.05 has a scaled harmonic mean of
+        # e*ln(2)*0.05 > 0.05, so the closure rejects nothing.
+        ev = EvidenceVector.p_values([0.05] * 5)
+        cfg = DominoConfig(1, 0.05, local_test("harmonic", 1))
+        assert cfg.resolved_mode() is Mode.FAST
+        assert domino_p(ev, cfg).indices == frozenset()
+        assert domino_p_fast_harmonic(ev, 0.05).indices == frozenset()
+        brute = domino_p(ev, DominoConfig(1, 0.05, cfg.test, mode=Mode.BRUTE_FORCE))
+        assert brute.indices == frozenset()
+
+    def test_production_paths_skip_the_oracles(self, monkeypatch):
+        import kbfdr.engine as engine
+
+        p = EvidenceVector.p_values([0.0004, 0.001, 0.004, 0.01, 0.04, 0.3, 0.7, 0.0])
+        e = EvidenceVector.e_values([200.0, 90.0, 40.0, 3.0, 0.5, math.inf, 25.0])
+        plan = [(domino_p, p, P_CASES), (domino_e, e, E_CASES)]
+        expected = {}
+        for decide, ev, cases in plan:
+            for test_id, k in cases:
+                cfg = DominoConfig(k, 0.05, local_test(test_id, k), mode=Mode.BRUTE_FORCE)
+                expected[test_id, k] = _outcome(decide(ev, cfg))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle ran on a production path")
+
+        for name in ("check_condition_rectangular", "check_condition_bruteforce",
+                     "domino_e_mean_reduction_check"):
+            monkeypatch.setattr(engine, name, refuse)
+        for decide, ev, cases in plan:
+            for test_id, k in cases:
+                test = local_test(test_id, k)
+                for mode in (None, Mode.EXACT):
+                    got = decide(ev, DominoConfig(k, 0.05, test, mode=mode))
+                    assert _outcome(got) == expected[test_id, k], (test_id, k, mode)
+
+
+class TestEValueOverflow:
+    """Sums past the largest double become +inf without a warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_e_values(self):
+        ev = EvidenceVector.e_values([1e308, 1e308])
+        test = local_test("eclosure", 2)
+        for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
+            rej = domino_e(ev, DominoConfig(2, 0.05, test, mode=mode))
+            assert rej.indices == frozenset({0, 1})
+            assert rej.boundary_rank == 2
+        assert domino_e_mean_reduction_check(e_view([1e308, 1e308]), 2, 2, 0.05).passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_next_to_weak_evidence(self):
+        # At rank 2 the marginal pair {1e308, 1e308} overflows to +inf; at
+        # rank 3 every superset of {1e308, 0.5} still has a mean far above
+        # 1/alpha, so the weak value is rejected with the strong pair.
+        ev = EvidenceVector.e_values([1e308, 0.5, 1e308])
+        rej = domino_e(ev, DominoConfig(2, 0.05, local_test("eclosure", 2)))
+        brute = domino_e(ev, DominoConfig(2, 0.05, local_test("eclosure", 2),
+                                          mode=Mode.BRUTE_FORCE))
+        assert _outcome(rej) == _outcome(brute)
+        assert rej.indices == frozenset({0, 1, 2})
+
+
+class TestLShapedKernels:
+    """The closed forms the kernels rely on, at scales brute force cannot reach."""
+
+    def test_exact_bonferroni_is_generalized_holm(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            m = int(rng.integers(3, 300))
+            p = rng.random(m)
+            p[rng.random(m) < 0.3] *= 1e-3
+            ev = EvidenceVector.p_values(p)
+            for k in (1, 2, 3):
+                holm = holm_k(ev, k, 0.05)
+                rej = domino_p(ev, DominoConfig(k, 0.05, local_test("bonferroni", k)))
+                if holm.size >= k:
+                    assert rej.indices == holm.indices
+                else:
+                    assert rej.boundary_rank == 0
+
+    @pytest.mark.parametrize("test_id", ["simes", "harmonic", "eclosure"])
+    def test_matches_rectangular_scan(self, test_id):
+        rng = np.random.default_rng(43)
+        test = local_test(test_id, 1)
+        for _ in range(30):
+            m = int(rng.integers(20, 60))
+            sc = SimScenario(m=m, pi1=0.3, mu_c=3.0, sigma=1.0, rho=0.25,
+                             alpha=0.1, k=1, reps=1, seed=int(rng.integers(1 << 30)))
+            inst = gen_instance(sc, 0)
+            ev = inst.pvalues if test.evidence_kind is EvidenceKind.P_VALUE else inst.evalues
+            sv = sort_evidence(ev)
+            expected = 0
+            for r in range(m, 0, -1):
+                if check_condition_rectangular(sv, r, 1, test, 0.1).passed:
+                    expected = r
+                    break
+            decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
+            rej = decide(ev, DominoConfig(1, 0.1, test, mode=Mode.EXACT))
+            if expected:
+                assert _outcome(rej) == _outcome(reject_by_rank(sv, expected, 1))
+            else:
+                assert rej.boundary_rank == 0

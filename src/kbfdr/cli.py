@@ -160,12 +160,11 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
 
 def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet) -> None:
     marginal_rank = {j: i + 1 for i, j in enumerate(rejection.marginal_indices)}
+    rejected = rejection.indices
     lines = ["index,evidence,rejected,marginal_rank"]
-    for j in range(ev.m):
+    for j, value in enumerate(ev.values.tolist()):
         rank = marginal_rank.get(j, "")
-        lines.append(
-            f"{j + 1},{float(ev.values[j])!r},{int(j in rejection.indices)},{rank}"
-        )
+        lines.append(f"{j + 1},{value!r},{int(j in rejected)},{rank}")
     payload = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(payload)
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dependence", default="independent",
                        choices=["independent", "prds", "arbitrary"],
                        help="declared dependence among null p-values")
-    run_p.add_argument("--seed", type=int, help="unused by run; accepted for symmetry")
     run_p.add_argument("--out", help="rejection CSV path (default: stdout)")
     run_p.set_defaults(func=cmd_run)
 

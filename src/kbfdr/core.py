@@ -3,16 +3,24 @@
 Evidence is either a vector of p-values (small = significant) or e-values
 (large = significant).  All procedures work on a sorted view of the evidence:
 p-values ascending, e-values descending, ties broken by ascending original
-index.  Ranks are 1-based throughout the public API; hypothesis indices are
-0-based.
+index.  Each evidence vector is sorted once, on first use, and the
+permutation is cached on it.  Ranks are 1-based throughout the public API;
+hypothesis indices are 0-based.
+
+Every procedure rejects a prefix of the significance order, so a rejection
+set is stored as that prefix: an array of indices, most significant first.
+Its k least significant members, which the boundary error reads, are the
+last k entries.
 
 Everything here is immutable after construction and all operations are pure,
-so concurrent use needs no coordination.
+so concurrent use needs no coordination; threads racing on the first use of
+a cached sort at worst sort twice and keep equal permutations.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +94,20 @@ class EvidenceVector:
     def m(self) -> int:
         return int(self.values.size)
 
+    @functools.cached_property
+    def perm(self) -> np.ndarray:
+        """The significance permutation, computed on first use and kept.
+
+        ``perm[i]`` is the original index of the hypothesis at rank i+1;
+        see :class:`SortedView` for the order and its tie rule.
+        """
+        if self.kind is EvidenceKind.P_VALUE:
+            perm = np.argsort(self.values, kind="stable")
+        else:
+            perm = np.argsort(-self.values, kind="stable")
+        perm.flags.writeable = False
+        return perm
+
     @classmethod
     def p_values(cls, values) -> "EvidenceVector":
         return cls(EvidenceKind.P_VALUE, np.asarray(values, dtype=float))
@@ -125,25 +147,65 @@ class MarginalSet:
     indices: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RejectionSet:
-    """A rejection decision.
+    """A rejection decision: a prefix of the significance order.
 
-    ``boundary_rank`` is the effective boundary after tie absorption (the
-    number of ranks at or below the rejection threshold); 0 encodes both the
-    empty set and trivial fallback outcomes, so callers should read
-    ``indices`` rather than the rank for set contents.  ``marginal_indices``
-    lists the min(k, |R|) least significant rejected hypotheses, ordered from
-    least to more significant.
+    ``ranked`` holds the rejected 0-based indices, most significant first,
+    as a read-only array; every built-in procedure returns a view of the
+    sorted permutation.  ``boundary_rank`` is the effective boundary after
+    tie absorption (the number of ranks at or below the rejection
+    threshold); 0 encodes both the empty set and trivial fallback outcomes,
+    so callers should read ``ranked`` or ``indices`` rather than the rank
+    for set contents.  ``k`` is the boundary order: ``marginal_indices``
+    lists the min(k, |R|) least significant rejections, least first.
+
+    Equality and hashing compare the three fields by value.
     """
 
-    indices: frozenset[int]
+    ranked: np.ndarray
     boundary_rank: int
-    marginal_indices: tuple[int, ...]
+    k: int
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.ranked)
+        # An empty sequence arrives as float64; any other non-integer dtype
+        # would be truncated by the cast to indices.
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("ranked must be a 1-d array of integer indices")
+        arr = arr.astype(np.intp, copy=False)
+        if self.k < 1:
+            raise OutOfRangeError(f"k must be >= 1, got {self.k}")
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.flags.writeable = False
+        object.__setattr__(self, "ranked", arr)
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return int(self.ranked.size)
+
+    @functools.cached_property
+    def indices(self) -> frozenset[int]:
+        """The rejected indices as a set, built on first use."""
+        return frozenset(self.ranked.tolist())
+
+    @property
+    def marginal_indices(self) -> tuple[int, ...]:
+        """The min(k, |R|) least significant rejections, least first."""
+        tail = self.ranked[max(self.size - self.k, 0) :]
+        return tuple(tail[::-1].tolist())
+
+    def _key(self) -> tuple:
+        return (self.ranked.tobytes(), self.boundary_rank, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RejectionSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -153,11 +215,13 @@ class GroundTruth:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.theta, dtype=int, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.theta)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("theta must be a non-empty 1-d vector")
-        if not np.isin(arr, (0, 1)).all():
+        # Compare before casting: a cast would truncate 0.5 to 0 unnoticed.
+        if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
             raise ValueError("theta entries must be 0 or 1")
+        arr = raw.astype(int)
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
 
@@ -165,24 +229,14 @@ class GroundTruth:
     def m(self) -> int:
         return int(self.theta.size)
 
-    @property
-    def null_set(self) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.theta == 0))
-
-    @property
-    def alternative_set(self) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.theta == 1))
-
 
 def sort_evidence(ev: EvidenceVector) -> SortedView:
-    """Sort evidence by significance; stable under ties by original index."""
-    if ev.kind is EvidenceKind.P_VALUE:
-        perm = np.argsort(ev.values, kind="stable")
-    else:
-        perm = np.argsort(-ev.values, kind="stable")
-    perm = perm.astype(np.intp)
-    perm.flags.writeable = False
-    return SortedView(ev, perm)
+    """Sort evidence by significance; stable under ties by original index.
+
+    The permutation is the one cached on ``ev``, so procedures that share an
+    evidence vector share one sort.
+    """
+    return SortedView(ev, ev.perm)
 
 
 def marginal_set(sv: SortedView, r: int, k: int) -> MarginalSet:
@@ -209,19 +263,13 @@ def reject_by_rank(sv: SortedView, r: int, k: int) -> RejectionSet:
     Rejection is threshold-based, so ties at the boundary are absorbed even
     when that pushes |R| beyond r.  r = 0 yields the empty set.  Among tied
     boundary values the marginal indices are taken by descending original
-    index, which is what the stable sorted order yields.
+    index, which is what the stable sorted order yields.  The returned
+    ``ranked`` is a view of ``sv.perm``, not a copy.
     """
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k}")
     if r < 0 or r > sv.m:
         raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={sv.m}")
-    if r == 0:
-        return RejectionSet(frozenset(), 0, ())
-    r_eff = _tied_prefix_length(sv, r)
-    indices = frozenset(int(j) for j in sv.perm[:r_eff])
-    kk = min(k, r_eff)
-    marginal = tuple(int(sv.perm[r_eff - 1 - t]) for t in range(kk))
-    return RejectionSet(indices, r_eff, marginal)
+    r_eff = _tied_prefix_length(sv, r) if r else 0
+    return RejectionSet(sv.perm[:r_eff], r_eff, k)
 
 
 def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
@@ -229,7 +277,9 @@ def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
 
     Uses the same tie rule as :func:`sort_evidence` (ascending original
     index), so the least significant member of a tied block is the one with
-    the largest original index.
+    the largest original index.  Procedures keep this order in
+    ``RejectionSet.ranked``; this loop form is the reference the tests check
+    it against.
     """
     idx = sorted(int(j) for j in indices)
     if ev.kind is EvidenceKind.P_VALUE:

@@ -344,16 +344,13 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     perfect evidence.  boundary_rank is 0 to mark the trivial outcome.
     """
     if k >= 2:
-        base = reject_by_rank(sv, k - 1, k)
-        return RejectionSet(base.indices, 0, base.marginal_indices)
+        return RejectionSet(reject_by_rank(sv, k - 1, k).ranked, 0, k)
     vals = sv.ev.values
     if sv.ev.kind is EvidenceKind.P_VALUE:
         n = int(np.count_nonzero(vals <= 0.0))
     else:
         n = int(np.count_nonzero(np.isposinf(vals)))
-    indices = frozenset(int(j) for j in sv.perm[:n])
-    marginal = tuple(int(sv.perm[n - 1 - t]) for t in range(min(k, n)))
-    return RejectionSet(indices, 0, marginal)
+    return RejectionSet(sv.perm[:n], 0, k)
 
 
 # L-shaped scan kernels.  Each takes the rank values v (v[i] is the evidence

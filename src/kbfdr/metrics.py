@@ -19,7 +19,6 @@ from .core import (
     EvidenceVector,
     GroundTruth,
     RejectionSet,
-    marginal_of,
 )
 
 
@@ -69,25 +68,30 @@ class MetricsReport:
     tdr_nonempty_se: float
 
 
-def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
-    """1 iff |R| >= k and the k least significant rejections are all null."""
+def _require_order(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if R.size < k:
-        return 0
-    if len(R.marginal_indices) < k:
-        raise ValueError(
-            f"rejection set carries {len(R.marginal_indices)} marginal "
-            f"indices, need {k}; rebuild it with the right order"
-        )
-    return int(all(truth.theta[j] == 0 for j in R.marginal_indices[:k]))
+
+
+def _boundary_all_null(alt: np.ndarray, k: int) -> int:
+    """The boundary event, given theta over the rejections in rank order."""
+    return int(alt.size >= k and not alt[alt.size - k :].any())
+
+
+def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
+    """1 iff |R| >= k and the k least significant rejections are all null.
+
+    They are the last k entries of ``R.ranked``, for any k, not only the
+    ``R.k`` that R was built with.
+    """
+    _require_order(k)
+    return _boundary_all_null(truth.theta[R.ranked], k)
 
 
 def kfwer_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
     """1 iff at least k true nulls were rejected."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return int(len(R.indices & truth.null_set) >= k)
+    _require_order(k)
+    return int(R.size - np.count_nonzero(truth.theta[R.ranked]) >= k)
 
 
 def run_sample(
@@ -95,25 +99,26 @@ def run_sample(
 ) -> RunSample:
     """Realized indicators and rates for one run.
 
-    The marginal indices are recomputed from the evidence ordering, so the
-    boundary indicator is valid for any k regardless of how R was built.
+    ``R.ranked`` lists the rejections in the significance order of
+    ``evidence``, so the boundary indicator is valid for any k, not only the
+    ``R.k`` that R was built with.
     """
     if evidence.m != truth.m:
         raise DimensionMismatchError(
             f"evidence has m={evidence.m}, truth has m={truth.m}"
         )
-    marginal = marginal_of(evidence, R.indices, k)
-    refreshed = RejectionSet(R.indices, R.boundary_rank, marginal)
-    n_rej = refreshed.size
-    n_false = len(refreshed.indices & truth.null_set)
-    n_true = n_rej - n_false
-    n_alt = len(truth.alternative_set)
+    _require_order(k)
+    alt = truth.theta[R.ranked]  # 1 where a rejection is a true discovery
+    n_rej = R.size
+    n_true = int(np.count_nonzero(alt))
+    n_false = n_rej - n_true
+    n_alt = int(np.count_nonzero(truth.theta))
     fdp = n_false / max(n_rej, 1)
     tdr = n_true / n_rej if n_rej >= 1 else 1.0
     power = n_true / max(n_alt, 1)
     return RunSample(
-        kbfdr_ind=kbfdr_indicator(refreshed, truth, k),
-        kfwer_ind=kfwer_indicator(refreshed, truth, k),
+        kbfdr_ind=_boundary_all_null(alt, k),
+        kfwer_ind=int(n_false >= k),
         fdp=fdp,
         tdr=tdr,
         power=power,

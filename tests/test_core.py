@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from kbfdr import (
     EvidenceKind,
     EvidenceVector,
+    GroundTruth,
     OutOfRangeError,
+    RejectionSet,
     marginal_of,
     marginal_set,
     reject_by_rank,
@@ -69,6 +71,71 @@ class TestSortEvidence:
         sv = sort_evidence(EvidenceVector.e_values([2.0, np.inf, 0.0]))
         assert sv.perm.tolist() == [1, 0, 2]
 
+    def test_one_sort_per_evidence_vector(self):
+        ev = EvidenceVector.p_values([0.3, 0.1, 0.2])
+        first, second = sort_evidence(ev), sort_evidence(ev)
+        assert first.perm is second.perm
+        assert first.perm.dtype == np.intp
+        with pytest.raises(ValueError):
+            first.perm[0] = 0
+
+
+class TestGroundTruth:
+    def test_non_binary_entries_rejected(self):
+        # a cast to int would turn these into [0, 1] without a word
+        with pytest.raises(ValueError):
+            GroundTruth([0.5, 1.7])
+        with pytest.raises(ValueError):
+            GroundTruth([0, 2])
+        with pytest.raises(ValueError):
+            GroundTruth([0.0, float("nan")])
+
+    def test_exact_zero_one_and_bool_accepted(self):
+        assert GroundTruth([0.0, 1.0]).theta.tolist() == [0, 1]
+        assert GroundTruth(np.array([True, False])).theta.tolist() == [1, 0]
+
+    def test_theta_immutable(self):
+        truth = GroundTruth([0, 1])
+        with pytest.raises(ValueError):
+            truth.theta[0] = 1
+
+
+class TestRejectionSet:
+    def test_derived_fields(self):
+        rej = RejectionSet([4, 0, 2], 3, 2)
+        assert rej.size == 3
+        assert rej.indices == frozenset({0, 2, 4})
+        assert rej.marginal_indices == (2, 0)
+        assert RejectionSet([4], 1, 3).marginal_indices == (4,)
+        assert RejectionSet((), 0, 1).marginal_indices == ()
+
+    def test_ranked_is_a_read_only_copy(self):
+        source = np.array([1, 0])
+        rej = RejectionSet(source, 2, 1)
+        source[0] = 5
+        assert rej.ranked.tolist() == [1, 0]
+        with pytest.raises(ValueError):
+            rej.ranked[0] = 3
+
+    def test_value_equality_and_hash(self):
+        a = RejectionSet(np.array([2, 1]), 2, 1)
+        b = RejectionSet([2, 1], 2, 1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != RejectionSet([1, 2], 2, 1)
+        assert a != RejectionSet([2, 1], 0, 1)
+        assert a != RejectionSet([2, 1], 2, 2)
+        assert a != "not a rejection set"
+
+    def test_rejects_bad_shape_and_order(self):
+        with pytest.raises(ValueError):
+            RejectionSet([[0, 1]], 2, 1)
+        with pytest.raises(ValueError):
+            RejectionSet([0.5], 1, 1)
+        with pytest.raises(OutOfRangeError):
+            RejectionSet([0], 1, 0)
+
 
 class TestMarginalSet:
     def test_identity_permutation(self):
@@ -95,6 +162,12 @@ class TestRejectByRank:
         assert rej.indices == frozenset({0, 1})
         assert rej.marginal_indices == (1,)
         assert rej.boundary_rank == 2
+
+    def test_prefix_is_a_view_of_the_sort(self):
+        sv = sort_evidence(EvidenceVector.p_values([0.5, 0.01, 0.04, 0.9]))
+        rej = reject_by_rank(sv, 2, 1)
+        assert rej.ranked.tolist() == [1, 2]
+        assert np.shares_memory(rej.ranked, sv.perm)
 
     def test_tie_pulls_both_in(self):
         sv = sort_evidence(EvidenceVector.p_values([0.02, 0.02, 0.9]))

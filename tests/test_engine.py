@@ -12,6 +12,7 @@ from kbfdr import (
     Mode,
     NotMonotoneError,
     OutOfRangeError,
+    bh,
     check_condition_bruteforce,
     check_condition_rectangular,
     domino_e,
@@ -20,16 +21,19 @@ from kbfdr import (
     domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     e_closure_k,
+    external_boundary,
     holm_k,
     local_test,
     reject_by_rank,
     run_sample,
+    significance_order,
     sort_evidence,
 )
-from kbfdr.engine import _e_closure_reduced
+from kbfdr.engine import _e_closure_reduced, _trivial_rejection
 from kbfdr.local_tests import LocalTestDescriptor, TestId
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
+from kbfdr.validation import differential_corpus
 
 
 def p_view(values):
@@ -546,3 +550,30 @@ class TestLShapedKernels:
                 assert _outcome(rej) == _outcome(reject_by_rank(sv, expected, 1))
             else:
                 assert rej.boundary_rank == 0
+
+
+class TestRejectionsArePrefixes:
+    """Every procedure rejects a prefix of the significance order and
+    returns it in that order."""
+
+    def test_on_the_default_vs_brute_corpus(self):
+        checked = 0
+        for test, alpha, ev in differential_corpus():
+            k = test.k
+            full_order = significance_order(ev, range(ev.m))
+            sets = [_trivial_rejection(sort_evidence(ev), k)]
+            decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
+            for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
+                if mode is Mode.FAST and test.id is TestId.SIMES:
+                    continue  # Simes has no FAST backend
+                sets.append(decide(ev, DominoConfig(k, alpha, test, mode=mode)))
+            if ev.kind is EvidenceKind.P_VALUE:
+                sets.append(bh(ev, alpha, k))
+                sets.append(holm_k(ev, k, alpha))
+                # a middle rank, so that ties at the boundary are absorbed
+                sets.append(external_boundary(ev, alpha, lambda v, a: v.size // 2, k))
+            for rej in sets:
+                assert tuple(rej.ranked) == significance_order(ev, rej.indices)
+                assert tuple(rej.ranked) == full_order[: rej.size]
+                checked += 1
+        assert checked > 5000  # 1,000 evidence vectors, 5 to 8 sets each

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kbfdr import (
     DimensionMismatchError,
     EmptyInputError,
+    EvidenceKind,
     EvidenceVector,
     GroundTruth,
     RejectionSet,
@@ -13,14 +16,16 @@ from kbfdr import (
     aggregate,
     kbfdr_indicator,
     kfwer_indicator,
-    marginal_of,
     run_sample,
+    significance_order,
 )
 
 
 def rejection(ev: EvidenceVector, indices, k: int) -> RejectionSet:
-    indices = frozenset(indices)
-    return RejectionSet(indices, len(indices), marginal_of(ev, indices, k))
+    return RejectionSet(significance_order(ev, indices), len(indices), k)
+
+
+EMPTY = RejectionSet((), 0, 1)
 
 
 TRUTH = GroundTruth([1, 1, 0])
@@ -35,14 +40,16 @@ class TestKbfdrIndicator:
         assert kbfdr_indicator(rejection(EV, {0, 1, 2}, 2), TRUTH, 2) == 0
 
     def test_small_sets_count_zero(self):
-        empty = RejectionSet(frozenset(), 0, ())
-        assert kbfdr_indicator(empty, TRUTH, 1) == 0
+        assert kbfdr_indicator(EMPTY, TRUTH, 1) == 0
         assert kbfdr_indicator(rejection(EV, {0}, 2), TRUTH, 2) == 0
 
-    def test_requires_enough_marginals(self):
-        starved = RejectionSet(frozenset({0, 1, 2}), 3, (2,))
-        with pytest.raises(ValueError):
-            kbfdr_indicator(starved, TRUTH, 2)
+    def test_order_one_set_serves_order_two(self):
+        # the set carries its whole rank order, so k=1 bookkeeping still
+        # yields the order-2 boundary: the last two rejections
+        rej = rejection(EV, {0, 1, 2}, 1)
+        assert rej.marginal_indices == (2,)
+        assert kbfdr_indicator(rej, TRUTH, 2) == 0  # pair {1, 2} holds theta=1
+        assert kbfdr_indicator(rej, GroundTruth([1, 0, 0]), 2) == 1
 
     def test_k1_matches_single_boundary_event(self):
         rng = np.random.default_rng(22)
@@ -65,7 +72,7 @@ class TestKfwerIndicator:
         assert kfwer_indicator(rejection(EV, {0, 1, 2}, 2), TRUTH, 2) == 0
 
     def test_empty(self):
-        assert kfwer_indicator(RejectionSet(frozenset(), 0, ()), TRUTH, 1) == 0
+        assert kfwer_indicator(EMPTY, TRUTH, 1) == 0
 
 
 class TestRunSample:
@@ -79,7 +86,7 @@ class TestRunSample:
         assert s.rejections == 2
 
     def test_empty_set_conventions(self):
-        s = run_sample(RejectionSet(frozenset(), 0, ()), TRUTH, EV, 1)
+        s = run_sample(EMPTY, TRUTH, EV, 1)
         assert s.fdp == 0.0
         assert s.tdr == 1.0
         assert s.power == 0.0
@@ -137,6 +144,57 @@ class TestPointwiseOrdering:
             idx = frozenset(int(j) for j in rng.choice(m, size=size, replace=False))
             rej = rejection(ev, idx, k)
             assert kbfdr_indicator(rej, truth, k) == kfwer_indicator(rej, truth, k)
+
+
+def reference_sample(ev, indices, theta, k) -> RunSample:
+    """The loop reference: significance_order and set arithmetic."""
+    order = significance_order(ev, indices)
+    nulls = {j for j, t in enumerate(theta) if t == 0}
+    n_alt = len(theta) - len(nulls)
+    n_rej = len(order)
+    n_false = len(set(order) & nulls)
+    n_true = n_rej - n_false
+    return RunSample(
+        kbfdr_ind=int(n_rej >= k and all(j in nulls for j in order[n_rej - k :])),
+        kfwer_ind=int(n_false >= k),
+        fdp=n_false / max(n_rej, 1),
+        tdr=n_true / n_rej if n_rej >= 1 else 1.0,
+        power=n_true / max(n_alt, 1),
+        rejections=n_rej,
+    )
+
+
+# Ties come from the sampled values; p in {0, 1} and e = +inf are in the mix.
+P_VALUES = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0))
+E_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 20.0, math.inf]), st.floats(0.0, 1e6))
+
+
+class TestMatchesSetReference:
+    """Array-native metrics equal the set-based loop on arbitrary subsets.
+
+    The subsets are not prefixes of the significance order, so the metrics
+    may rely only on ``ranked`` being in that order.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(EvidenceKind), data=st.data())
+    def test_non_prefix_subsets(self, kind, data):
+        elements = P_VALUES if kind is EvidenceKind.P_VALUE else E_VALUES
+        values = data.draw(st.lists(elements, min_size=2, max_size=12))
+        ev = EvidenceVector(kind, values)
+        m = ev.m
+        indices = data.draw(st.sets(st.integers(0, m - 1)))
+        order = significance_order(ev, indices)
+        assume(order != significance_order(ev, range(m))[: len(order)])
+        theta = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        truth = GroundTruth(theta)
+        built_k = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 4))
+        rej = RejectionSet(order, len(order), built_k)
+        expected = reference_sample(ev, indices, theta, k)
+        assert run_sample(rej, truth, ev, k) == expected
+        assert kbfdr_indicator(rej, truth, k) == expected.kbfdr_ind
+        assert kfwer_indicator(rej, truth, k) == expected.kfwer_ind
 
 
 def sample(**kw) -> RunSample:

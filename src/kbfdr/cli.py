@@ -37,16 +37,6 @@ EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_CONFLICT = 3
 
-_TEST_TOKENS = {
-    "bonferroni": TestId.BONFERRONI_K,
-    "simes": TestId.SIMES,
-    "harmonic": TestId.HARMONIC_MEAN,
-    "eavg": TestId.E_AVERAGE,
-    "eclosure": TestId.E_CLOSURE_K,
-}
-_MODE_TOKENS = {"fast": Mode.FAST, "exact": Mode.EXACT, "brute": Mode.BRUTE_FORCE}
-
-
 class ParseFailure(Exception):
     pass
 
@@ -115,7 +105,7 @@ def read_evidence_csv(path: str) -> EvidenceVector:
 
 def _resolve_run_test(args) -> TestId:
     if args.test is not None:
-        return _TEST_TOKENS[args.test]
+        return TestId(args.test)
     if args.proc == "domino":
         # Dependence-driven defaults for order 1; the generalized Bonferroni
         # test is the only built-in of higher order.
@@ -130,12 +120,14 @@ def _resolve_run_test(args) -> TestId:
 
 
 def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
-    mode = _MODE_TOKENS[args.mode] if args.mode else None
+    mode = Mode(args.mode) if args.mode else None
     if args.proc in ("bh", "holm"):
         if ev.kind is not EvidenceKind.P_VALUE:
             raise ConfigConflict(f"{args.proc} requires a p-value file")
         if args.test is not None:
             raise ConfigConflict(f"--test does not apply to {args.proc}")
+        if mode is not None:
+            raise ConfigConflict(f"--mode does not apply to {args.proc}")
         if args.proc == "bh":
             return bh(ev, args.alpha, k=args.k)
         return holm_k(ev, args.k, args.alpha)
@@ -295,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["domino", "domino-e", "bh", "holm"])
     run_p.add_argument("--k", type=int, default=1, help="boundary order")
     run_p.add_argument("--alpha", type=float, required=True, help="target level")
-    run_p.add_argument("--test", choices=sorted(_TEST_TOKENS),
+    run_p.add_argument("--test", choices=sorted(t.value for t in TestId),
                        help="local test (default: resolved from --dependence)")
-    run_p.add_argument("--mode", choices=sorted(_MODE_TOKENS),
+    run_p.add_argument("--mode", choices=sorted(m.value for m in Mode),
                        help="condition-check backend (default: the closure-exact "
                        "scan; fast selects the liberal chain scan for bonferroni)")
     run_p.add_argument("--dependence", default="independent",

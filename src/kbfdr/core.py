@@ -63,7 +63,7 @@ class EvidenceKind(enum.Enum):
     E_VALUE = "e"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvidenceVector:
     """The m observed p-values or e-values with their kind tag.
 
@@ -117,7 +117,7 @@ class EvidenceVector:
         return cls(EvidenceKind.E_VALUE, np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedView:
     """A significance ordering of an evidence vector.
 
@@ -208,7 +208,7 @@ class RejectionSet:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Per-hypothesis truth: theta[j] = 0 when hypothesis j is a true null."""
 

@@ -19,32 +19,33 @@ Three backends decide the scan:
 
 * BRUTE_FORCE enumerates all 2^(m-k) supersets at each rank (capped; the
   reference oracle).
-* EXACT evaluates the L-shaped family with one vectorized kernel per local
-  test, sorting once per decision: the generalized Holm critical values
-  ((m+k-l)/k) * p_(l) for the generalized Bonferroni test, a Hommel-style
-  pass over the top-n sets for Simes, suffix sums of 1/p for the harmonic
-  mean, and cumulative sums for e-value means.  The last two preselect
-  ranks with a closed-form margin and let the member statistics decide.
-* FAST is the same L-shaped scan for the harmonic and e-value tests.  For
-  the generalized Bonferroni test it is the chain scan, which checks only
-  rank-contiguous augmentations and is more liberal than the closure (see
-  ``validation`` for the documented divergence instance).  Simes has no
-  FAST backend.
+* EXACT evaluates the L-shaped family with the scan kernel of the test's
+  record in ``local_tests``, sorting once per decision: the generalized Holm
+  critical values ((m+k-l)/k) * p_(l) for the generalized Bonferroni test, a
+  Hommel-style pass over the top-n sets for Simes, suffix sums of 1/p for
+  the harmonic mean, and cumulative sums for e-value means.  The last two
+  preselect ranks with a closed-form margin and let the member statistics
+  decide.
+* FAST is the same L-shaped scan, except for the tests in
+  ``_FAST_EXCEPTIONS``: for the generalized Bonferroni test it is the chain
+  scan, which checks only rank-contiguous augmentations and is more liberal
+  than the closure (see ``validation`` for the documented divergence
+  instance), and Simes has no FAST backend.
 
 The full rectangular family (:func:`check_condition_rectangular`), the
 superset enumeration (:func:`check_condition_bruteforce`) and the per-rank
 mean reduction (:func:`domino_e_mean_reduction_check`) stay public as
 oracles for the tests and ``kbfdr validate``; no default path calls them.
+The first two decide each member with ``test.evaluate``, the evaluator of
+the test's record.  ``_FAST_EXCEPTIONS`` is the only per-test fact kept in
+this module; everything else about a test is its record in ``local_tests``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,9 +60,11 @@ from .core import (
     reject_by_rank,
     sort_evidence,
 )
-from .local_tests import (
-    LocalTestDescriptor,
-    TestId,
+from .local_tests import RECORDS, LocalTestDescriptor, TestId
+
+# Re-exported: ``bench/tracing.py`` wraps the local tests where the engine
+# names them.
+from .local_tests import (  # noqa: F401
     bonferroni_k,
     e_average,
     e_closure_k,
@@ -83,26 +86,15 @@ class Mode(enum.Enum):
     BRUTE_FORCE = "brute"
 
 
-# Tests whose default mode is FAST, which for them is the closure-exact
-# L-shaped scan.  The Bonferroni chain scan is excluded on purpose: it checks
-# no weak augmentations, does not control the boundary error rate (simulated
-# k-bFDR reaches ~0.5 where exact search stays at the nominal level), and so
-# cannot reproduce the reference experiments.  It stays available behind an
-# explicit Mode.FAST.
-_FAST_DEFAULT = frozenset(
-    {TestId.HARMONIC_MEAN, TestId.E_AVERAGE, TestId.E_CLOSURE_K}
-)
-
-
 @dataclass(frozen=True)
 class DominoConfig:
     """Order, level, local test and backend for one Domino invocation.
 
-    ``mode=None`` resolves to FAST for the harmonic and e-value tests and to
-    EXACT otherwise.  Either way the default decides exactly like the full
-    closure: FAST for those tests is the same L-shaped scan as EXACT.  The
-    one liberal backend, the Bonferroni chain scan, runs only under an
-    explicit ``Mode.FAST``.
+    ``mode=None`` resolves to EXACT for the tests in ``_FAST_EXCEPTIONS``
+    (generalized Bonferroni and Simes) and to FAST otherwise.  Either way the
+    default decides exactly like the full closure: FAST for the other tests
+    is the same L-shaped scan as EXACT.  The one liberal backend, the
+    Bonferroni chain scan, runs only under an explicit ``Mode.FAST``.
     """
 
     k: int
@@ -124,7 +116,7 @@ class DominoConfig:
     def resolved_mode(self) -> Mode:
         if self.mode is not None:
             return self.mode
-        return Mode.FAST if self.test.id in _FAST_DEFAULT else Mode.EXACT
+        return Mode.EXACT if self.test.id in _FAST_EXCEPTIONS else Mode.FAST
 
 
 @dataclass(frozen=True)
@@ -156,52 +148,6 @@ def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
         )
 
 
-def _e_closure_reduced(values: Sequence[float], k: int, alpha: float) -> int:
-    """Closure e-test on a single subset of any size.
-
-    Equivalent to the direct double enumeration: if any witness works, the
-    top-k witness works (swapping a witness member for a larger e-value
-    preserves every constrained mean), and for the top-k witness the binding
-    supersets are the ones padded with the t smallest remaining values.
-    """
-    n = len(values)
-    if n < k:
-        raise OutOfRangeError(f"need at least k={k} e-values, got {n}")
-    ordered = sorted(values)
-    threshold = 1.0 / alpha
-    top_sum = sum(ordered[n - k :])
-    if top_sum / k < threshold:
-        return 0
-    prefix = 0.0
-    for t in range(1, n - k + 1):
-        prefix += ordered[t - 1]
-        if (top_sum + prefix) / (k + t) < threshold:
-            return 0
-    return 1
-
-
-def _brute_callable(test: LocalTestDescriptor) -> Callable[[list[float], float], int]:
-    if test.id is TestId.BONFERRONI_K:
-        return lambda vs, a: bonferroni_k(vs, test.k, a)
-    if test.id is TestId.SIMES:
-        return simes
-    if test.id is TestId.HARMONIC_MEAN:
-        return harmonic_mean_test
-    if test.id is TestId.E_AVERAGE:
-        return e_average
-    if test.id is TestId.E_CLOSURE_K:
-        return lambda vs, a: e_closure_k(vs, test.k, a)
-    raise ValueError(f"no evaluator for test {test.id}")
-
-
-def _rect_callable(test: LocalTestDescriptor) -> Callable[[list[float], float], int]:
-    # The rectangular family contains members of any size, so the closure
-    # e-test uses its uncapped single-subset reduction here.
-    if test.id is TestId.E_CLOSURE_K:
-        return lambda vs, a: _e_closure_reduced(vs, test.k, a)
-    return _brute_callable(test)
-
-
 def check_condition_bruteforce(
     sv: SortedView,
     r: int,
@@ -221,7 +167,6 @@ def check_condition_bruteforce(
         raise CapExceededError(f"brute force capped at m <= {cap}, got m={m}")
     _require_rank(sv, r, k)
     _require_kind(sv, test)
-    decide = _brute_callable(test)
     rank_vals = sv.rank_values()
     marginal_ranks = list(range(r - k, r))  # 0-based ranks of M_{r,k}
     free_ranks = list(range(0, r - k)) + list(range(r, m))
@@ -233,7 +178,7 @@ def check_condition_bruteforce(
             member_ranks = stronger + marginal_ranks + weaker
             values = [float(rank_vals[i]) for i in member_ranks]
             evaluated += 1
-            if not decide(values, alpha):
+            if not test.evaluate(values, alpha):
                 failing = frozenset(int(sv.perm[i]) for i in member_ranks)
                 return ConditionTrace(r, evaluated, failing, False)
     return ConditionTrace(r, evaluated, None, True)
@@ -291,7 +236,6 @@ def check_condition_rectangular(
     if test.id is TestId.BONFERRONI_K:
         return _rect_bonferroni_grid(sv, r, k, alpha)
     m = sv.m
-    decide = _rect_callable(test)
     rank_vals = sv.rank_values()
     evaluated = 0
     for a in range(r - k + 1):
@@ -299,7 +243,7 @@ def check_condition_rectangular(
         for b in range(m - r + 1):
             values = head + [float(v) for v in rank_vals[m - b : m]]
             evaluated += 1
-            if not decide(values, alpha):
+            if not test.evaluate(values, alpha):
                 ranks = _rect_member_ranks(r, k, m, a, b)
                 failing = frozenset(int(sv.perm[i]) for i in ranks)
                 return ConditionTrace(r, evaluated, failing, False)
@@ -353,179 +297,10 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     return RejectionSet(sv.perm[:n], 0, k)
 
 
-# L-shaped scan kernels.  Each takes the rank values v (v[i] is the evidence
-# at rank i+1), the order k and the level, and returns the largest rank that
-# passes the closure condition, or a number below k when none does.  The
-# Bonferroni and Simes statistics are the floating-point expressions of the
-# local tests in ``local_tests`` (and of the rectangular Bonferroni grid), so
-# a member passes here exactly when the local test accepts it.  The harmonic
-# and e-value kernels add their sums in another order than the local tests
-# (the e-value one in the order of the mean-reduction check), which can move
-# a member lying within rounding of the threshold.
-
-
-def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Generalized Bonferroni: the generalized Holm critical values.
-
-    The L-shaped member of size m+k-l has its k-th smallest p-value at rank
-    l, and on the a = 0 leg the b = m-r end is the hardest.  So rank r passes
-    iff ((m+k-l)/k) * p_(l) <= alpha for every l in [k, r]; the condition
-    does not depend on r, and the largest passing rank is the first failing
-    l minus one.
-    """
-    m = v.size
-    ell = np.arange(k, m + 1)
-    failing = np.flatnonzero(((m + k - ell) / k) * v[k - 1 :] > alpha)
-    return m if failing.size == 0 else k + int(failing[0]) - 1
-
-
-def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
-    """Smallest n whose tail terms pass, m + 1 if none does.
-
-    V_n holds when (n/j) * p_(m-n+j) <= alpha for some j in [2, n]: the
-    Simes terms of {r} ∪ (top n-1) that do not involve p_(r).  Each term
-    only shrinks as n grows (n/j with j = n - (m - i) falls towards 1, and
-    rounding keeps that order), so V_n is monotone in n and a bisection
-    finds the threshold.
-    """
-    m = v.size
-    lo, hi = 2, m + 1
-    while lo < hi:
-        n = (lo + hi) // 2
-        if ((n / np.arange(2, n + 1)) * v[m - n + 1 :] <= alpha).any():
-            hi = n
-        else:
-            lo = n + 1
-    return lo
-
-
-def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Simes (k = 1): closed testing with Simes, as in Hommel's procedure.
-
-    The b = m-r leg consists of the top-n sets (the n least significant
-    p-values) for n >= m-r+1; T_n says Simes rejects the top-n set.  The
-    a = 0 leg is {r} ∪ (top n-1) for n <= m-r+1, rejected iff V_n or
-    n * p_(r) <= alpha; the hardest such n is the largest one without V_n.
-    """
-    m = v.size
-    n_star = _simes_tail_threshold(v, alpha)
-    n = np.arange(1, m + 1)
-    top = (n >= n_star) | (n * v[::-1] <= alpha)
-    failing = np.flatnonzero(~top)
-    r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
-    ranks = np.arange(1, r_top + 1)
-    passing = np.flatnonzero(
-        np.minimum(m - ranks + 1, n_star - 1) * v[:r_top] <= alpha
-    )
-    return int(passing[-1]) + 1 if passing.size else 0
-
-
-@functools.lru_cache(maxsize=8)
-def _harmonic_scale(m: int) -> np.ndarray:
-    """e * ln(n) for n = 0..m, rounded as ``scaled_harmonic_mean`` rounds."""
-    scale = np.array([0.0] + [math.e * math.log(n) for n in range(1, m + 1)])
-    scale.flags.writeable = False
-    return scale
-
-
-def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Scaled harmonic mean (k = 1) from one suffix sum of 1/p.
-
-    The b = m-r leg is the top-n sets for n >= m-r+1, checked for all ranks
-    at once.  The a = 0 leg, {r} with the b least significant p-values for
-    1 <= b < m-r, passes iff 1/p_(r) >= scale(b+1) * (b+1)/alpha - tail(b)
-    for each b, so a running maximum of that bound preselects the ranks.
-    The bound is rounded differently from the local test, so it carries a
-    slack of 4*m*eps times the finite magnitudes involved, and one vector
-    per preselected rank, scanned from the top, decides.
-    """
-    m = v.size
-    scale = _harmonic_scale(m)
-    # 1/0 := inf, and a sum that overflows is inf too: either way the
-    # harmonic mean is 0 and the local test rejects the member, as it does
-    # on Python floats.
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / v
-        tail = np.cumsum(inv[::-1])  # tail[n-1]: sum over the top-n set
-        n = np.arange(1, m + 1)
-        top = scale[1:] * (n / tail) <= alpha
-        top[0] = v[m - 1] <= alpha  # a singleton is tested by its p-value
-        failing = np.flatnonzero(~top)
-        r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
-        r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
-        need = scale[2:m] * n[1 : m - 1] / alpha - tail[: m - 2]
-        hardest = np.concatenate(([-np.inf], np.maximum.accumulate(need)))
-        widths = np.maximum(m - 1 - n[:r_top], 0)  # the largest b at rank r
-        bound = scale[m] * m / alpha + float(inv[np.isfinite(inv)].sum())
-        slack = 4 * m * np.finfo(float).eps * bound
-        candidates = np.flatnonzero(inv[:r_top] >= hardest[widths] - slack) + 1
-        for r in candidates[::-1]:
-            b = max(m - r - 1, 0)  # members {r} ∪ (top b) with 1 <= b < m-r
-            sums = inv[r - 1] + tail[:b]
-            if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
-                return int(r)
-    return 0
-
-
-def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Mean of e-values (``eavg``, and ``eclosure`` at any k).
-
-    At each rank the L-shaped members are M padded with the outsiders in
-    ascending order, weak tail first, which is the order of
-    :func:`domino_e_mean_reduction_check`; one cumulative sum over
-    [sum(M), outsiders...] gives every member sum, bit for bit as that check
-    adds them, and decides the rank.
-
-    Because the padding order is ascending, the smallest member margin
-    sum(v - 1/alpha) pads M with exactly the outsiders below 1/alpha.  So
-    rank r passes iff the excess of M over 1/alpha covers the total
-    deficit: sum over M of max(v - 1/alpha, 0) >= sum over all of
-    max(1/alpha - v, 0).  That margin, found for every rank at once, is
-    rounded differently from the member means, so it only preselects the
-    ranks that the cumulative sum then decides.  Its slack, 4*m*eps times
-    the finite sum plus m/alpha, exceeds the rounding error of both the
-    margin and the member sums, so no rank that passes is left out.
-    """
-    m = v.size
-    threshold = 1.0 / alpha
-    sizes = k + np.arange(m - k + 1)
-    # A partial sum overflows to +inf only when its exact value exceeds the
-    # largest double (~1.8e308).  Its mean over at most m terms then still
-    # exceeds 1/alpha for any m and alpha that fit in memory, so the +inf
-    # mean decides the comparison as the exact mean would.
-    with np.errstate(over="ignore"):
-        excess = np.maximum(v - threshold, 0.0)
-        deficit = float(np.maximum(threshold - v, 0.0).sum())
-        base = v[: m - k + 1].copy()  # base[r-k]: sum of M_{r,k}, left fold
-        cover = excess[: m - k + 1].copy()
-        for i in range(1, k):
-            base += v[i : m - k + 1 + i]
-            cover += excess[i : m - k + 1 + i]
-        finite_sum = float(v[np.isfinite(v)].sum())
-        slack = 4 * m * np.finfo(float).eps * (finite_sum + m * threshold)
-        candidates = (base / k >= threshold) & (cover - deficit >= -slack)
-        for r in (np.flatnonzero(candidates) + k)[::-1]:
-            outsiders = np.concatenate(
-                (base[r - k : r - k + 1], v[r:][::-1], v[: r - k][::-1])
-            )
-            if (np.cumsum(outsiders) / sizes >= threshold).all():
-                return int(r)
-    return 0
-
-
-_KERNELS = {
-    TestId.BONFERRONI_K: _bonferroni_rank,
-    TestId.SIMES: _simes_rank,
-    TestId.HARMONIC_MEAN: _harmonic_rank,
-    TestId.E_AVERAGE: _e_mean_rank,
-    TestId.E_CLOSURE_K: _e_mean_rank,
-}
-
-
 def _l_scan(ev: EvidenceVector, k: int, alpha: float, test_id: TestId) -> RejectionSet:
     """Domino over the L-shaped family: the largest passing rank wins."""
     sv = sort_evidence(ev)
-    r = _KERNELS[test_id](sv.rank_values(), k, alpha)
+    r = RECORDS[test_id].scan(sv.rank_values(), k, alpha)
     if r >= k:
         return reject_by_rank(sv, r, k)
     return _trivial_rejection(sv, k)
@@ -541,43 +316,6 @@ def _brute_scan(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
         if trace.passed:
             return reject_by_rank(sv, r, cfg.k)
     return _trivial_rejection(sv, cfg.k)
-
-
-def _domino(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
-    mode = cfg.resolved_mode()
-    if mode is Mode.BRUTE_FORCE:
-        return _brute_scan(ev, cfg)
-    if mode is Mode.EXACT and not cfg.test.monotone:
-        raise NotMonotoneError(f"{cfg.test.id.value} is not declared monotone")
-    test_id = cfg.test.id
-    if mode is Mode.FAST:
-        if test_id is TestId.BONFERRONI_K:
-            return domino_p_fast_bonferroni(ev, cfg.k, cfg.alpha)
-        if test_id is TestId.SIMES:
-            raise ValueError(f"fast mode is not defined for test {test_id.value}")
-    return _l_scan(ev, cfg.k, cfg.alpha, test_id)
-
-
-def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
-    """Domino on p-values: largest passing rank wins, else the trivial set."""
-    if p.kind is not EvidenceKind.P_VALUE:
-        raise ValueError("domino_p requires p-values")
-    if cfg.test.evidence_kind is not EvidenceKind.P_VALUE:
-        raise ValueError(f"{cfg.test.id.value} is not a p-value test")
-    if cfg.k > p.m:
-        raise ValueError(f"k={cfg.k} exceeds m={p.m}")
-    return _domino(p, cfg)
-
-
-def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
-    """Domino on e-values: identical scan over the descending sorted view."""
-    if e.kind is not EvidenceKind.E_VALUE:
-        raise ValueError("domino_e requires e-values")
-    if cfg.test.evidence_kind is not EvidenceKind.E_VALUE:
-        raise ValueError(f"{cfg.test.id.value} is not an e-value test")
-    if cfg.k > e.m:
-        raise ValueError(f"k={cfg.k} exceeds m={e.m}")
-    return _domino(e, cfg)
 
 
 def domino_p_fast_bonferroni(
@@ -608,6 +346,49 @@ def domino_p_fast_bonferroni(
         if (stats <= alpha).all():
             return reject_by_rank(sv, r, k)
     return trivial
+
+
+# The tests whose FAST backend is not the L-shaped scan, and what it is
+# instead; they default to EXACT, every other test to FAST.  The Bonferroni
+# chain scan checks no weak augmentations and does not control the boundary
+# error rate (simulated k-bFDR reaches ~0.5 where exact search stays at the
+# nominal level), so it runs only when asked for.  Simes has no FAST backend.
+_FAST_EXCEPTIONS = {
+    TestId.BONFERRONI_K: domino_p_fast_bonferroni,
+    TestId.SIMES: None,
+}
+
+
+def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:
+    """Domino on evidence of ``kind``, after checking that everything fits."""
+    if ev.kind is not kind:
+        raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
+    test = cfg.test
+    if test.evidence_kind is not kind:
+        raise ValueError(f"{test.id.value} is not a {kind.value}-value test")
+    if cfg.k > ev.m:
+        raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
+    mode = cfg.resolved_mode()
+    if mode is Mode.BRUTE_FORCE:
+        return _brute_scan(ev, cfg)
+    if mode is Mode.EXACT and not test.monotone:
+        raise NotMonotoneError(f"{test.id.value} is not declared monotone")
+    if mode is Mode.FAST and test.id in _FAST_EXCEPTIONS:
+        fast = _FAST_EXCEPTIONS[test.id]
+        if fast is None:
+            raise ValueError(f"fast mode is not defined for test {test.id.value}")
+        return fast(ev, cfg.k, cfg.alpha)
+    return _l_scan(ev, cfg.k, cfg.alpha, test.id)
+
+
+def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+    """Domino on p-values: largest passing rank wins, else the trivial set."""
+    return _domino(p, cfg, EvidenceKind.P_VALUE)
+
+
+def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+    """Domino on e-values: identical scan over the descending sorted view."""
+    return _domino(e, cfg, EvidenceKind.E_VALUE)
 
 
 def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:

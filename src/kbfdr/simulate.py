@@ -99,7 +99,7 @@ class SimScenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimInstance:
     """One simulated dataset: observations, both evidence kinds, and truth."""
 
@@ -182,75 +182,57 @@ class ProcedureSpec:
     run: Callable[[SimInstance, SimScenario], RejectionSet]
 
 
-_MODE_TOKENS = {"fast": Mode.FAST, "exact": Mode.EXACT, "brute": Mode.BRUTE_FORCE}
-
-_DOMINO_P_TESTS = {
-    "simes": TestId.SIMES,
-    "harmonic": TestId.HARMONIC_MEAN,
-    "bonferroni": TestId.BONFERRONI_K,
-}
-_DOMINO_E_TESTS = {
-    "eavg": TestId.E_AVERAGE,
-    "eclosure": TestId.E_CLOSURE_K,
-}
-
-
 def make_procedure(token: str) -> ProcedureSpec:
     """Parse a procedure token ``name[:k[:mode]]``.
 
-    Names: simes, harmonic, bonferroni, eavg, eclosure (Domino variants),
-    bh, holm (baselines).  The default mode is the configuration default,
-    which decides like the full closure for every test.
+    Names: the ``TestId`` values simes, harmonic, bonferroni, eavg and
+    eclosure (Domino variants), bh and holm (baselines).  The default mode
+    is the configuration default, which decides like the full closure for
+    every test.
     """
     parts = [part.strip() for part in token.split(":")]
     name = parts[0].lower()
     k = int(parts[1]) if len(parts) > 1 and parts[1] else None
     mode = None
     if len(parts) > 2 and parts[2]:
-        if parts[2].lower() not in _MODE_TOKENS:
-            raise ValueError(f"unknown mode {parts[2]!r} in procedure {token!r}")
-        mode = _MODE_TOKENS[parts[2].lower()]
+        try:
+            mode = Mode(parts[2].lower())
+        except ValueError:
+            raise ValueError(
+                f"unknown mode {parts[2]!r} in procedure {token!r}"
+            ) from None
     if len(parts) > 3:
         raise ValueError(f"malformed procedure token {token!r}")
 
-    if name in _DOMINO_P_TESTS:
-        kk = 1 if k is None else k
-        test = local_test(_DOMINO_P_TESTS[name], kk)
-        label = f"{name}_k{kk}"
-
-        def run_p(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-            cfg = DominoConfig(kk, sc.alpha, test, mode=mode)
-            return domino_p(inst.pvalues, cfg)
-
-        return ProcedureSpec(label, EvidenceKind.P_VALUE, kk, run_p)
-    if name in _DOMINO_E_TESTS:
-        kk = 1 if k is None else k
-        test = local_test(_DOMINO_E_TESTS[name], kk)
-        label = f"{name}_k{kk}"
-
-        def run_e(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-            cfg = DominoConfig(kk, sc.alpha, test, mode=mode)
-            return domino_e(inst.evalues, cfg)
-
-        return ProcedureSpec(label, EvidenceKind.E_VALUE, kk, run_e)
+    if name in ("bh", "holm") and mode is not None:
+        raise ValueError(f"{name} takes no mode")
     if name == "bh":
-        if mode is not None:
-            raise ValueError("bh takes no mode")
 
         def run_bh(inst: SimInstance, sc: SimScenario) -> RejectionSet:
             return bh_procedure(inst.pvalues, sc.alpha)
 
         return ProcedureSpec("bh", EvidenceKind.P_VALUE, k, run_bh)
+    kk = 1 if k is None else k
     if name == "holm":
-        kk = 1 if k is None else k
-        if mode is not None:
-            raise ValueError("holm takes no mode")
 
         def run_holm(inst: SimInstance, sc: SimScenario) -> RejectionSet:
             return holm_procedure(inst.pvalues, kk, sc.alpha)
 
         return ProcedureSpec(f"holm_k{kk}", EvidenceKind.P_VALUE, kk, run_holm)
-    raise ValueError(f"unknown procedure {name!r}")
+    try:
+        test_id = TestId(name)
+    except ValueError:
+        raise ValueError(f"unknown procedure {name!r}") from None
+    test = local_test(test_id, kk)
+    kind = test.evidence_kind
+
+    def run_domino(inst: SimInstance, sc: SimScenario) -> RejectionSet:
+        cfg = DominoConfig(kk, sc.alpha, test, mode=mode)
+        if kind is EvidenceKind.P_VALUE:
+            return domino_p(inst.pvalues, cfg)
+        return domino_e(inst.evalues, cfg)
+
+    return ProcedureSpec(f"{name}_k{kk}", kind, kk, run_domino)
 
 
 def iter_run_samples(

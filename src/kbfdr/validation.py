@@ -24,8 +24,16 @@ from .engine import (
     domino_p,
     domino_p_fast_bonferroni,
 )
-from .local_tests import TestId, local_test
+from .local_tests import RECORDS, TestId, local_test
 from .simulate import SimScenario, iter_run_samples, make_procedure
+
+
+# Every built-in test at every order up to 3 for which it is defined.
+_DIFFERENTIAL_CASES = tuple(
+    (test_id, k)
+    for test_id in TestId
+    for k in ((1,) if RECORDS[test_id].order_one_only else (1, 2, 3))
+)
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,10 @@ def _random_pvalues(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
     rng = np.random.Generator(np.random.PCG64(seed))
-    cases = [(TestId.BONFERRONI_K, 1), (TestId.BONFERRONI_K, 2),
-             (TestId.BONFERRONI_K, 3), (TestId.SIMES, 1), (TestId.HARMONIC_MEAN, 1)]
+    cases = [
+        (test_id, k) for test_id, k in _DIFFERENTIAL_CASES
+        if RECORDS[test_id].evidence_kind is EvidenceKind.P_VALUE
+    ]
     checked = 0
     for _ in range(n_instances):
         m = int(rng.integers(4, 11))
@@ -92,14 +102,6 @@ def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteR
     return SuiteResult(
         "mean-reduction-equivalence", True, f"{n_instances} e-vectors, identical sets"
     )
-
-
-# Every built-in test at every order up to 3 for which it is defined.
-_DIFFERENTIAL_CASES = (
-    (TestId.BONFERRONI_K, 1), (TestId.BONFERRONI_K, 2), (TestId.BONFERRONI_K, 3),
-    (TestId.SIMES, 1), (TestId.HARMONIC_MEAN, 1), (TestId.E_AVERAGE, 1),
-    (TestId.E_CLOSURE_K, 1), (TestId.E_CLOSURE_K, 2), (TestId.E_CLOSURE_K, 3),
-)
 
 
 def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.ndarray:

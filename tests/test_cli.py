@@ -10,7 +10,7 @@ from kbfdr.cli import (
     main,
     read_evidence_csv,
 )
-from kbfdr.engine import MAX_BRUTE_FORCE_CAP
+from kbfdr.engine import MAX_BRUTE_FORCE_CAP, Mode
 from kbfdr.local_tests import TestId
 
 
@@ -85,6 +85,31 @@ class TestRun:
         assert main(["run", e_file, "--proc", "bh", "--alpha", "0.05"]) == EXIT_CONFLICT
         assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
                      "--test", "eavg"]) == EXIT_CONFLICT
+
+    @pytest.mark.parametrize("proc", ["bh", "holm"])
+    def test_mode_with_baseline_exits_3(self, p_file, proc):
+        assert main(["run", p_file, "--proc", proc, "--alpha", "0.05",
+                     "--mode", "fast"]) == EXIT_CONFLICT
+
+    def test_brute_eclosure_past_twelve_values(self, tmp_path, capsys):
+        path = tmp_path / "e13.csv"
+        rows = "".join(f"{i},50\n" for i in range(1, 14))
+        path.write_text("index,e_value\n" + rows, encoding="utf-8")
+        assert main(["run", str(path), "--proc", "domino-e", "--k", "2",
+                     "--alpha", "0.05", "--mode", "brute",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert capsys.readouterr().out == "rejections=13 boundary=50.0\n"
+
+    def test_choices_are_the_enum_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        usage = capsys.readouterr().out
+        tests = ",".join(sorted(t.value for t in TestId))
+        modes = ",".join(sorted(m.value for m in Mode))
+        assert tests == "bonferroni,eavg,eclosure,harmonic,simes"
+        assert modes == "brute,exact,fast"
+        assert f"--test {{{tests}}}" in usage
+        assert f"--mode {{{modes}}}" in usage
 
     def test_order_conflict_exits_3(self, p_file):
         # simes is order-1 only

@@ -15,6 +15,7 @@ from kbfdr import (
     significance_order,
     sort_evidence,
 )
+from kbfdr.simulate import SimScenario, gen_instance
 
 
 class TestEvidenceVector:
@@ -78,6 +79,28 @@ class TestSortEvidence:
         assert first.perm.dtype == np.intp
         with pytest.raises(ValueError):
             first.perm[0] = 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EvidenceVector.p_values([0.1, 0.2]),
+        lambda: GroundTruth([0, 1]),
+        lambda: sort_evidence(EvidenceVector.e_values([1.0, 2.0])),
+        lambda: gen_instance(
+            SimScenario(m=3, pi1=0.5, mu_c=3.0, sigma=1.0, rho=0.0,
+                        alpha=0.05, k=1, reps=1, seed=1),
+            0,
+        ),
+    ],
+    ids=["EvidenceVector", "GroundTruth", "SortedView", "SimInstance"],
+)
+def test_array_records_compare_by_identity(build):
+    """== and hash never reach the array fields, which cannot answer them."""
+    a, b = build(), build()
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2
 
 
 class TestGroundTruth:

@@ -29,8 +29,8 @@ from kbfdr import (
     significance_order,
     sort_evidence,
 )
-from kbfdr.engine import _e_closure_reduced, _trivial_rejection
-from kbfdr.local_tests import LocalTestDescriptor, TestId
+from kbfdr.engine import _trivial_rejection
+from kbfdr.local_tests import LocalTestDescriptor, TestId, _e_closure_reduced
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
@@ -88,6 +88,15 @@ class TestBruteForce:
         assert not trace.passed
         assert trace.evaluated_subsets == 1
         assert trace.first_failing_subset == frozenset({2})
+
+    def test_eclosure_runs_to_the_brute_cap(self):
+        # Members of more than 12 values are past e_closure_k's own cap; the
+        # brute-force cap (20) is the only limit that applies.
+        ev = EvidenceVector.e_values([50.0] * 13)
+        test = local_test("eclosure", 2)
+        brute = domino_e(ev, DominoConfig(2, 0.05, test, mode=Mode.BRUTE_FORCE))
+        assert brute.size == 13
+        assert brute == domino_e(ev, DominoConfig(2, 0.05, test))
 
 
 class TestRectangular:

@@ -19,6 +19,7 @@ from kbfdr import (
     scaled_harmonic_mean,
     simes,
 )
+from kbfdr.local_tests import RECORDS
 
 
 class TestDescriptor:
@@ -178,6 +179,51 @@ class TestEClosureK:
                 if k > n:
                     continue
                 assert e_closure_k(vals, k, 0.05) == _e_closure_literal(vals, k, 0.05)
+
+
+def _edge_subset(rng, kind, n):
+    """A random evidence subset with ties and the extremes of its range."""
+    if kind is EvidenceKind.P_VALUE:
+        values = rng.random(n)
+        values[rng.random(n) < 0.5] *= 0.05
+        extremes = [0.0, 1.0]
+    else:
+        values = np.where(rng.random(n) < 0.4, rng.uniform(5, 60, n),
+                          rng.uniform(0, 3, n))
+        extremes = [0.0, math.inf]
+    draw = rng.random(n)
+    values[draw < 0.15] = rng.choice(extremes)
+    values[draw > 0.8] = values[rng.integers(n)]
+    return values.tolist()
+
+
+class TestRecords:
+    """Each record's evaluator is its public local test.
+
+    Both engine oracles decide members with ``test.evaluate``, so comparing
+    them with each other cannot catch a mis-wired record; this does.
+    """
+
+    PUBLIC = {
+        TestId.BONFERRONI_K: bonferroni_k,
+        TestId.SIMES: lambda vs, k, a: simes(vs, a),
+        TestId.HARMONIC_MEAN: lambda vs, k, a: harmonic_mean_test(vs, a),
+        TestId.E_AVERAGE: lambda vs, k, a: e_average(vs, a),
+        TestId.E_CLOSURE_K: e_closure_k,  # |S| <= 12, its enumeration cap
+    }
+
+    @pytest.mark.parametrize("tid", list(TestId))
+    def test_evaluate_is_the_public_test(self, tid):
+        rng = np.random.default_rng(list(TestId).index(tid))
+        record = RECORDS[tid]
+        public = self.PUBLIC[tid]
+        for k in (1,) if record.order_one_only else (1, 2, 3):
+            test = local_test(tid, k)
+            for _ in range(300):
+                n = int(rng.integers(k, 13))
+                vals = _edge_subset(rng, record.evidence_kind, n)
+                alpha = float(rng.choice([0.05, 0.2]))
+                assert test.evaluate(vals, alpha) == public(vals, k, alpha), vals
 
 
 def test_combined_evidence_validates():

@@ -3,11 +3,16 @@ import pytest
 from scipy.special import ndtr
 
 from kbfdr import (
+    DominoConfig,
     EmptyInputError,
     EvidenceKind,
     InvalidRhoError,
+    TestId,
+    domino_e,
+    domino_p,
     emit_table,
     gen_instance,
+    local_test,
     make_procedure,
     run_grid,
     substream_seed,
@@ -141,6 +146,21 @@ class TestMakeProcedure:
             make_procedure("bonferroni:2:warp")
         with pytest.raises(ValueError):
             make_procedure("bh:1:fast")
+
+    def test_every_test_id_is_a_procedure(self):
+        sc = scenario(m=10, reps=1)
+        inst = gen_instance(sc, 0)
+        for test_id in TestId:
+            test = local_test(test_id)
+            cfg = DominoConfig(1, sc.alpha, test)
+            if test.evidence_kind is EvidenceKind.P_VALUE:
+                expected = domino_p(inst.pvalues, cfg)
+            else:
+                expected = domino_e(inst.evalues, cfg)
+            proc = make_procedure(test_id.value)
+            assert proc.name == f"{test_id.value}_k1"
+            assert proc.evidence_kind is test.evidence_kind
+            assert proc.run(inst, sc) == expected
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -68,7 +68,8 @@ def read_evidence_csv(path: str) -> EvidenceVector:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    # A row whose cells are all blank is skipped, like an empty line.
+    rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise ParseFailure(f"{path}: empty evidence file")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -151,13 +152,20 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
 
 
 def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet) -> None:
-    marginal_rank = {j: i + 1 for i, j in enumerate(rejection.marginal_indices)}
-    rejected = rejection.indices
-    lines = ["index,evidence,rejected,marginal_rank"]
-    for j, value in enumerate(ev.values.tolist()):
-        rank = marginal_rank.get(j, "")
-        lines.append(f"{j + 1},{value!r},{int(j in rejected)},{rank}")
-    payload = "\n".join(lines) + "\n"
+    # Built column by column so that the per-row work is C-level joins.
+    rejected = ["0"] * ev.m
+    for j in rejection.ranked.tolist():
+        rejected[j] = "1"
+    marginal_rank = [""] * ev.m
+    for rank, j in enumerate(rejection.marginal_indices, start=1):
+        marginal_rank[j] = str(rank)
+    rows = map(",".join, zip(
+        map(str, range(1, ev.m + 1)),
+        map(repr, ev.values.tolist()),
+        rejected,
+        marginal_rank,
+    ))
+    payload = "\n".join(["index,evidence,rejected,marginal_rank", *rows, ""])
     if path is None:
         sys.stdout.write(payload)
     else:

@@ -70,6 +70,21 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_rejection_csv_bytes(self, tmp_path):
+        # Blank and whitespace-only rows are skipped; with k=2 both
+        # rejections are marginal, the least significant one at rank 1.
+        path = tmp_path / "p.csv"
+        path.write_text("index,p_value\n1,0.001\n\n2,0.002\n , \n3,0.50\n",
+                        encoding="utf-8")
+        out = tmp_path / "rej.csv"
+        code = main(["run", str(path), "--proc", "holm", "--k", "2",
+                     "--alpha", "0.05", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == (
+            b"index,evidence,rejected,marginal_rank\n"
+            b"1,0.001,1,2\n2,0.002,1,1\n3,0.5,0,\n"
+        )
+
     def test_empty_file_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("index,p_value\n", encoding="utf-8")

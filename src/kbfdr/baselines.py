@@ -16,6 +16,7 @@ from .core import (
     EvidenceVector,
     RejectionSet,
     reject_by_rank,
+    require_level,
     sort_evidence,
 )
 
@@ -34,6 +35,7 @@ def bh(p: EvidenceVector, alpha: float, k: int = 1) -> RejectionSet:
     rejection decision never depends on it.
     """
     _require_p(p, "bh")
+    require_level(alpha)
     sv = sort_evidence(p)
     rank_vals = sv.rank_values()
     m = sv.m
@@ -57,6 +59,7 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     the boundary and the prefix equals the threshold set.
     """
     _require_p(p, "holm_k")
+    require_level(alpha)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sv = sort_evidence(p)

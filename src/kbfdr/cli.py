@@ -129,24 +129,23 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
             raise ConfigConflict(f"--test does not apply to {args.proc}")
         if mode is not None:
             raise ConfigConflict(f"--mode does not apply to {args.proc}")
+    else:
+        test_id = _resolve_run_test(args)
+        if mode is Mode.FAST and test_id is TestId.BONFERRONI_K:
+            print(
+                "warning: --mode fast runs the Bonferroni chain scan, which is "
+                "more liberal than the closure and does not control k-bFDR",
+                file=sys.stderr,
+            )
+    try:
         if args.proc == "bh":
             return bh(ev, args.alpha, k=args.k)
-        return holm_k(ev, args.k, args.alpha)
-    test_id = _resolve_run_test(args)
-    if mode is Mode.FAST and test_id is TestId.BONFERRONI_K:
-        print(
-            "warning: --mode fast runs the Bonferroni chain scan, which is more "
-            "liberal than the closure and does not control k-bFDR",
-            file=sys.stderr,
-        )
-    try:
+        if args.proc == "holm":
+            return holm_k(ev, args.k, args.alpha)
         test = local_test(test_id, args.k)
-        cfg = DominoConfig(
-            args.k, args.alpha, test, mode=mode, brute_force_cap=_brute_cap()
-        )
-        if args.proc == "domino":
-            return domino_p(ev, cfg)
-        return domino_e(ev, cfg)
+        cfg = DominoConfig(test, args.alpha, mode=mode, brute_force_cap=_brute_cap())
+        decide = domino_p if args.proc == "domino" else domino_e
+        return decide(ev, cfg)
     except ValueError as exc:
         raise ConfigConflict(str(exc)) from exc
 
@@ -211,6 +210,7 @@ def _load_config(path: str) -> dict[str, str]:
     raise ParseFailure(f"no config file at {path} and no bundled config by that name")
 
 
+_DOMINO_NAMES = frozenset(t.value for t in TestId)
 _REQUIRED_SCENARIO_KEYS = (
     "m", "pi1", "mu_c", "sigma", "rho", "alpha", "k", "reps", "seed", "procedures",
 )
@@ -238,13 +238,14 @@ def _build_scenarios(entries: dict[str, str], seed_override) -> tuple[list[SimSc
     if seed_override is not None:
         seed = seed_override
     try:
-        procedures = [
-            make_procedure(tok)
-            for tok in entries["procedures"].split(",")
-            if tok.strip()
-        ]
-        if not procedures:
+        tokens = [tok for tok in entries["procedures"].split(",") if tok.strip()]
+        if not tokens:
             raise ValueError("no procedures given")
+        procedures = [make_procedure(tok) for tok in tokens]
+        for tok, proc in zip(tokens, procedures):
+            # Domino needs k <= m; bh and holm are defined for any k.
+            if tok.split(":")[0].strip().lower() in _DOMINO_NAMES and proc.k > m:
+                raise ValueError(f"procedure {tok.strip()!r}: k={proc.k} exceeds m={m}")
         scenarios = [
             SimScenario(m=m, pi1=pi1, mu_c=mu_c, sigma=sigma, rho=rho,
                         alpha=alpha, k=k, reps=reps, seed=seed)

@@ -42,10 +42,6 @@ class CapExceededError(ValueError):
     """Brute-force enumeration was requested above the configured cap."""
 
 
-class NotMonotoneError(ValueError):
-    """An exact search reduction was requested for a non-monotone test."""
-
-
 class DimensionMismatchError(ValueError):
     """Evidence and ground truth have different lengths."""
 
@@ -56,6 +52,12 @@ class EmptyInputError(ValueError):
 
 class InvalidRhoError(ValueError):
     """Equicorrelation outside [-1/(m-1), 1)."""
+
+
+def require_level(alpha: float) -> None:
+    """Reject a target level outside (0, 1); NaN is outside too."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 class EvidenceKind(enum.Enum):

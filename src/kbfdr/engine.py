@@ -39,6 +39,9 @@ oracles for the tests and ``kbfdr validate``; no default path calls them.
 The first two decide each member with ``test.evaluate``, the evaluator of
 the test's record.  ``_FAST_EXCEPTIONS`` is the only per-test fact kept in
 this module; everything else about a test is its record in ``local_tests``.
+
+A call is fixed by the local test (its id and order k), alpha, the mode and
+the brute-force cap; ``DominoConfig`` and both oracles read k from the test.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from .core import (
     CapExceededError,
     EvidenceKind,
     EvidenceVector,
-    NotMonotoneError,
     OutOfRangeError,
     RejectionSet,
     SortedView,
     reject_by_rank,
+    require_level,
     sort_evidence,
 )
 from .local_tests import RECORDS, LocalTestDescriptor, TestId
@@ -88,8 +91,9 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class DominoConfig:
-    """Order, level, local test and backend for one Domino invocation.
+    """Local test, level and backend for one Domino invocation.
 
+    The test fixes the order: ``k`` is a read-only view of ``test.k``.
     ``mode=None`` resolves to EXACT for the tests in ``_FAST_EXCEPTIONS``
     (generalized Bonferroni and Simes) and to FAST otherwise.  Either way the
     default decides exactly like the full closure: FAST for the other tests
@@ -97,21 +101,17 @@ class DominoConfig:
     Bonferroni chain scan, runs only under an explicit ``Mode.FAST``.
     """
 
-    k: int
-    alpha: float
     test: LocalTestDescriptor
+    alpha: float
     mode: Mode | None = None
     brute_force_cap: int = DEFAULT_BRUTE_FORCE_CAP
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.test.k != self.k:
-            raise ValueError(
-                f"test order {self.test.k} does not match procedure order {self.k}"
-            )
+        require_level(self.alpha)
+
+    @property
+    def k(self) -> int:
+        return self.test.k
 
     def resolved_mode(self) -> Mode:
         if self.mode is not None:
@@ -151,7 +151,6 @@ def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
 def check_condition_bruteforce(
     sv: SortedView,
     r: int,
-    k: int,
     test: LocalTestDescriptor,
     alpha: float,
     cap: int = DEFAULT_BRUTE_FORCE_CAP,
@@ -162,7 +161,7 @@ def check_condition_bruteforce(
     cardinality, lexicographically over the significance ranks of the added
     indices, so the first failing subset is deterministic.
     """
-    m = sv.m
+    m, k = sv.m, test.k
     if m > cap:
         raise CapExceededError(f"brute force capped at m <= {cap}, got m={m}")
     _require_rank(sv, r, k)
@@ -216,21 +215,16 @@ def _rect_bonferroni_grid(
 
 
 def check_condition_rectangular(
-    sv: SortedView,
-    r: int,
-    k: int,
-    test: LocalTestDescriptor,
-    alpha: float,
+    sv: SortedView, r: int, test: LocalTestDescriptor, alpha: float
 ) -> ConditionTrace:
     """Verify the closure condition via the exact rectangular family.
 
-    Family members are visited a-major, b-minor.  Requires an elementwise
-    monotone test; for the built-ins the decision provably equals
+    Family members are visited a-major, b-minor.  Every built-in test is
+    elementwise monotone, so the decision provably equals
     :func:`check_condition_bruteforce`, which the test suite asserts
     instance by instance.
     """
-    if not test.monotone:
-        raise NotMonotoneError(f"{test.id.value} is not declared monotone")
+    k = test.k
     _require_rank(sv, r, k)
     _require_kind(sv, test)
     if test.id is TestId.BONFERRONI_K:
@@ -311,7 +305,7 @@ def _brute_scan(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
     sv = sort_evidence(ev)
     for r in range(sv.m, cfg.k - 1, -1):
         trace = check_condition_bruteforce(
-            sv, r, cfg.k, cfg.test, cfg.alpha, cap=cfg.brute_force_cap
+            sv, r, cfg.test, cfg.alpha, cap=cfg.brute_force_cap
         )
         if trace.passed:
             return reject_by_rank(sv, r, cfg.k)
@@ -371,8 +365,6 @@ def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> Reject
     mode = cfg.resolved_mode()
     if mode is Mode.BRUTE_FORCE:
         return _brute_scan(ev, cfg)
-    if mode is Mode.EXACT and not test.monotone:
-        raise NotMonotoneError(f"{test.id.value} is not declared monotone")
     if mode is Mode.FAST and test.id in _FAST_EXCEPTIONS:
         fast = _FAST_EXCEPTIONS[test.id]
         if fast is None:

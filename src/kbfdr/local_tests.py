@@ -71,23 +71,23 @@ class LocalTestRecord:
 
 @dataclass(frozen=True)
 class LocalTestDescriptor:
-    """Identity, order, evidence kind and monotonicity of a k-local test."""
+    """A built-in k-local test, its id and order; the rest is its record.
+
+    Every record in ``RECORDS`` describes an elementwise-monotone test.
+    """
 
     id: TestId
     k: int
-    evidence_kind: EvidenceKind
-    monotone: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"test order must be >= 1, got {self.k}")
-        record = RECORDS[self.id]
-        if record.order_one_only and self.k != 1:
+        if RECORDS[self.id].order_one_only and self.k != 1:
             raise ValueError(f"{self.id.value} is only defined for k = 1")
-        if self.evidence_kind is not record.evidence_kind:
-            raise ValueError(
-                f"{self.id.value} operates on {record.evidence_kind.value}-values"
-            )
+
+    @property
+    def evidence_kind(self) -> EvidenceKind:
+        return RECORDS[self.id].evidence_kind
 
     def evaluate(self, values: Sequence[float], alpha: float) -> int:
         """This test on one evidence subset of any size: 1 rejects it."""
@@ -96,8 +96,7 @@ class LocalTestDescriptor:
 
 def local_test(test_id: TestId | str, k: int = 1) -> LocalTestDescriptor:
     """Build a descriptor for one of the built-in tests."""
-    tid = TestId(test_id) if not isinstance(test_id, TestId) else test_id
-    return LocalTestDescriptor(tid, k, RECORDS[tid].evidence_kind, monotone=True)
+    return LocalTestDescriptor(TestId(test_id), k)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .core import (
     GroundTruth,
     InvalidRhoError,
     RejectionSet,
+    require_level,
 )
 from .engine import DominoConfig, Mode, domino_e, domino_p
 from .local_tests import TestId, local_test
@@ -83,8 +84,7 @@ class SimScenario:
             raise InvalidRhoError(
                 f"rho must lie in [{lo:.6g}, 1), got {self.rho}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        require_level(self.alpha)
         if self.k < 1 or self.k > self.m:
             raise ValueError(f"need 1 <= k <= m, got k={self.k}")
         if self.reps < 1:
@@ -203,6 +203,8 @@ def make_procedure(token: str) -> ProcedureSpec:
             ) from None
     if len(parts) > 3:
         raise ValueError(f"malformed procedure token {token!r}")
+    if k is not None and k < 1:
+        raise ValueError(f"procedure order must be >= 1, got {k} in {token!r}")
 
     if name in ("bh", "holm") and mode is not None:
         raise ValueError(f"{name} takes no mode")
@@ -227,7 +229,7 @@ def make_procedure(token: str) -> ProcedureSpec:
     kind = test.evidence_kind
 
     def run_domino(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-        cfg = DominoConfig(kk, sc.alpha, test, mode=mode)
+        cfg = DominoConfig(test, sc.alpha, mode=mode)
         if kind is EvidenceKind.P_VALUE:
             return domino_p(inst.pvalues, cfg)
         return domino_e(inst.evalues, cfg)

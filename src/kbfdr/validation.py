@@ -30,7 +30,7 @@ from .simulate import SimScenario, iter_run_samples, make_procedure
 
 # Every built-in test at every order up to 3 for which it is defined.
 _DIFFERENTIAL_CASES = tuple(
-    (test_id, k)
+    local_test(test_id, k)
     for test_id in TestId
     for k in ((1,) if RECORDS[test_id].order_one_only else (1, 2, 3))
 )
@@ -54,26 +54,25 @@ def _random_pvalues(rng: np.random.Generator, m: int) -> np.ndarray:
 def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
     rng = np.random.Generator(np.random.PCG64(seed))
     cases = [
-        (test_id, k) for test_id, k in _DIFFERENTIAL_CASES
-        if RECORDS[test_id].evidence_kind is EvidenceKind.P_VALUE
+        test for test in _DIFFERENTIAL_CASES
+        if test.evidence_kind is EvidenceKind.P_VALUE
     ]
     checked = 0
     for _ in range(n_instances):
         m = int(rng.integers(4, 11))
         sv = sort_evidence(EvidenceVector.p_values(_random_pvalues(rng, m)))
         alpha = float(rng.choice([0.05, 0.2]))
-        for test_id, k in cases:
-            r = int(rng.integers(k, m + 1))
-            test = local_test(test_id, k)
-            brute = check_condition_bruteforce(sv, r, k, test, alpha)
-            rect = check_condition_rectangular(sv, r, k, test, alpha)
+        for test in cases:
+            r = int(rng.integers(test.k, m + 1))
+            brute = check_condition_bruteforce(sv, r, test, alpha)
+            rect = check_condition_rectangular(sv, r, test, alpha)
             checked += 1
             if brute.passed != rect.passed:
                 return SuiteResult(
                     "rectangular-vs-brute",
                     False,
                     f"disagreement at p={sv.ev.values.tolist()}, "
-                    f"r={r}, k={k}, test={test_id.value}, alpha={alpha}",
+                    f"r={r}, k={test.k}, test={test.id.value}, alpha={alpha}",
                 )
     return SuiteResult(
         "rectangular-vs-brute", True, f"{checked} paired condition checks agree"
@@ -91,8 +90,8 @@ def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteR
             if k > m:
                 continue
             test = local_test(TestId.E_CLOSURE_K, k)
-            fast = domino_e(ev, DominoConfig(k, alpha, test, mode=Mode.FAST))
-            brute = domino_e(ev, DominoConfig(k, alpha, test, mode=Mode.BRUTE_FORCE))
+            fast = domino_e(ev, DominoConfig(test, alpha, mode=Mode.FAST))
+            brute = domino_e(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
             if fast.indices != brute.indices:
                 return SuiteResult(
                     "mean-reduction-equivalence",
@@ -129,10 +128,9 @@ def differential_corpus(n_instances: int = 120, seed: int = 13):
     for _ in range(n_instances):
         m = int(rng.integers(1, 13))
         alpha = float(rng.choice([0.05, 0.2]))
-        for test_id, k in _DIFFERENTIAL_CASES:
-            if k > m:
+        for test in _DIFFERENTIAL_CASES:
+            if test.k > m:
                 continue
-            test = local_test(test_id, k)
             values = _edge_evidence(rng, m, test.evidence_kind)
             yield test, alpha, EvidenceVector(test.evidence_kind, values)
 
@@ -145,17 +143,16 @@ def default_vs_bruteforce(n_instances: int = 120, seed: int = 13) -> SuiteResult
     """
     compared = 0
     for test, alpha, ev in differential_corpus(n_instances, seed):
-        k = test.k
         decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-        brute = decide(ev, DominoConfig(k, alpha, test, mode=Mode.BRUTE_FORCE))
+        brute = decide(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
         for mode in (None, Mode.EXACT):
-            got = decide(ev, DominoConfig(k, alpha, test, mode=mode))
+            got = decide(ev, DominoConfig(test, alpha, mode=mode))
             compared += 1
             if got != brute:
                 return SuiteResult(
                     "default-vs-brute",
                     False,
-                    f"{test.id.value} k={k} mode={mode} alpha={alpha} "
+                    f"{test.id.value} k={test.k} mode={mode} alpha={alpha} "
                     f"differs from brute force at {ev.values.tolist()}",
                 )
     return SuiteResult(
@@ -194,7 +191,7 @@ def fastpath_divergence() -> SuiteResult:
     ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
     fast = domino_p_fast_bonferroni(ev, 1, 0.05)
     test = local_test(TestId.BONFERRONI_K, 1)
-    brute = domino_p(ev, DominoConfig(1, 0.05, test, mode=Mode.BRUTE_FORCE))
+    brute = domino_p(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
     expected = fast.indices == frozenset({0, 1}) and brute.indices == frozenset()
     detail = (
         f"fast |R|={fast.size}, brute |R|={brute.size} "

@@ -94,8 +94,8 @@ def test_criterion_1_oracle_equivalence():
             plan += [(simes_t, 1), (harmonic_t, 1)]
             for test, k in plan:
                 r = int(rng.integers(k, m + 1))
-                brute = check_condition_bruteforce(sv, r, k, test, alpha)
-                rect = check_condition_rectangular(sv, r, k, test, alpha)
+                brute = check_condition_bruteforce(sv, r, test, alpha)
+                rect = check_condition_rectangular(sv, r, test, alpha)
                 checks += 1
                 passes += brute.passed
                 disagreements += int(brute.passed != rect.passed)
@@ -119,8 +119,8 @@ def test_criterion_2_mean_reduction_equivalence():
         ev = EvidenceVector.e_values(e)
         for k in (1, 2):
             test = local_test("eclosure", k)
-            fast = domino_e(ev, DominoConfig(k, 0.05, test, mode=Mode.FAST))
-            brute = domino_e(ev, DominoConfig(k, 0.05, test, mode=Mode.BRUTE_FORCE))
+            fast = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.FAST))
+            brute = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
             compared += 1
             disagreements += int(fast.indices != brute.indices)
     assert disagreements == 0, f"{disagreements} differing rejection sets"
@@ -211,7 +211,7 @@ def test_criterion_6_fastpath_traces():
     diverging = ev([0.02, 0.02, 0.9])
     fast = domino_p_fast_bonferroni(diverging, 1, 0.05)
     brute = domino_p(diverging, DominoConfig(
-        1, 0.05, local_test("bonferroni", 1), mode=Mode.BRUTE_FORCE))
+        local_test("bonferroni", 1), 0.05, mode=Mode.BRUTE_FORCE))
     assert fast.size == 2 and fast.indices == {0, 1}
     assert brute.size == 0
     _report(6, "hand traces exact; divergence instance |R|=2 (fast) vs 0 (brute)")

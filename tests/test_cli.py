@@ -106,6 +106,17 @@ class TestRun:
         assert main(["run", p_file, "--proc", proc, "--alpha", "0.05",
                      "--mode", "fast"]) == EXIT_CONFLICT
 
+    @pytest.mark.parametrize("proc", ["bh", "holm"])
+    @pytest.mark.parametrize("flags", [
+        ["--k", "0", "--alpha", "0.05"],
+        ["--alpha", "2"],
+        ["--alpha", "-1"],
+        ["--alpha", "nan"],
+    ])
+    def test_baseline_bad_order_or_level_exits_3(self, p_file, proc, flags, capsys):
+        assert main(["run", p_file, "--proc", proc, *flags]) == EXIT_CONFLICT
+        assert capsys.readouterr().err.startswith("configuration conflict: ")
+
     def test_brute_eclosure_past_twelve_values(self, tmp_path, capsys):
         path = tmp_path / "e13.csv"
         rows = "".join(f"{i},50\n" for i in range(1, 14))
@@ -273,6 +284,30 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 * 3  # 2 rho x 2 alpha x 3 procedures
+
+    @pytest.mark.parametrize("token", ["bh:0", "holm:0", "simes:0", "bonferroni:200"])
+    def test_bad_procedure_token_exits_2_before_any_replication(
+        self, tmp_path, monkeypatch, token
+    ):
+        def no_grid(*args):
+            raise AssertionError("replications ran")
+
+        monkeypatch.setattr("kbfdr.cli.run_grid", no_grid)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CONFIG.replace("bh, bonferroni:1, eavg:1", token),
+                       encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert not out.exists()
+
+    def test_baselines_run_past_m(self, tmp_path):
+        # bh and generalized Holm are defined for k > m; Domino is not.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CONFIG.replace("bh, bonferroni:1, eavg:1", "bh:30, holm:30"),
+                       encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_bundled_config_resolves(self):
         from kbfdr.cli import _load_config

@@ -10,7 +10,6 @@ from kbfdr import (
     DominoConfig,
     EvidenceVector,
     Mode,
-    NotMonotoneError,
     OutOfRangeError,
     bh,
     check_condition_bruteforce,
@@ -30,7 +29,7 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
-from kbfdr.local_tests import LocalTestDescriptor, TestId, _e_closure_reduced
+from kbfdr.local_tests import TestId, _e_closure_reduced
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
@@ -49,13 +48,13 @@ BONF1 = local_test("bonferroni", 1)
 
 class TestBruteForce:
     def test_all_supersets_pass(self):
-        trace = check_condition_bruteforce(p_view([0.002, 0.01, 0.9]), 2, 1, BONF1, 0.05)
+        trace = check_condition_bruteforce(p_view([0.002, 0.01, 0.9]), 2, BONF1, 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 4
         assert trace.first_failing_subset is None
 
     def test_full_set_fails(self):
-        trace = check_condition_bruteforce(p_view([0.02, 0.02, 0.9]), 2, 1, BONF1, 0.05)
+        trace = check_condition_bruteforce(p_view([0.02, 0.02, 0.9]), 2, BONF1, 0.05)
         assert not trace.passed
         # 3 * 0.02 = 0.06 > 0.05 on the full set
         assert trace.first_failing_subset == frozenset({0, 1, 2})
@@ -63,28 +62,28 @@ class TestBruteForce:
     def test_all_zeros_pass_everywhere(self):
         sv = p_view([0.0, 0.0, 0.0])
         for r in (1, 2, 3):
-            assert check_condition_bruteforce(sv, r, 1, BONF1, 0.05).passed
+            assert check_condition_bruteforce(sv, r, BONF1, 0.05).passed
 
     def test_cap(self):
         sv = p_view([0.5] * 25)
         with pytest.raises(CapExceededError):
-            check_condition_bruteforce(sv, 25, 1, BONF1, 0.05)
+            check_condition_bruteforce(sv, 25, BONF1, 0.05)
 
     def test_rank_validation(self):
         sv = p_view([0.1, 0.2])
         with pytest.raises(OutOfRangeError):
-            check_condition_bruteforce(sv, 0, 1, BONF1, 0.05)
+            check_condition_bruteforce(sv, 0, BONF1, 0.05)
         with pytest.raises(OutOfRangeError):
-            check_condition_bruteforce(sv, 1, 2, BONF1, 0.05)
+            check_condition_bruteforce(sv, 1, local_test("bonferroni", 2), 0.05)
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            check_condition_bruteforce(e_view([1.0, 2.0]), 1, 1, BONF1, 0.05)
+            check_condition_bruteforce(e_view([1.0, 2.0]), 1, BONF1, 0.05)
 
     def test_failing_subset_is_earliest(self):
         # order: added-cardinality first, then lexicographic over ranks
         sv = p_view([0.9, 0.9, 0.9])
-        trace = check_condition_bruteforce(sv, 3, 1, BONF1, 0.05)
+        trace = check_condition_bruteforce(sv, 3, BONF1, 0.05)
         assert not trace.passed
         assert trace.evaluated_subsets == 1
         assert trace.first_failing_subset == frozenset({2})
@@ -94,33 +93,33 @@ class TestBruteForce:
         # brute-force cap (20) is the only limit that applies.
         ev = EvidenceVector.e_values([50.0] * 13)
         test = local_test("eclosure", 2)
-        brute = domino_e(ev, DominoConfig(2, 0.05, test, mode=Mode.BRUTE_FORCE))
+        brute = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
         assert brute.size == 13
-        assert brute == domino_e(ev, DominoConfig(2, 0.05, test))
+        assert brute == domino_e(ev, DominoConfig(test, 0.05))
 
 
 class TestRectangular:
     def test_matches_bruteforce_on_examples(self):
-        for values, r in [([0.02, 0.02, 0.9], 2), ([0.002, 0.01, 0.9], 2)]:
+        order_one = (BONF1, local_test("harmonic", 1), local_test("simes", 1))
+        for values, r, tests in [
+            ([0.02, 0.02, 0.9], 2, order_one),
+            ([0.002, 0.01, 0.9], 2, order_one),
+            # Brute force and the rectangular Bonferroni grid once disagreed
+            # here, when the grid was handed an order other than the test's.
+            ([0.016, 0.0064, 0.7966, 0.0045], 4, (local_test("bonferroni", 2),)),
+        ]:
             sv = p_view(values)
-            for test in (BONF1, local_test("harmonic", 1), local_test("simes", 1)):
-                brute = check_condition_bruteforce(sv, r, 1, test, 0.05)
-                rect = check_condition_rectangular(sv, r, 1, test, 0.05)
+            for test in tests:
+                brute = check_condition_bruteforce(sv, r, test, 0.05)
+                rect = check_condition_rectangular(sv, r, test, 0.05)
                 assert rect.passed == brute.passed
 
     def test_family_size_at_r_equals_m(self):
         # at r = m no weaker hypotheses exist: family is {M ∪ A_a}
         sv = p_view([0.001, 0.002, 0.003])
-        trace = check_condition_rectangular(sv, 3, 1, BONF1, 0.05)
+        trace = check_condition_rectangular(sv, 3, BONF1, 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 3
-
-    def test_requires_monotone(self):
-        bad = LocalTestDescriptor(
-            TestId.BONFERRONI_K, 1, EvidenceKind.P_VALUE, monotone=False
-        )
-        with pytest.raises(NotMonotoneError):
-            check_condition_rectangular(p_view([0.1, 0.2]), 1, 1, bad, 0.05)
 
     @pytest.mark.parametrize("test_id,k", [
         ("bonferroni", 1), ("bonferroni", 2), ("bonferroni", 3),
@@ -136,8 +135,8 @@ class TestRectangular:
             sv = p_view(p)
             r = int(rng.integers(k, m + 1))
             alpha = float(rng.choice([0.05, 0.2]))
-            brute = check_condition_bruteforce(sv, r, k, test, alpha)
-            rect = check_condition_rectangular(sv, r, k, test, alpha)
+            brute = check_condition_bruteforce(sv, r, test, alpha)
+            rect = check_condition_rectangular(sv, r, test, alpha)
             assert rect.passed == brute.passed
 
     @pytest.mark.parametrize("test_id,k", [("eavg", 1), ("eclosure", 1), ("eclosure", 2)])
@@ -149,8 +148,8 @@ class TestRectangular:
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
             sv = e_view(e)
             r = int(rng.integers(k, m + 1))
-            brute = check_condition_bruteforce(sv, r, k, test, 0.05)
-            rect = check_condition_rectangular(sv, r, k, test, 0.05)
+            brute = check_condition_bruteforce(sv, r, test, 0.05)
+            rect = check_condition_rectangular(sv, r, test, 0.05)
             assert rect.passed == brute.passed
 
 
@@ -173,19 +172,19 @@ class TestEClosureReduced:
 
 class TestDominoP:
     def test_rejects_two(self):
-        cfg = DominoConfig(1, 0.05, BONF1, mode=Mode.BRUTE_FORCE)
+        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
         rej = domino_p(EvidenceVector.p_values([0.002, 0.01, 0.9]), cfg)
         assert rej.indices == frozenset({0, 1})
         assert rej.boundary_rank == 2
 
     def test_rejects_nothing_when_all_ranks_fail(self):
-        cfg = DominoConfig(1, 0.05, BONF1, mode=Mode.BRUTE_FORCE)
+        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
         rej = domino_p(EvidenceVector.p_values([0.02, 0.02, 0.9]), cfg)
         assert rej.indices == frozenset()
         assert rej.boundary_rank == 0
 
     def test_trivial_set_keeps_k_minus_one(self):
-        cfg = DominoConfig(2, 0.5, local_test("bonferroni", 2), mode=Mode.BRUTE_FORCE)
+        cfg = DominoConfig(local_test("bonferroni", 2), 0.5, mode=Mode.BRUTE_FORCE)
         rej = domino_p(EvidenceVector.p_values([1.0, 1.0, 1.0]), cfg)
         # k-1 = 1 most significant hypothesis; ties at p=1 absorb everything,
         # here the threshold is p_(1) = 1 so the whole tie block stays
@@ -193,21 +192,21 @@ class TestDominoP:
         assert rej.indices == frozenset({0, 1, 2})
 
     def test_trivial_set_generic_values(self):
-        cfg = DominoConfig(2, 0.001, local_test("bonferroni", 2), mode=Mode.EXACT)
+        cfg = DominoConfig(local_test("bonferroni", 2), 0.001, mode=Mode.EXACT)
         rej = domino_p(EvidenceVector.p_values([0.2, 0.4, 0.9]), cfg)
         assert rej.indices == frozenset({0})
         assert rej.boundary_rank == 0
         assert rej.marginal_indices == (0,)
 
     def test_kind_and_order_validation(self):
-        cfg = DominoConfig(1, 0.05, BONF1)
+        cfg = DominoConfig(BONF1, 0.05)
         with pytest.raises(ValueError):
             domino_p(EvidenceVector.e_values([1.0]), cfg)
         with pytest.raises(ValueError):
-            domino_p(EvidenceVector.p_values([0.1]), DominoConfig(2, 0.05, local_test("bonferroni", 2)))
+            domino_p(EvidenceVector.p_values([0.1]), DominoConfig(local_test("bonferroni", 2), 0.05))
 
     def test_fast_mode_undefined_for_simes(self):
-        cfg = DominoConfig(1, 0.05, local_test("simes", 1), mode=Mode.FAST)
+        cfg = DominoConfig(local_test("simes", 1), 0.05, mode=Mode.FAST)
         with pytest.raises(ValueError):
             domino_p(EvidenceVector.p_values([0.01, 0.2]), cfg)
 
@@ -219,8 +218,8 @@ class TestDominoP:
                 p = rng.random(m)
                 p[rng.random(m) < 0.5] *= 0.02
                 ev = EvidenceVector.p_values(p)
-                lo = domino_p(ev, DominoConfig(1, 0.05, BONF1, mode=mode))
-                hi = domino_p(ev, DominoConfig(1, 0.2, BONF1, mode=mode))
+                lo = domino_p(ev, DominoConfig(BONF1, 0.05, mode=mode))
+                hi = domino_p(ev, DominoConfig(BONF1, 0.2, mode=mode))
                 assert hi.indices >= lo.indices
 
 
@@ -228,25 +227,25 @@ class TestDominoE:
     ECL1 = local_test("eclosure", 1)
 
     def test_rejects_strongest(self):
-        cfg = DominoConfig(1, 0.05, self.ECL1, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
         rej = domino_e(EvidenceVector.e_values([50.0, 25.0, 0.1]), cfg)
         assert rej.indices == frozenset({0})
 
     def test_zero_evidence(self):
-        cfg = DominoConfig(1, 0.05, self.ECL1, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
         assert domino_e(EvidenceVector.e_values([0.0, 0.0, 0.0]), cfg).indices == frozenset()
 
     def test_infinite_e_dominates(self):
-        cfg = DominoConfig(1, 0.05, self.ECL1, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
         rej = domino_e(EvidenceVector.e_values([float("inf"), 1.0]), cfg)
         assert rej.indices == frozenset({0})
 
     def test_kind_validation(self):
-        cfg = DominoConfig(1, 0.05, self.ECL1)
+        cfg = DominoConfig(self.ECL1, 0.05)
         with pytest.raises(ValueError):
             domino_e(EvidenceVector.p_values([0.5]), cfg)
         with pytest.raises(ValueError):
-            domino_e(EvidenceVector.e_values([1.0]), DominoConfig(1, 0.05, BONF1))
+            domino_e(EvidenceVector.e_values([1.0]), DominoConfig(BONF1, 0.05))
 
     def test_eavg_equals_eclosure_at_k1(self):
         # with the arithmetic-mean combiner both reduce to the same condition
@@ -256,8 +255,8 @@ class TestDominoE:
             m = int(rng.integers(2, 9))
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
             ev = EvidenceVector.e_values(e)
-            a = domino_e(ev, DominoConfig(1, 0.05, avg, mode=Mode.FAST))
-            c = domino_e(ev, DominoConfig(1, 0.05, self.ECL1, mode=Mode.FAST))
+            a = domino_e(ev, DominoConfig(avg, 0.05, mode=Mode.FAST))
+            c = domino_e(ev, DominoConfig(self.ECL1, 0.05, mode=Mode.FAST))
             assert a.indices == c.indices
 
 
@@ -291,7 +290,7 @@ class TestMeanReduction:
             sv = e_view(e)
             r = int(rng.integers(1, m + 1))
             fast = domino_e_mean_reduction_check(sv, r, 1, 0.05)
-            brute = check_condition_bruteforce(sv, r, 1, avg, 0.05)
+            brute = check_condition_bruteforce(sv, r, avg, 0.05)
             assert fast.passed == brute.passed
 
 
@@ -305,7 +304,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
         fast = domino_p_fast_bonferroni(ev, 1, 0.05)
         assert fast.indices == frozenset({0, 1})
-        brute = domino_p(ev, DominoConfig(1, 0.05, BONF1, mode=Mode.BRUTE_FORCE))
+        brute = domino_p(ev, DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE))
         assert brute.indices == frozenset()
 
     def test_no_candidate_rank(self):
@@ -329,7 +328,7 @@ class TestFastBonferroni:
             p[rng.random(m) < 0.5] *= 0.02
             ev = EvidenceVector.p_values(p)
             fast = domino_p_fast_bonferroni(ev, 1, 0.1)
-            brute = domino_p(ev, DominoConfig(1, 0.1, BONF1, mode=Mode.BRUTE_FORCE))
+            brute = domino_p(ev, DominoConfig(BONF1, 0.1, mode=Mode.BRUTE_FORCE))
             assert fast.indices >= brute.indices
 
     def test_containment_fails_for_higher_order(self):
@@ -339,7 +338,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.035, 0.04, 0.05])
         test2 = local_test("bonferroni", 2)
         fast = domino_p_fast_bonferroni(ev, 2, 0.06)
-        brute = domino_p(ev, DominoConfig(2, 0.06, test2, mode=Mode.BRUTE_FORCE))
+        brute = domino_p(ev, DominoConfig(test2, 0.06, mode=Mode.BRUTE_FORCE))
         assert fast.indices == frozenset({0, 1})
         assert brute.indices == frozenset({0, 1, 2})
         assert not fast.indices >= brute.indices
@@ -366,23 +365,27 @@ class TestFastHarmonic:
 
 class TestModeResolution:
     def test_defaults(self):
-        assert DominoConfig(1, 0.05, BONF1).resolved_mode() is Mode.EXACT
-        assert DominoConfig(1, 0.05, local_test("simes", 1)).resolved_mode() is Mode.EXACT
-        assert DominoConfig(1, 0.05, local_test("harmonic", 1)).resolved_mode() is Mode.FAST
-        assert DominoConfig(1, 0.05, local_test("eavg", 1)).resolved_mode() is Mode.FAST
-        assert DominoConfig(2, 0.05, local_test("eclosure", 2)).resolved_mode() is Mode.FAST
+        assert DominoConfig(BONF1, 0.05).resolved_mode() is Mode.EXACT
+        assert DominoConfig(local_test("simes", 1), 0.05).resolved_mode() is Mode.EXACT
+        assert DominoConfig(local_test("harmonic", 1), 0.05).resolved_mode() is Mode.FAST
+        assert DominoConfig(local_test("eavg", 1), 0.05).resolved_mode() is Mode.FAST
+        assert DominoConfig(local_test("eclosure", 2), 0.05).resolved_mode() is Mode.FAST
+
+    def test_the_order_is_the_tests(self):
+        cfg = DominoConfig(local_test("bonferroni", 3), 0.05)
+        assert cfg.k == 3
+        with pytest.raises(AttributeError):
+            cfg.k = 2
 
     def test_explicit_mode_wins(self):
-        cfg = DominoConfig(1, 0.05, BONF1, mode=Mode.BRUTE_FORCE)
+        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
         assert cfg.resolved_mode() is Mode.BRUTE_FORCE
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DominoConfig(0, 0.05, BONF1)
+            DominoConfig(local_test("bonferroni", 0), 0.05)
         with pytest.raises(ValueError):
-            DominoConfig(1, 0.0, BONF1)
-        with pytest.raises(ValueError):
-            DominoConfig(2, 0.05, BONF1)  # order mismatch
+            DominoConfig(BONF1, 0.0)
 
 
 class TestLevelControlSmallScale:
@@ -399,7 +402,7 @@ class TestLevelControlSmallScale:
         for rep in range(reps):
             inst = gen_instance(sc, rep)
             for mode in hits:
-                rej = domino_p(inst.pvalues, DominoConfig(k, alpha, test, mode=mode))
+                rej = domino_p(inst.pvalues, DominoConfig(test, alpha, mode=mode))
                 hits[mode] += run_sample(rej, inst.truth, inst.pvalues, k).kbfdr_ind
         bound = alpha + 3.0 * np.sqrt(alpha * (1 - alpha) / reps)
         for mode, count in hits.items():
@@ -434,9 +437,9 @@ def _assert_matches_brute(decide, ev, cases, alpha):
         if k > ev.m:
             continue
         test = local_test(test_id, k)
-        brute = decide(ev, DominoConfig(k, alpha, test, mode=Mode.BRUTE_FORCE))
+        brute = decide(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
         for mode in (None, Mode.EXACT):
-            got = decide(ev, DominoConfig(k, alpha, test, mode=mode))
+            got = decide(ev, DominoConfig(test, alpha, mode=mode))
             assert _outcome(got) == _outcome(brute), (test_id, k, mode)
 
 
@@ -460,11 +463,11 @@ class TestDefaultMatchesBruteForce:
         # Every pair of the five p = 0.05 has a scaled harmonic mean of
         # e*ln(2)*0.05 > 0.05, so the closure rejects nothing.
         ev = EvidenceVector.p_values([0.05] * 5)
-        cfg = DominoConfig(1, 0.05, local_test("harmonic", 1))
+        cfg = DominoConfig(local_test("harmonic", 1), 0.05)
         assert cfg.resolved_mode() is Mode.FAST
         assert domino_p(ev, cfg).indices == frozenset()
         assert domino_p_fast_harmonic(ev, 0.05).indices == frozenset()
-        brute = domino_p(ev, DominoConfig(1, 0.05, cfg.test, mode=Mode.BRUTE_FORCE))
+        brute = domino_p(ev, DominoConfig(cfg.test, 0.05, mode=Mode.BRUTE_FORCE))
         assert brute.indices == frozenset()
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
@@ -476,7 +479,7 @@ class TestDefaultMatchesBruteForce:
         expected = {}
         for decide, ev, cases in plan:
             for test_id, k in cases:
-                cfg = DominoConfig(k, 0.05, local_test(test_id, k), mode=Mode.BRUTE_FORCE)
+                cfg = DominoConfig(local_test(test_id, k), 0.05, mode=Mode.BRUTE_FORCE)
                 expected[test_id, k] = _outcome(decide(ev, cfg))
 
         def refuse(*args, **kwargs):
@@ -489,7 +492,7 @@ class TestDefaultMatchesBruteForce:
             for test_id, k in cases:
                 test = local_test(test_id, k)
                 for mode in (None, Mode.EXACT):
-                    got = decide(ev, DominoConfig(k, 0.05, test, mode=mode))
+                    got = decide(ev, DominoConfig(test, 0.05, mode=mode))
                     assert _outcome(got) == expected[test_id, k], (test_id, k, mode)
 
 
@@ -501,7 +504,7 @@ class TestEValueOverflow:
         ev = EvidenceVector.e_values([1e308, 1e308])
         test = local_test("eclosure", 2)
         for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
-            rej = domino_e(ev, DominoConfig(2, 0.05, test, mode=mode))
+            rej = domino_e(ev, DominoConfig(test, 0.05, mode=mode))
             assert rej.indices == frozenset({0, 1})
             assert rej.boundary_rank == 2
         assert domino_e_mean_reduction_check(e_view([1e308, 1e308]), 2, 2, 0.05).passed
@@ -512,8 +515,8 @@ class TestEValueOverflow:
         # rank 3 every superset of {1e308, 0.5} still has a mean far above
         # 1/alpha, so the weak value is rejected with the strong pair.
         ev = EvidenceVector.e_values([1e308, 0.5, 1e308])
-        rej = domino_e(ev, DominoConfig(2, 0.05, local_test("eclosure", 2)))
-        brute = domino_e(ev, DominoConfig(2, 0.05, local_test("eclosure", 2),
+        rej = domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05))
+        brute = domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05,
                                           mode=Mode.BRUTE_FORCE))
         assert _outcome(rej) == _outcome(brute)
         assert rej.indices == frozenset({0, 1, 2})
@@ -531,7 +534,7 @@ class TestLShapedKernels:
             ev = EvidenceVector.p_values(p)
             for k in (1, 2, 3):
                 holm = holm_k(ev, k, 0.05)
-                rej = domino_p(ev, DominoConfig(k, 0.05, local_test("bonferroni", k)))
+                rej = domino_p(ev, DominoConfig(local_test("bonferroni", k), 0.05))
                 if holm.size >= k:
                     assert rej.indices == holm.indices
                 else:
@@ -550,11 +553,11 @@ class TestLShapedKernels:
             sv = sort_evidence(ev)
             expected = 0
             for r in range(m, 0, -1):
-                if check_condition_rectangular(sv, r, 1, test, 0.1).passed:
+                if check_condition_rectangular(sv, r, test, 0.1).passed:
                     expected = r
                     break
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-            rej = decide(ev, DominoConfig(1, 0.1, test, mode=Mode.EXACT))
+            rej = decide(ev, DominoConfig(test, 0.1, mode=Mode.EXACT))
             if expected:
                 assert _outcome(rej) == _outcome(reject_by_rank(sv, expected, 1))
             else:
@@ -575,7 +578,7 @@ class TestRejectionsArePrefixes:
             for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
                 if mode is Mode.FAST and test.id is TestId.SIMES:
                     continue  # Simes has no FAST backend
-                sets.append(decide(ev, DominoConfig(k, alpha, test, mode=mode)))
+                sets.append(decide(ev, DominoConfig(test, alpha, mode=mode)))
             if ev.kind is EvidenceKind.P_VALUE:
                 sets.append(bh(ev, alpha, k))
                 sets.append(holm_k(ev, k, alpha))

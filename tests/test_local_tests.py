@@ -27,21 +27,18 @@ class TestDescriptor:
         assert local_test("bonferroni", 2).evidence_kind is EvidenceKind.P_VALUE
         assert local_test("eclosure", 2).evidence_kind is EvidenceKind.E_VALUE
 
+    def test_a_descriptor_is_its_id_and_order(self):
+        from dataclasses import astuple
+
+        test = local_test("eclosure", 2)
+        assert astuple(test) == (TestId.E_CLOSURE_K, 2)
+        assert test == local_test(TestId.E_CLOSURE_K, 2)
+
     @pytest.mark.parametrize("tid", ["simes", "harmonic", "eavg"])
     def test_order_one_only(self, tid):
         assert local_test(tid, 1).k == 1
         with pytest.raises(ValueError):
             local_test(tid, 2)
-
-    def test_all_builtins_declared_monotone(self):
-        for tid in TestId:
-            assert local_test(tid, 1).monotone
-
-    def test_kind_mismatch_rejected(self):
-        from kbfdr import LocalTestDescriptor
-
-        with pytest.raises(ValueError):
-            LocalTestDescriptor(TestId.SIMES, 1, EvidenceKind.E_VALUE)
 
 
 class TestBonferroniK:

@@ -152,7 +152,7 @@ class TestMakeProcedure:
         inst = gen_instance(sc, 0)
         for test_id in TestId:
             test = local_test(test_id)
-            cfg = DominoConfig(1, sc.alpha, test)
+            cfg = DominoConfig(test, sc.alpha)
             if test.evidence_kind is EvidenceKind.P_VALUE:
                 expected = domino_p(inst.pvalues, cfg)
             else:
@@ -169,6 +169,11 @@ class TestMakeProcedure:
     def test_order_constraint_surfaces(self):
         with pytest.raises(ValueError):
             make_procedure("simes:2")
+
+    @pytest.mark.parametrize("token", ["bh:0", "holm:0", "bonferroni:0", "eavg:-1"])
+    def test_order_below_one_rejected(self, token):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            make_procedure(token)
 
 
 class TestRunGrid:

@@ -80,6 +80,7 @@ def external_boundary(
     least as significant as that rank.
     """
     _require_p(p, "external_boundary")
+    require_level(alpha)
     sv = sort_evidence(p)
     r = int(select_rank(sv.rank_values(), alpha))
     if not 0 <= r <= sv.m:

@@ -20,14 +20,7 @@ from importlib import resources
 
 from .baselines import bh, holm_k
 from .core import EvidenceKind, EvidenceVector, RejectionSet
-from .engine import (
-    DEFAULT_BRUTE_FORCE_CAP,
-    MAX_BRUTE_FORCE_CAP,
-    DominoConfig,
-    Mode,
-    domino_e,
-    domino_p,
-)
+from .engine import DominoConfig, domino_e, domino_p
 from .local_tests import TestId, local_test
 from .simulate import SimScenario, emit_table, make_procedure, run_grid
 from .validation import SUITES, run_suites
@@ -43,22 +36,6 @@ class ParseFailure(Exception):
 
 class ConfigConflict(Exception):
     pass
-
-
-def _brute_cap() -> int:
-    raw = os.environ.get("DOMINO_BRUTE_CAP")
-    if raw is None:
-        return DEFAULT_BRUTE_FORCE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParseFailure(f"DOMINO_BRUTE_CAP is not an integer: {raw!r}") from exc
-    if not 1 <= cap <= MAX_BRUTE_FORCE_CAP:
-        raise ParseFailure(
-            f"DOMINO_BRUTE_CAP must lie in [1, {MAX_BRUTE_FORCE_CAP}], got {cap} "
-            f"(brute force enumerates up to 2^(m-k) supersets per rank)"
-        )
-    return cap
 
 
 def read_evidence_csv(path: str) -> EvidenceVector:
@@ -121,31 +98,19 @@ def _resolve_run_test(args) -> TestId:
 
 
 def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
-    mode = Mode(args.mode) if args.mode else None
     if args.proc in ("bh", "holm"):
         if ev.kind is not EvidenceKind.P_VALUE:
             raise ConfigConflict(f"{args.proc} requires a p-value file")
         if args.test is not None:
             raise ConfigConflict(f"--test does not apply to {args.proc}")
-        if mode is not None:
-            raise ConfigConflict(f"--mode does not apply to {args.proc}")
-    else:
-        test_id = _resolve_run_test(args)
-        if mode is Mode.FAST and test_id is TestId.BONFERRONI_K:
-            print(
-                "warning: --mode fast runs the Bonferroni chain scan, which is "
-                "more liberal than the closure and does not control k-bFDR",
-                file=sys.stderr,
-            )
     try:
         if args.proc == "bh":
             return bh(ev, args.alpha, k=args.k)
         if args.proc == "holm":
             return holm_k(ev, args.k, args.alpha)
-        test = local_test(test_id, args.k)
-        cfg = DominoConfig(test, args.alpha, mode=mode, brute_force_cap=_brute_cap())
+        test = local_test(_resolve_run_test(args), args.k)
         decide = domino_p if args.proc == "domino" else domino_e
-        return decide(ev, cfg)
+        return decide(ev, DominoConfig(test, args.alpha))
     except ValueError as exc:
         raise ConfigConflict(str(exc)) from exc
 
@@ -293,14 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="apply a procedure to an evidence CSV")
     run_p.add_argument("input", help="evidence CSV (index,p_value or index,e_value)")
     run_p.add_argument("--proc", required=True,
-                       choices=["domino", "domino-e", "bh", "holm"])
+                       choices=["domino", "domino-e", "bh", "holm"],
+                       help="procedure; domino and domino-e decide exactly "
+                       "like the full closure")
     run_p.add_argument("--k", type=int, default=1, help="boundary order")
     run_p.add_argument("--alpha", type=float, required=True, help="target level")
     run_p.add_argument("--test", choices=sorted(t.value for t in TestId),
                        help="local test (default: resolved from --dependence)")
-    run_p.add_argument("--mode", choices=sorted(m.value for m in Mode),
-                       help="condition-check backend (default: the closure-exact "
-                       "scan; fast selects the liberal chain scan for bonferroni)")
     run_p.add_argument("--dependence", default="independent",
                        choices=["independent", "prds", "arbitrary"],
                        help="declared dependence among null p-values")

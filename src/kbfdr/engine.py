@@ -1,4 +1,4 @@
-"""The Domino rejection procedure and its condition-check backends.
+"""The Domino rejection procedure and its condition-check oracles.
 
 Domino scans candidate boundary ranks r from m down to k.  A rank passes when
 every superset of the marginal set M_{r,k} (the k least significant members
@@ -15,38 +15,34 @@ reject, since it trades a stronger added value for a weaker one.  The
 closure condition at rank r therefore reduces to an L-shaped family of
 m-k+1 members: a = 0 for b = 0..m-r, then b = m-r for a = 1..r-k.
 
-Three backends decide the scan:
+``domino_p`` and ``domino_e`` evaluate the L-shaped family with the scan
+kernel of the test's record in ``local_tests``, sorting once per decision:
+the generalized Holm critical values ((m+k-l)/k) * p_(l) for the
+generalized Bonferroni test, a Hommel-style pass over the top-n sets for
+Simes, suffix sums of 1/p for the harmonic mean, and cumulative sums for
+e-value means.  The last two preselect ranks with a closed-form margin and
+let the member statistics decide.
 
-* BRUTE_FORCE enumerates all 2^(m-k) supersets at each rank (capped; the
-  reference oracle).
-* EXACT evaluates the L-shaped family with the scan kernel of the test's
-  record in ``local_tests``, sorting once per decision: the generalized Holm
-  critical values ((m+k-l)/k) * p_(l) for the generalized Bonferroni test, a
-  Hommel-style pass over the top-n sets for Simes, suffix sums of 1/p for
-  the harmonic mean, and cumulative sums for e-value means.  The last two
-  preselect ranks with a closed-form margin and let the member statistics
-  decide.
-* FAST is the same L-shaped scan, except for the tests in
-  ``_FAST_EXCEPTIONS``: for the generalized Bonferroni test it is the chain
-  scan, which checks only rank-contiguous augmentations and is more liberal
-  than the closure (see ``validation`` for the documented divergence
-  instance), and Simes has no FAST backend.
+The oracles stay public for the tests and ``kbfdr validate``; no Domino
+path calls them.  :func:`domino_bruteforce` runs the scan with the superset
+enumeration :func:`check_condition_bruteforce` at each rank (capped);
+:func:`check_condition_rectangular` checks the full rectangular family and
+:func:`domino_e_mean_reduction_check` the per-rank mean reduction.  The
+enumeration and the rectangular family decide each member with
+``test.evaluate``, the evaluator of the test's record; everything about a
+test is its record in ``local_tests``.
 
-The full rectangular family (:func:`check_condition_rectangular`), the
-superset enumeration (:func:`check_condition_bruteforce`) and the per-rank
-mean reduction (:func:`domino_e_mean_reduction_check`) stay public as
-oracles for the tests and ``kbfdr validate``; no default path calls them.
-The first two decide each member with ``test.evaluate``, the evaluator of
-the test's record.  ``_FAST_EXCEPTIONS`` is the only per-test fact kept in
-this module; everything else about a test is its record in ``local_tests``.
+:func:`domino_p_fast_bonferroni` is the Bonferroni chain scan.  It checks
+only rank-contiguous augmentations, so it is more liberal than the closure
+and does not control the boundary error rate (see ``validation`` for the
+documented divergence instance); no Domino path runs it.
 
-A call is fixed by the local test (its id and order k), alpha, the mode and
-the brute-force cap; ``DominoConfig`` and both oracles read k from the test.
+A call is fixed by the local test (its id and order k) and alpha;
+``DominoConfig`` and both condition oracles read k from the test.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -63,7 +59,7 @@ from .core import (
     require_level,
     sort_evidence,
 )
-from .local_tests import RECORDS, LocalTestDescriptor, TestId
+from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
 
 # Re-exported: ``bench/tracing.py`` wraps the local tests where the engine
 # names them.
@@ -76,35 +72,17 @@ from .local_tests import (  # noqa: F401
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 20
-# Largest brute-force cap a caller may configure: at m = 30 one rank already
-# enumerates up to 2^29 supersets.
-MAX_BRUTE_FORCE_CAP = 30
-
-
-class Mode(enum.Enum):
-    """Condition-check backend selection."""
-
-    FAST = "fast"
-    EXACT = "exact"
-    BRUTE_FORCE = "brute"
 
 
 @dataclass(frozen=True)
 class DominoConfig:
-    """Local test, level and backend for one Domino invocation.
+    """Local test and level for one Domino invocation.
 
     The test fixes the order: ``k`` is a read-only view of ``test.k``.
-    ``mode=None`` resolves to EXACT for the tests in ``_FAST_EXCEPTIONS``
-    (generalized Bonferroni and Simes) and to FAST otherwise.  Either way the
-    default decides exactly like the full closure: FAST for the other tests
-    is the same L-shaped scan as EXACT.  The one liberal backend, the
-    Bonferroni chain scan, runs only under an explicit ``Mode.FAST``.
     """
 
     test: LocalTestDescriptor
     alpha: float
-    mode: Mode | None = None
-    brute_force_cap: int = DEFAULT_BRUTE_FORCE_CAP
 
     def __post_init__(self) -> None:
         require_level(self.alpha)
@@ -112,11 +90,6 @@ class DominoConfig:
     @property
     def k(self) -> int:
         return self.test.k
-
-    def resolved_mode(self) -> Mode:
-        if self.mode is not None:
-            return self.mode
-        return Mode.EXACT if self.test.id in _FAST_EXCEPTIONS else Mode.FAST
 
 
 @dataclass(frozen=True)
@@ -146,6 +119,17 @@ def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
             f"{test.id.value} expects {test.evidence_kind.value}-values, "
             f"got {sv.ev.kind.value}-values"
         )
+
+
+def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> None:
+    """Check that the evidence and the test are of ``kind`` and that k <= m."""
+    if ev.kind is not kind:
+        raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
+    test = cfg.test
+    if test.evidence_kind is not kind:
+        raise ValueError(f"{test.id.value} is not a {kind.value}-value test")
+    if cfg.k > ev.m:
+        raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
 
 
 def check_condition_bruteforce(
@@ -181,6 +165,23 @@ def check_condition_bruteforce(
                 failing = frozenset(int(sv.perm[i]) for i in member_ranks)
                 return ConditionTrace(r, evaluated, failing, False)
     return ConditionTrace(r, evaluated, None, True)
+
+
+def domino_bruteforce(
+    ev: EvidenceVector, cfg: DominoConfig, cap: int = DEFAULT_BRUTE_FORCE_CAP
+) -> RejectionSet:
+    """Domino by superset enumeration at every rank, from m down to k.
+
+    The reference oracle for :func:`domino_p` and :func:`domino_e`, for
+    either evidence kind; it enumerates up to 2^(m-k) supersets per rank
+    and raises ``CapExceededError`` for m > cap.
+    """
+    _require_fit(ev, cfg, ev.kind)
+    sv = sort_evidence(ev)
+    for r in range(sv.m, cfg.k - 1, -1):
+        if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha, cap=cap).passed:
+            return reject_by_rank(sv, r, cfg.k)
+    return _trivial_rejection(sv, cfg.k)
 
 
 def _rect_member_ranks(r: int, k: int, m: int, a: int, b: int) -> list[int]:
@@ -291,31 +292,10 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     return RejectionSet(sv.perm[:n], 0, k)
 
 
-def _l_scan(ev: EvidenceVector, k: int, alpha: float, test_id: TestId) -> RejectionSet:
-    """Domino over the L-shaped family: the largest passing rank wins."""
-    sv = sort_evidence(ev)
-    r = RECORDS[test_id].scan(sv.rank_values(), k, alpha)
-    if r >= k:
-        return reject_by_rank(sv, r, k)
-    return _trivial_rejection(sv, k)
-
-
-def _brute_scan(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
-    """Domino by superset enumeration at every rank, from m down to k."""
-    sv = sort_evidence(ev)
-    for r in range(sv.m, cfg.k - 1, -1):
-        trace = check_condition_bruteforce(
-            sv, r, cfg.test, cfg.alpha, cap=cfg.brute_force_cap
-        )
-        if trace.passed:
-            return reject_by_rank(sv, r, cfg.k)
-    return _trivial_rejection(sv, cfg.k)
-
-
 def domino_p_fast_bonferroni(
     p: EvidenceVector, k: int, alpha: float
 ) -> RejectionSet:
-    """O(m^2) Bonferroni shortcut scan.
+    """O(m^2) Bonferroni chain scan.
 
     The scan starts at the largest rank whose p-value is at or below alpha
     and, per candidate r, requires ((k + r - l) / k) * p_(l) <= alpha along
@@ -326,6 +306,7 @@ def domino_p_fast_bonferroni(
     """
     if p.kind is not EvidenceKind.P_VALUE:
         raise ValueError("domino_p_fast_bonferroni requires p-values")
+    require_level(alpha)
     if not 1 <= k <= p.m:
         raise OutOfRangeError(f"need 1 <= k <= m, got k={k}, m={p.m}")
     sv = sort_evidence(p)
@@ -342,35 +323,14 @@ def domino_p_fast_bonferroni(
     return trivial
 
 
-# The tests whose FAST backend is not the L-shaped scan, and what it is
-# instead; they default to EXACT, every other test to FAST.  The Bonferroni
-# chain scan checks no weak augmentations and does not control the boundary
-# error rate (simulated k-bFDR reaches ~0.5 where exact search stays at the
-# nominal level), so it runs only when asked for.  Simes has no FAST backend.
-_FAST_EXCEPTIONS = {
-    TestId.BONFERRONI_K: domino_p_fast_bonferroni,
-    TestId.SIMES: None,
-}
-
-
 def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:
-    """Domino on evidence of ``kind``, after checking that everything fits."""
-    if ev.kind is not kind:
-        raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
-    test = cfg.test
-    if test.evidence_kind is not kind:
-        raise ValueError(f"{test.id.value} is not a {kind.value}-value test")
-    if cfg.k > ev.m:
-        raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
-    mode = cfg.resolved_mode()
-    if mode is Mode.BRUTE_FORCE:
-        return _brute_scan(ev, cfg)
-    if mode is Mode.FAST and test.id in _FAST_EXCEPTIONS:
-        fast = _FAST_EXCEPTIONS[test.id]
-        if fast is None:
-            raise ValueError(f"fast mode is not defined for test {test.id.value}")
-        return fast(ev, cfg.k, cfg.alpha)
-    return _l_scan(ev, cfg.k, cfg.alpha, test.id)
+    """Domino over the L-shaped family: the largest passing rank wins."""
+    _require_fit(ev, cfg, kind)
+    sv = sort_evidence(ev)
+    r = RECORDS[cfg.test.id].scan(sv.rank_values(), cfg.k, cfg.alpha)
+    if r >= cfg.k:
+        return reject_by_rank(sv, r, cfg.k)
+    return _trivial_rejection(sv, cfg.k)
 
 
 def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
@@ -384,12 +344,10 @@ def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
 
 
 def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:
-    """Harmonic-mean Domino (order 1) over the L-shaped family.
+    """Harmonic-mean Domino (order 1): :func:`domino_p` with the harmonic test.
 
     Decides like the full closure: one suffix sum of 1/p covers the top-n
     sets of every rank, and one vector per rank covers {r} with the weak
     tail.  Any zero p-value makes every set it enters a rejection.
     """
-    if p.kind is not EvidenceKind.P_VALUE:
-        raise ValueError("domino_p_fast_harmonic requires p-values")
-    return _l_scan(p, 1, alpha, TestId.HARMONIC_MEAN)
+    return domino_p(p, DominoConfig(local_test(TestId.HARMONIC_MEAN), alpha))

@@ -30,7 +30,7 @@ from .core import (
     RejectionSet,
     require_level,
 )
-from .engine import DominoConfig, Mode, domino_e, domino_p
+from .engine import DominoConfig, domino_e, domino_p
 from .local_tests import TestId, local_test
 from .baselines import bh as bh_procedure
 from .baselines import holm_k as holm_procedure
@@ -183,31 +183,20 @@ class ProcedureSpec:
 
 
 def make_procedure(token: str) -> ProcedureSpec:
-    """Parse a procedure token ``name[:k[:mode]]``.
+    """Parse a procedure token ``name[:k]``.
 
     Names: the ``TestId`` values simes, harmonic, bonferroni, eavg and
-    eclosure (Domino variants), bh and holm (baselines).  The default mode
-    is the configuration default, which decides like the full closure for
-    every test.
+    eclosure (Domino variants, which decide like the full closure), bh and
+    holm (baselines).
     """
     parts = [part.strip() for part in token.split(":")]
+    if len(parts) > 2:
+        raise ValueError(f"malformed procedure token {token!r}")
     name = parts[0].lower()
     k = int(parts[1]) if len(parts) > 1 and parts[1] else None
-    mode = None
-    if len(parts) > 2 and parts[2]:
-        try:
-            mode = Mode(parts[2].lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown mode {parts[2]!r} in procedure {token!r}"
-            ) from None
-    if len(parts) > 3:
-        raise ValueError(f"malformed procedure token {token!r}")
     if k is not None and k < 1:
         raise ValueError(f"procedure order must be >= 1, got {k} in {token!r}")
 
-    if name in ("bh", "holm") and mode is not None:
-        raise ValueError(f"{name} takes no mode")
     if name == "bh":
 
         def run_bh(inst: SimInstance, sc: SimScenario) -> RejectionSet:
@@ -229,7 +218,7 @@ def make_procedure(token: str) -> ProcedureSpec:
     kind = test.evidence_kind
 
     def run_domino(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-        cfg = DominoConfig(test, sc.alpha, mode=mode)
+        cfg = DominoConfig(test, sc.alpha)
         if kind is EvidenceKind.P_VALUE:
             return domino_p(inst.pvalues, cfg)
         return domino_e(inst.evalues, cfg)

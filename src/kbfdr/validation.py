@@ -2,10 +2,9 @@
 
 These are trimmed-down versions of the test-suite invariants, sized to run
 in seconds: the rectangular search against brute-force enumeration, the
-e-value mean-reduction against direct closure enumeration, the default and
-EXACT Domino backends against brute-force Domino, pointwise indicator
-ordering, and the documented divergence of the fast Bonferroni scan from the
-fully closed procedure.
+e-value mean-reduction against direct closure enumeration, Domino against
+brute-force Domino, pointwise indicator ordering, and the documented
+divergence of the fast Bonferroni scan from the fully closed procedure.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ import numpy as np
 from .core import EvidenceKind, EvidenceVector, sort_evidence
 from .engine import (
     DominoConfig,
-    Mode,
     check_condition_bruteforce,
     check_condition_rectangular,
+    domino_bruteforce,
     domino_e,
     domino_p,
     domino_p_fast_bonferroni,
@@ -90,9 +89,9 @@ def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteR
             if k > m:
                 continue
             test = local_test(TestId.E_CLOSURE_K, k)
-            fast = domino_e(ev, DominoConfig(test, alpha, mode=Mode.FAST))
-            brute = domino_e(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
-            if fast.indices != brute.indices:
+            scan = domino_e(ev, DominoConfig(test, alpha))
+            brute = domino_bruteforce(ev, DominoConfig(test, alpha))
+            if scan.indices != brute.indices:
                 return SuiteResult(
                     "mean-reduction-equivalence",
                     False,
@@ -136,25 +135,19 @@ def differential_corpus(n_instances: int = 120, seed: int = 13):
 
 
 def default_vs_bruteforce(n_instances: int = 120, seed: int = 13) -> SuiteResult:
-    """Default and EXACT Domino decide like brute-force Domino for m <= 12.
-
-    The explicit FAST Bonferroni chain is left out: it is the documented
-    liberal exception (see ``fastpath-divergence``).
-    """
+    """Domino decides like brute-force Domino for m <= 12."""
     compared = 0
     for test, alpha, ev in differential_corpus(n_instances, seed):
         decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-        brute = decide(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
-        for mode in (None, Mode.EXACT):
-            got = decide(ev, DominoConfig(test, alpha, mode=mode))
-            compared += 1
-            if got != brute:
-                return SuiteResult(
-                    "default-vs-brute",
-                    False,
-                    f"{test.id.value} k={test.k} mode={mode} alpha={alpha} "
-                    f"differs from brute force at {ev.values.tolist()}",
-                )
+        cfg = DominoConfig(test, alpha)
+        compared += 1
+        if decide(ev, cfg) != domino_bruteforce(ev, cfg):
+            return SuiteResult(
+                "default-vs-brute",
+                False,
+                f"{test.id.value} k={test.k} alpha={alpha} "
+                f"differs from brute force at {ev.values.tolist()}",
+            )
     return SuiteResult(
         "default-vs-brute", True, f"{compared} Domino decisions equal brute force"
     )
@@ -191,7 +184,7 @@ def fastpath_divergence() -> SuiteResult:
     ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
     fast = domino_p_fast_bonferroni(ev, 1, 0.05)
     test = local_test(TestId.BONFERRONI_K, 1)
-    brute = domino_p(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
+    brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
     expected = fast.indices == frozenset({0, 1}) and brute.indices == frozenset()
     detail = (
         f"fast |R|={fast.size}, brute |R|={brute.size} "

@@ -14,12 +14,11 @@ from scipy.stats import kstest
 from kbfdr import (
     DominoConfig,
     EvidenceVector,
-    Mode,
     bh,
     check_condition_bruteforce,
     check_condition_rectangular,
+    domino_bruteforce,
     domino_e,
-    domino_p,
     domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     gen_instance,
@@ -46,11 +45,11 @@ def level_grid():
     """Criterion 3's simulation grid, shared with criterion 5.
 
     Domino-P with the generalized Bonferroni local test (the built-in valid
-    k-local test under arbitrary dependence that is defined for every k) in
-    the exact rectangular mode, k in {1,2,3}, on common instances.
+    k-local test under arbitrary dependence that is defined for every k),
+    k in {1,2,3}, on common instances.
     """
     start = time.monotonic()
-    procedures = [make_procedure(f"bonferroni:{k}:exact") for k in GRID_KS]
+    procedures = [make_procedure(f"bonferroni:{k}") for k in GRID_KS]
     cells = {}
     pointwise_violations = 0
     total_runs = 0
@@ -119,10 +118,10 @@ def test_criterion_2_mean_reduction_equivalence():
         ev = EvidenceVector.e_values(e)
         for k in (1, 2):
             test = local_test("eclosure", k)
-            fast = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.FAST))
-            brute = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
+            scan = domino_e(ev, DominoConfig(test, 0.05))
+            brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
             compared += 1
-            disagreements += int(fast.indices != brute.indices)
+            disagreements += int(scan.indices != brute.indices)
     assert disagreements == 0, f"{disagreements} differing rejection sets"
     _report(2, f"{compared} paired rejection sets identical")
 
@@ -177,7 +176,7 @@ def test_criterion_5_pointwise_indicators(level_grid):
     """Boundary indicator <= k-FWER indicator on every mixed run; equality
     on every global-null run."""
     assert level_grid["pointwise_violations"] == 0
-    procedures = [make_procedure(f"bonferroni:{k}:exact") for k in GRID_KS]
+    procedures = [make_procedure(f"bonferroni:{k}") for k in GRID_KS]
     null_runs = 0
     for rho in GRID_RHOS:
         for alpha in GRID_ALPHAS:
@@ -210,8 +209,7 @@ def test_criterion_6_fastpath_traces():
 
     diverging = ev([0.02, 0.02, 0.9])
     fast = domino_p_fast_bonferroni(diverging, 1, 0.05)
-    brute = domino_p(diverging, DominoConfig(
-        local_test("bonferroni", 1), 0.05, mode=Mode.BRUTE_FORCE))
+    brute = domino_bruteforce(diverging, DominoConfig(local_test("bonferroni", 1), 0.05))
     assert fast.size == 2 and fast.indices == {0, 1}
     assert brute.size == 0
     _report(6, "hand traces exact; divergence instance |R|=2 (fast) vs 0 (brute)")

@@ -10,7 +10,6 @@ from kbfdr.cli import (
     main,
     read_evidence_csv,
 )
-from kbfdr.engine import MAX_BRUTE_FORCE_CAP, Mode
 from kbfdr.local_tests import TestId
 
 
@@ -30,10 +29,11 @@ def e_file(tmp_path):
 
 class TestRun:
     def test_domino_bruteforce(self, p_file, tmp_path, capsys):
+        # The rejections brute-force enumeration finds on this file.
         out = tmp_path / "rej.csv"
         code = main([
             "run", p_file, "--proc", "domino", "--k", "1", "--alpha", "0.05",
-            "--test", "bonferroni", "--mode", "brute", "--out", str(out),
+            "--test", "bonferroni", "--out", str(out),
         ])
         assert code == EXIT_OK
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -102,11 +102,6 @@ class TestRun:
                      "--test", "eavg"]) == EXIT_CONFLICT
 
     @pytest.mark.parametrize("proc", ["bh", "holm"])
-    def test_mode_with_baseline_exits_3(self, p_file, proc):
-        assert main(["run", p_file, "--proc", proc, "--alpha", "0.05",
-                     "--mode", "fast"]) == EXIT_CONFLICT
-
-    @pytest.mark.parametrize("proc", ["bh", "holm"])
     @pytest.mark.parametrize("flags", [
         ["--k", "0", "--alpha", "0.05"],
         ["--alpha", "2"],
@@ -118,11 +113,12 @@ class TestRun:
         assert capsys.readouterr().err.startswith("configuration conflict: ")
 
     def test_brute_eclosure_past_twelve_values(self, tmp_path, capsys):
+        # Brute force rejects all 13; e_closure_k itself stops at 12 values.
         path = tmp_path / "e13.csv"
         rows = "".join(f"{i},50\n" for i in range(1, 14))
         path.write_text("index,e_value\n" + rows, encoding="utf-8")
         assert main(["run", str(path), "--proc", "domino-e", "--k", "2",
-                     "--alpha", "0.05", "--mode", "brute",
+                     "--alpha", "0.05",
                      "--out", str(tmp_path / "out.csv")]) == EXIT_OK
         assert capsys.readouterr().out == "rejections=13 boundary=50.0\n"
 
@@ -131,49 +127,20 @@ class TestRun:
             main(["run", "--help"])
         usage = capsys.readouterr().out
         tests = ",".join(sorted(t.value for t in TestId))
-        modes = ",".join(sorted(m.value for m in Mode))
         assert tests == "bonferroni,eavg,eclosure,harmonic,simes"
-        assert modes == "brute,exact,fast"
         assert f"--test {{{tests}}}" in usage
-        assert f"--mode {{{modes}}}" in usage
+
+    def test_mode_flag_is_gone(self, p_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
+                  "--mode", "brute"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --mode brute" in capsys.readouterr().err
 
     def test_order_conflict_exits_3(self, p_file):
         # simes is order-1 only
         assert main(["run", p_file, "--proc", "domino", "--k", "2",
                      "--alpha", "0.05", "--test", "simes"]) == EXIT_CONFLICT
-
-    def test_brute_cap_env_override(self, p_file, monkeypatch):
-        monkeypatch.setenv("DOMINO_BRUTE_CAP", "2")
-        assert main(["run", p_file, "--proc", "domino", "--k", "1",
-                     "--alpha", "0.05", "--test", "bonferroni",
-                     "--mode", "brute"]) == EXIT_CONFLICT
-
-    def test_brute_cap_above_ceiling_exits_2(self, p_file, monkeypatch, capsys):
-        for raw in (str(MAX_BRUTE_FORCE_CAP + 1), "60", "0"):
-            monkeypatch.setenv("DOMINO_BRUTE_CAP", raw)
-            assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
-                         "--test", "bonferroni", "--mode", "brute"]) == EXIT_PARSE
-            assert "DOMINO_BRUTE_CAP must lie in" in capsys.readouterr().err
-        monkeypatch.setenv("DOMINO_BRUTE_CAP", str(MAX_BRUTE_FORCE_CAP))
-        assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
-                     "--test", "bonferroni", "--mode", "brute"]) == EXIT_OK
-
-    def test_fast_bonferroni_warns_on_stderr(self, p_file, tmp_path, capsys):
-        outs = {}
-        for mode in ("fast", "exact"):
-            out = tmp_path / f"{mode}.csv"
-            assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
-                         "--test", "bonferroni", "--mode", mode,
-                         "--out", str(out)]) == EXIT_OK
-            captured = capsys.readouterr()
-            outs[mode] = (captured.out, captured.err, out.read_bytes())
-        fast_out, fast_err, fast_csv = outs["fast"]
-        exact_out, exact_err, exact_csv = outs["exact"]
-        assert fast_out == exact_out == "rejections=2 boundary=0.01\n"
-        assert fast_csv == exact_csv
-        assert exact_err == ""
-        assert len(fast_err.splitlines()) == 1
-        assert "more liberal than the closure" in fast_err
 
     def test_malformed_rows_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -9,11 +9,11 @@ from kbfdr import (
     CapExceededError,
     DominoConfig,
     EvidenceVector,
-    Mode,
     OutOfRangeError,
     bh,
     check_condition_bruteforce,
     check_condition_rectangular,
+    domino_bruteforce,
     domino_e,
     domino_e_mean_reduction_check,
     domino_p,
@@ -68,6 +68,10 @@ class TestBruteForce:
         sv = p_view([0.5] * 25)
         with pytest.raises(CapExceededError):
             check_condition_bruteforce(sv, 25, BONF1, 0.05)
+        small = EvidenceVector.p_values([0.002, 0.01, 0.9])
+        with pytest.raises(CapExceededError):
+            domino_bruteforce(small, DominoConfig(BONF1, 0.05), cap=2)
+        assert domino_bruteforce(small, DominoConfig(BONF1, 0.05), cap=3).size == 2
 
     def test_rank_validation(self):
         sv = p_view([0.1, 0.2])
@@ -93,7 +97,7 @@ class TestBruteForce:
         # brute-force cap (20) is the only limit that applies.
         ev = EvidenceVector.e_values([50.0] * 13)
         test = local_test("eclosure", 2)
-        brute = domino_e(ev, DominoConfig(test, 0.05, mode=Mode.BRUTE_FORCE))
+        brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
         assert brute.size == 13
         assert brute == domino_e(ev, DominoConfig(test, 0.05))
 
@@ -172,27 +176,27 @@ class TestEClosureReduced:
 
 class TestDominoP:
     def test_rejects_two(self):
-        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
-        rej = domino_p(EvidenceVector.p_values([0.002, 0.01, 0.9]), cfg)
+        cfg = DominoConfig(BONF1, 0.05)
+        rej = domino_bruteforce(EvidenceVector.p_values([0.002, 0.01, 0.9]), cfg)
         assert rej.indices == frozenset({0, 1})
         assert rej.boundary_rank == 2
 
     def test_rejects_nothing_when_all_ranks_fail(self):
-        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
-        rej = domino_p(EvidenceVector.p_values([0.02, 0.02, 0.9]), cfg)
+        cfg = DominoConfig(BONF1, 0.05)
+        rej = domino_bruteforce(EvidenceVector.p_values([0.02, 0.02, 0.9]), cfg)
         assert rej.indices == frozenset()
         assert rej.boundary_rank == 0
 
     def test_trivial_set_keeps_k_minus_one(self):
-        cfg = DominoConfig(local_test("bonferroni", 2), 0.5, mode=Mode.BRUTE_FORCE)
-        rej = domino_p(EvidenceVector.p_values([1.0, 1.0, 1.0]), cfg)
+        cfg = DominoConfig(local_test("bonferroni", 2), 0.5)
+        rej = domino_bruteforce(EvidenceVector.p_values([1.0, 1.0, 1.0]), cfg)
         # k-1 = 1 most significant hypothesis; ties at p=1 absorb everything,
         # here the threshold is p_(1) = 1 so the whole tie block stays
         assert rej.boundary_rank == 0
         assert rej.indices == frozenset({0, 1, 2})
 
     def test_trivial_set_generic_values(self):
-        cfg = DominoConfig(local_test("bonferroni", 2), 0.001, mode=Mode.EXACT)
+        cfg = DominoConfig(local_test("bonferroni", 2), 0.001)
         rej = domino_p(EvidenceVector.p_values([0.2, 0.4, 0.9]), cfg)
         assert rej.indices == frozenset({0})
         assert rej.boundary_rank == 0
@@ -200,26 +204,23 @@ class TestDominoP:
 
     def test_kind_and_order_validation(self):
         cfg = DominoConfig(BONF1, 0.05)
-        with pytest.raises(ValueError):
-            domino_p(EvidenceVector.e_values([1.0]), cfg)
-        with pytest.raises(ValueError):
-            domino_p(EvidenceVector.p_values([0.1]), DominoConfig(local_test("bonferroni", 2), 0.05))
-
-    def test_fast_mode_undefined_for_simes(self):
-        cfg = DominoConfig(local_test("simes", 1), 0.05, mode=Mode.FAST)
-        with pytest.raises(ValueError):
-            domino_p(EvidenceVector.p_values([0.01, 0.2]), cfg)
+        for decide in (domino_p, domino_bruteforce):
+            with pytest.raises(ValueError):
+                decide(EvidenceVector.e_values([1.0]), cfg)
+            with pytest.raises(ValueError):
+                decide(EvidenceVector.p_values([0.1]),
+                       DominoConfig(local_test("bonferroni", 2), 0.05))
 
     def test_alpha_monotone_nesting(self):
         rng = np.random.default_rng(8)
-        for mode in (Mode.EXACT, Mode.BRUTE_FORCE):
+        for decide in (domino_p, domino_bruteforce):
             for _ in range(100):
                 m = int(rng.integers(3, 9))
                 p = rng.random(m)
                 p[rng.random(m) < 0.5] *= 0.02
                 ev = EvidenceVector.p_values(p)
-                lo = domino_p(ev, DominoConfig(BONF1, 0.05, mode=mode))
-                hi = domino_p(ev, DominoConfig(BONF1, 0.2, mode=mode))
+                lo = decide(ev, DominoConfig(BONF1, 0.05))
+                hi = decide(ev, DominoConfig(BONF1, 0.2))
                 assert hi.indices >= lo.indices
 
 
@@ -227,25 +228,26 @@ class TestDominoE:
     ECL1 = local_test("eclosure", 1)
 
     def test_rejects_strongest(self):
-        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05)
         rej = domino_e(EvidenceVector.e_values([50.0, 25.0, 0.1]), cfg)
         assert rej.indices == frozenset({0})
 
     def test_zero_evidence(self):
-        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05)
         assert domino_e(EvidenceVector.e_values([0.0, 0.0, 0.0]), cfg).indices == frozenset()
 
     def test_infinite_e_dominates(self):
-        cfg = DominoConfig(self.ECL1, 0.05, mode=Mode.FAST)
+        cfg = DominoConfig(self.ECL1, 0.05)
         rej = domino_e(EvidenceVector.e_values([float("inf"), 1.0]), cfg)
         assert rej.indices == frozenset({0})
 
     def test_kind_validation(self):
         cfg = DominoConfig(self.ECL1, 0.05)
-        with pytest.raises(ValueError):
-            domino_e(EvidenceVector.p_values([0.5]), cfg)
-        with pytest.raises(ValueError):
-            domino_e(EvidenceVector.e_values([1.0]), DominoConfig(BONF1, 0.05))
+        for decide in (domino_e, domino_bruteforce):
+            with pytest.raises(ValueError):
+                decide(EvidenceVector.p_values([0.5]), cfg)
+            with pytest.raises(ValueError):
+                decide(EvidenceVector.e_values([1.0]), DominoConfig(BONF1, 0.05))
 
     def test_eavg_equals_eclosure_at_k1(self):
         # with the arithmetic-mean combiner both reduce to the same condition
@@ -255,8 +257,8 @@ class TestDominoE:
             m = int(rng.integers(2, 9))
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
             ev = EvidenceVector.e_values(e)
-            a = domino_e(ev, DominoConfig(avg, 0.05, mode=Mode.FAST))
-            c = domino_e(ev, DominoConfig(self.ECL1, 0.05, mode=Mode.FAST))
+            a = domino_e(ev, DominoConfig(avg, 0.05))
+            c = domino_e(ev, DominoConfig(self.ECL1, 0.05))
             assert a.indices == c.indices
 
 
@@ -304,7 +306,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
         fast = domino_p_fast_bonferroni(ev, 1, 0.05)
         assert fast.indices == frozenset({0, 1})
-        brute = domino_p(ev, DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE))
+        brute = domino_bruteforce(ev, DominoConfig(BONF1, 0.05))
         assert brute.indices == frozenset()
 
     def test_no_candidate_rank(self):
@@ -328,7 +330,7 @@ class TestFastBonferroni:
             p[rng.random(m) < 0.5] *= 0.02
             ev = EvidenceVector.p_values(p)
             fast = domino_p_fast_bonferroni(ev, 1, 0.1)
-            brute = domino_p(ev, DominoConfig(BONF1, 0.1, mode=Mode.BRUTE_FORCE))
+            brute = domino_bruteforce(ev, DominoConfig(BONF1, 0.1))
             assert fast.indices >= brute.indices
 
     def test_containment_fails_for_higher_order(self):
@@ -338,7 +340,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.035, 0.04, 0.05])
         test2 = local_test("bonferroni", 2)
         fast = domino_p_fast_bonferroni(ev, 2, 0.06)
-        brute = domino_p(ev, DominoConfig(test2, 0.06, mode=Mode.BRUTE_FORCE))
+        brute = domino_bruteforce(ev, DominoConfig(test2, 0.06))
         assert fast.indices == frozenset({0, 1})
         assert brute.indices == frozenset({0, 1, 2})
         assert not fast.indices >= brute.indices
@@ -364,22 +366,13 @@ class TestFastHarmonic:
 
 
 class TestModeResolution:
-    def test_defaults(self):
-        assert DominoConfig(BONF1, 0.05).resolved_mode() is Mode.EXACT
-        assert DominoConfig(local_test("simes", 1), 0.05).resolved_mode() is Mode.EXACT
-        assert DominoConfig(local_test("harmonic", 1), 0.05).resolved_mode() is Mode.FAST
-        assert DominoConfig(local_test("eavg", 1), 0.05).resolved_mode() is Mode.FAST
-        assert DominoConfig(local_test("eclosure", 2), 0.05).resolved_mode() is Mode.FAST
+    """A ``DominoConfig`` is a local test and a level, nothing else."""
 
     def test_the_order_is_the_tests(self):
         cfg = DominoConfig(local_test("bonferroni", 3), 0.05)
         assert cfg.k == 3
         with pytest.raises(AttributeError):
             cfg.k = 2
-
-    def test_explicit_mode_wins(self):
-        cfg = DominoConfig(BONF1, 0.05, mode=Mode.BRUTE_FORCE)
-        assert cfg.resolved_mode() is Mode.BRUTE_FORCE
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -388,8 +381,19 @@ class TestModeResolution:
             DominoConfig(BONF1, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda p, alpha: external_boundary(p, alpha, lambda v, a: 0),
+    lambda p, alpha: domino_p_fast_bonferroni(p, 1, alpha),
+    lambda p, alpha: domino_p_fast_harmonic(p, alpha),
+], ids=["external_boundary", "fast_bonferroni", "fast_harmonic"])
+def test_entry_points_reject_a_level_outside_0_1(call, alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        call(EvidenceVector.p_values([0.01, 0.02, 0.5]), alpha)
+
+
 class TestLevelControlSmallScale:
-    """Monte Carlo level check for both exact backends at brute-force scale."""
+    """Monte Carlo level check for Domino and its oracle at brute-force scale."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     def test_kbfdr_within_level(self, alpha):
@@ -398,15 +402,15 @@ class TestLevelControlSmallScale:
         reps = 300
         sc = SimScenario(m=12, pi1=0.2, mu_c=3.0, sigma=1.0, rho=0.25,
                         alpha=alpha, k=k, reps=reps, seed=99)
-        hits = {Mode.BRUTE_FORCE: 0, Mode.EXACT: 0}
+        hits = {domino_bruteforce: 0, domino_p: 0}
         for rep in range(reps):
             inst = gen_instance(sc, rep)
-            for mode in hits:
-                rej = domino_p(inst.pvalues, DominoConfig(test, alpha, mode=mode))
-                hits[mode] += run_sample(rej, inst.truth, inst.pvalues, k).kbfdr_ind
+            for decide in hits:
+                rej = decide(inst.pvalues, DominoConfig(test, alpha))
+                hits[decide] += run_sample(rej, inst.truth, inst.pvalues, k).kbfdr_ind
         bound = alpha + 3.0 * np.sqrt(alpha * (1 - alpha) / reps)
-        for mode, count in hits.items():
-            assert count / reps <= bound, mode
+        for decide, count in hits.items():
+            assert count / reps <= bound, decide.__name__
 
 
 P_CASES = [("bonferroni", 1), ("bonferroni", 2), ("bonferroni", 3),
@@ -436,18 +440,13 @@ def _assert_matches_brute(decide, ev, cases, alpha):
     for test_id, k in cases:
         if k > ev.m:
             continue
-        test = local_test(test_id, k)
-        brute = decide(ev, DominoConfig(test, alpha, mode=Mode.BRUTE_FORCE))
-        for mode in (None, Mode.EXACT):
-            got = decide(ev, DominoConfig(test, alpha, mode=mode))
-            assert _outcome(got) == _outcome(brute), (test_id, k, mode)
+        cfg = DominoConfig(local_test(test_id, k), alpha)
+        got, brute = decide(ev, cfg), domino_bruteforce(ev, cfg)
+        assert _outcome(got) == _outcome(brute), (test_id, k)
 
 
 class TestDefaultMatchesBruteForce:
-    """Every default and EXACT path decides like the brute-force closure.
-
-    The explicit Mode.FAST Bonferroni chain is the documented exception.
-    """
+    """Every Domino path decides like the brute-force closure."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(values=P_LISTS, alpha=st.sampled_from([0.05, 0.2]))
@@ -464,10 +463,9 @@ class TestDefaultMatchesBruteForce:
         # e*ln(2)*0.05 > 0.05, so the closure rejects nothing.
         ev = EvidenceVector.p_values([0.05] * 5)
         cfg = DominoConfig(local_test("harmonic", 1), 0.05)
-        assert cfg.resolved_mode() is Mode.FAST
         assert domino_p(ev, cfg).indices == frozenset()
         assert domino_p_fast_harmonic(ev, 0.05).indices == frozenset()
-        brute = domino_p(ev, DominoConfig(cfg.test, 0.05, mode=Mode.BRUTE_FORCE))
+        brute = domino_bruteforce(ev, cfg)
         assert brute.indices == frozenset()
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
@@ -479,8 +477,8 @@ class TestDefaultMatchesBruteForce:
         expected = {}
         for decide, ev, cases in plan:
             for test_id, k in cases:
-                cfg = DominoConfig(local_test(test_id, k), 0.05, mode=Mode.BRUTE_FORCE)
-                expected[test_id, k] = _outcome(decide(ev, cfg))
+                cfg = DominoConfig(local_test(test_id, k), 0.05)
+                expected[test_id, k] = _outcome(domino_bruteforce(ev, cfg))
 
         def refuse(*args, **kwargs):
             raise AssertionError("an oracle ran on a production path")
@@ -490,10 +488,8 @@ class TestDefaultMatchesBruteForce:
             monkeypatch.setattr(engine, name, refuse)
         for decide, ev, cases in plan:
             for test_id, k in cases:
-                test = local_test(test_id, k)
-                for mode in (None, Mode.EXACT):
-                    got = decide(ev, DominoConfig(test, 0.05, mode=mode))
-                    assert _outcome(got) == expected[test_id, k], (test_id, k, mode)
+                got = decide(ev, DominoConfig(local_test(test_id, k), 0.05))
+                assert _outcome(got) == expected[test_id, k], (test_id, k)
 
 
 class TestEValueOverflow:
@@ -503,8 +499,8 @@ class TestEValueOverflow:
     def test_huge_finite_e_values(self):
         ev = EvidenceVector.e_values([1e308, 1e308])
         test = local_test("eclosure", 2)
-        for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
-            rej = domino_e(ev, DominoConfig(test, 0.05, mode=mode))
+        for decide in (domino_e, domino_bruteforce):
+            rej = decide(ev, DominoConfig(test, 0.05))
             assert rej.indices == frozenset({0, 1})
             assert rej.boundary_rank == 2
         assert domino_e_mean_reduction_check(e_view([1e308, 1e308]), 2, 2, 0.05).passed
@@ -516,8 +512,7 @@ class TestEValueOverflow:
         # 1/alpha, so the weak value is rejected with the strong pair.
         ev = EvidenceVector.e_values([1e308, 0.5, 1e308])
         rej = domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05))
-        brute = domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05,
-                                          mode=Mode.BRUTE_FORCE))
+        brute = domino_bruteforce(ev, DominoConfig(local_test("eclosure", 2), 0.05))
         assert _outcome(rej) == _outcome(brute)
         assert rej.indices == frozenset({0, 1, 2})
 
@@ -557,7 +552,7 @@ class TestLShapedKernels:
                     expected = r
                     break
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-            rej = decide(ev, DominoConfig(test, 0.1, mode=Mode.EXACT))
+            rej = decide(ev, DominoConfig(test, 0.1))
             if expected:
                 assert _outcome(rej) == _outcome(reject_by_rank(sv, expected, 1))
             else:
@@ -575,10 +570,12 @@ class TestRejectionsArePrefixes:
             full_order = significance_order(ev, range(ev.m))
             sets = [_trivial_rejection(sort_evidence(ev), k)]
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-            for mode in (None, Mode.EXACT, Mode.FAST, Mode.BRUTE_FORCE):
-                if mode is Mode.FAST and test.id is TestId.SIMES:
-                    continue  # Simes has no FAST backend
-                sets.append(decide(ev, DominoConfig(test, alpha, mode=mode)))
+            cfg = DominoConfig(test, alpha)
+            sets += [decide(ev, cfg), domino_bruteforce(ev, cfg)]
+            if test.id is TestId.BONFERRONI_K:
+                sets.append(domino_p_fast_bonferroni(ev, k, alpha))
+            if test.id is TestId.HARMONIC_MEAN:
+                sets.append(domino_p_fast_harmonic(ev, alpha))
             if ev.kind is EvidenceKind.P_VALUE:
                 sets.append(bh(ev, alpha, k))
                 sets.append(holm_k(ev, k, alpha))
@@ -588,4 +585,4 @@ class TestRejectionsArePrefixes:
                 assert tuple(rej.ranked) == significance_order(ev, rej.indices)
                 assert tuple(rej.ranked) == full_order[: rej.size]
                 checked += 1
-        assert checked > 5000  # 1,000 evidence vectors, 5 to 8 sets each
+        assert checked > 5000  # 1,000 evidence vectors, 3 to 7 sets each

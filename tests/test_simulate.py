@@ -140,12 +140,10 @@ class TestMakeProcedure:
         assert make_procedure("eclosure:3").evidence_kind is EvidenceKind.E_VALUE
         assert make_procedure("bh").name == "bh"
 
-    def test_mode_suffix(self):
-        make_procedure("bonferroni:2:fast")
-        with pytest.raises(ValueError):
-            make_procedure("bonferroni:2:warp")
-        with pytest.raises(ValueError):
-            make_procedure("bh:1:fast")
+    def test_a_third_field_is_malformed(self):
+        for token in ("bonferroni:2:fast", "bonferroni:2:warp", "bh:1:fast"):
+            with pytest.raises(ValueError, match="malformed procedure token"):
+                make_procedure(token)
 
     def test_every_test_id_is_a_procedure(self):
         sc = scenario(m=10, reps=1)

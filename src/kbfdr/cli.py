@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from importlib import resources
+
+import numpy as np
 
 from .baselines import bh, holm_k
 from .core import EvidenceKind, EvidenceVector, RejectionSet
@@ -38,23 +41,95 @@ class ConfigConflict(Exception):
     pass
 
 
+_HEADER_KINDS = {
+    ("index", "p_value"): EvidenceKind.P_VALUE,
+    ("index", "e_value"): EvidenceKind.E_VALUE,
+}
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
 def read_evidence_csv(path: str) -> EvidenceVector:
-    """Read `index,p_value` or `index,e_value` rows; indices 1-based contiguous."""
+    """Read `index,p_value` or `index,e_value` rows; indices 1-based contiguous.
+
+    The file must be UTF-8 text; the header's cells are matched after
+    stripping whitespace and lowering case. Rows are read as ``csv.reader``
+    reads them, so quoted cells, CRLF or CR line ends and blank or
+    whitespace-only rows (which are skipped) are accepted. A file of the
+    plain shape, a header and then one ``int,float`` line per row, is parsed
+    without ``csv.reader``; every other file goes through it.
+
+    Raises ParseFailure naming the file. A bad row is named by its row
+    number, the header being row 1 and blank rows not counted; an error of
+    ``csv.reader`` itself, such as a field over ``csv.field_size_limit()``,
+    by its line number.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseFailure(f"{path}: not UTF-8 text: {exc}") from exc
+    kind, values = _read_plain(text) or _read_rows(path, text)
+    try:
+        return EvidenceVector(kind, values)
+    except ValueError as exc:
+        raise ParseFailure(f"{path}: {exc}") from exc
+
+
+def _read_plain(text: str):
+    """``(kind, values)`` for a file of the plain shape, else None.
+
+    Only text on which ``csv.reader`` gives the same rows is taken: no
+    quote, no CR, exactly one comma on every line, no field over
+    ``csv.field_size_limit()``, every index and value parsing, and the
+    indices counting 1, 2, ..., n. ``float`` parses the values, so they
+    equal the fallback's bit for bit.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    kind = _HEADER_KINDS.get(tuple(cell.strip().lower() for cell in head.split(",")))
+    if kind is None or not body:
+        return None
+    if body.endswith("\n"):
+        body = body[:-1]
+    # Exactly one comma a line: the separators alternate ",", "\n", ..., ",".
+    # UTF-8 continuation bytes are never "," or "\n", so bytes suffice here.
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
+    n = (seps.size + 1) // 2
+    if seps.size % 2 == 0 or (raw[seps[0::2]] != _COMMA).any() \
+            or (raw[seps[1::2]] != _NEWLINE).any():
+        return None
+    # A field spans one gap between separators, less one; in bytes, a
+    # field is never shorter than in characters.
+    gaps = np.diff(seps, prepend=-1, append=raw.size)
+    if max(len(head), int(gaps.max()) - 1) > csv.field_size_limit():
+        return None
+    cells = body.replace("\n", ",").split(",")
+    try:
+        if list(map(int, cells[0::2])) != list(range(1, n + 1)):
+            return None
+        return kind, list(map(float, cells[1::2]))
+    except ValueError:
+        return None
+
+
+def _read_rows(path: str, text: str):
+    """``(kind, values)`` through ``csv.reader``, or the first error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseFailure(f"{path}:{reader.line_num}: {exc}") from exc
     # A row whose cells are all blank is skipped, like an empty line.
     rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise ParseFailure(f"{path}: empty evidence file")
     header = [cell.strip().lower() for cell in rows[0]]
-    if header == ["index", "p_value"]:
-        kind = EvidenceKind.P_VALUE
-    elif header == ["index", "e_value"]:
-        kind = EvidenceKind.E_VALUE
-    else:
+    kind = _HEADER_KINDS.get(tuple(header))
+    if kind is None:
         raise ParseFailure(
             f"{path}: header must be 'index,p_value' or 'index,e_value', "
             f"got {','.join(header)!r}"
@@ -75,10 +150,7 @@ def read_evidence_csv(path: str) -> EvidenceVector:
                 f"{path}:{lineno}: indices must be 1-based and contiguous"
             )
         values.append(val)
-    try:
-        return EvidenceVector(kind, values)
-    except ValueError as exc:
-        raise ParseFailure(f"{path}: {exc}") from exc
+    return kind, values
 
 
 def _resolve_run_test(args) -> TestId:
@@ -92,9 +164,7 @@ def _resolve_run_test(args) -> TestId:
                 return TestId.SIMES
             return TestId.HARMONIC_MEAN
         return TestId.BONFERRONI_K
-    if args.proc == "domino-e":
-        return TestId.E_CLOSURE_K
-    raise ConfigConflict(f"--test is meaningless for --proc {args.proc}")
+    return TestId.E_CLOSURE_K
 
 
 def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
@@ -116,20 +186,18 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
 
 
 def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet) -> None:
-    # Built column by column so that the per-row work is C-level joins.
-    rejected = ["0"] * ev.m
+    # Built column by column: each row is "<index>," + repr(value) + a tail
+    # that holds the rejected flag and the marginal rank.
+    tails = [",0,\n"] * ev.m
     for j in rejection.ranked.tolist():
-        rejected[j] = "1"
-    marginal_rank = [""] * ev.m
+        tails[j] = ",1,\n"
     for rank, j in enumerate(rejection.marginal_indices, start=1):
-        marginal_rank[j] = str(rank)
-    rows = map(",".join, zip(
-        map(str, range(1, ev.m + 1)),
-        map(repr, ev.values.tolist()),
-        rejected,
-        marginal_rank,
-    ))
-    payload = "\n".join(["index,evidence,rejected,marginal_rank", *rows, ""])
+        tails[j] = f",1,{rank}\n"
+    parts = [""] * (3 * ev.m)
+    parts[0::3] = map("{},".format, range(1, ev.m + 1))
+    parts[1::3] = map(repr, ev.values.tolist())
+    parts[2::3] = tails
+    payload = "index,evidence,rejected,marginal_rank\n" + "".join(parts)
     if path is None:
         sys.stdout.write(payload)
     else:

@@ -1,11 +1,14 @@
 import argparse
+import csv
 
 import pytest
 
+from kbfdr import cli
 from kbfdr.cli import (
     EXIT_CONFLICT,
     EXIT_OK,
     EXIT_PARSE,
+    ParseFailure,
     _resolve_run_test,
     main,
     read_evidence_csv,
@@ -314,3 +317,122 @@ class TestReadEvidence:
         path.write_text("index,e_value\n1,inf\n2,1.0\n", encoding="utf-8")
         ev = read_evidence_csv(str(path))
         assert ev.values[0] == float("inf")
+
+
+_LIMIT = 131_072  # csv.field_size_limit() unless a caller changed it
+_TEN = "".join(f"{i},0.5\n" for i in range(1, 10))
+
+# (name, file bytes, whether the plain-shape reader takes the file, None if
+# the file never reaches it). Files it refuses go through csv.reader; either
+# way the outcome must be the same.
+EVIDENCE_CORPUS = [
+    ("plain", b"index,p_value\n1,0.002\n2,0.01\n3,0.9\n", True),
+    ("plain e-values", b"index,e_value\n1,50\n2,25\n3,0.1\n", True),
+    ("quoted cells", b'index,p_value\n"1","0.01"\n2,0.5\n', False),
+    ("quoted comma", b'"index","p_value"\n1,"0,5"\n', False),
+    ("blank rows", b"index,p_value\n1,0.001\n\n2,0.002\n , \n3,0.50\n", False),
+    ("whitespace row", b"index,p_value\n1,0.1\n   \n2,0.2\n", False),
+    ("blank line first", b"\nindex,p_value\n1,0.1\n", False),
+    ("trailing blank lines", b"index,p_value\n1,0.1\n\n\n", False),
+    ("crlf", b"index,p_value\r\n1,0.1\r\n2,0.2\r\n", False),
+    ("lone cr", b"index,p_value\r1,0.1\r2,0.2\r", False),
+    ("cr mid-file", b"index,p_value\n1,0.1\r2,0.2\n", False),
+    ("inf", b"index,e_value\n1,inf\n2,1.0\n3,Infinity\n", True),
+    ("nan", b"index,p_value\n1,nan\n2,0.5\n", True),
+    ("subnormals", b"index,p_value\n1,5e-324\n2,2.2250738585072014e-308\n"
+     b"3,1e-310\n4,4.9e-324\n", True),
+    ("underscore index", b"index,p_value\n" + _TEN.encode() + b"1_0,0.5\n", True),
+    ("plus index", b"index,p_value\n+1,0.1\n+2,0.2\n", True),
+    ("spaced cells", b"index,p_value\n 1,0.1\n 2, 0.2 \n", True),
+    ("non-ascii digit", "index,p_value\n١,0.1\n".encode(), True),
+    ("nul in value", b"index,p_value\n1,0.1\x00\n", False),
+    ("nul in header", b"index\x00,p_value\n1,0.1\n", False),
+    ("no final newline", b"index,p_value\n1,0.1\n2,0.2", True),
+    ("header case and space", b" Index , P_VALUE \n1,0.1\n", True),
+    ("bad header", b"p,q\n1,0.1\n", False),
+    ("byte order mark", "﻿index,p_value\n1,0.1\n".encode(), False),
+    ("extra column", b"index,p_value\n1,0.1,x\n", False),
+    ("extra header column", b"index,p_value,x\n1,0.1\n", False),
+    ("empty value", b"index,p_value\n1,\n", False),
+    ("out of order", b"index,p_value\n2,0.1\n1,0.2\n", False),
+    ("missing index", b"index,p_value\n1,0.1\n3,0.2\n", False),
+    ("zero-based", b"index,p_value\n0,0.1\n1,0.2\n", False),
+    ("huge index", b"index,p_value\n99999999999999999999999,0.1\n", False),
+    ("misaligned commas", b"index,p_value\n1,0.5,2\n0.3\n", False),
+    ("p above one", b"index,p_value\n1,1.7\n", True),
+    ("header only", b"index,p_value\n", False),
+    ("empty", b"", False),
+    ("only blank lines", b"\n \n\n", False),
+    ("field at the limit",
+     b"index,p_value\n1,0." + b"0" * (_LIMIT - 3) + b"1\n", True),
+    ("field over the limit",
+     b"index,p_value\n1,0." + b"0" * (_LIMIT - 2) + b"1\n", False),
+    ("header over the limit",
+     b" " * _LIMIT + b"index,p_value\n1,0.1\n", False),
+    ("not utf-8", b"index,p_value\n1,0.0\xe91\n", None),
+]
+
+
+def _read_outcome(path):
+    try:
+        ev = read_evidence_csv(path)
+    except ParseFailure as exc:
+        return "error", str(exc)
+    return ev.kind, ev.values.tobytes()
+
+
+class TestReadEvidenceCorpus:
+    @pytest.mark.parametrize("name,data,plain",
+                             EVIDENCE_CORPUS, ids=[c[0] for c in EVIDENCE_CORPUS])
+    def test_plain_reader_agrees_with_csv_reader(self, tmp_path, monkeypatch,
+                                                  name, data, plain):
+        assert csv.field_size_limit() == _LIMIT
+        path = tmp_path / "ev.csv"
+        path.write_bytes(data)
+        taken = []
+        real_read_plain = cli._read_plain
+
+        def spy(text):
+            parsed = real_read_plain(text)
+            taken.append(parsed is not None)
+            return parsed
+
+        monkeypatch.setattr(cli, "_read_plain", spy)
+        fast = _read_outcome(str(path))
+        assert taken == ([] if plain is None else [plain]), name
+        monkeypatch.setattr(cli, "_read_plain", lambda text: None)
+        assert _read_outcome(str(path)) == fast, name
+
+    def test_plain_shape_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_text("index,p_value\n" + "".join(
+            f"{i},{i / 2000!r}\n" for i in range(1, 1001)), encoding="utf-8")
+        out = tmp_path / "rej.csv"
+        argv = ["run", str(path), "--proc", "bh", "--alpha", "0.05",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        expected = out.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader ran on a plain file")
+
+        monkeypatch.setattr(cli.csv, "reader", refuse)
+        out.unlink()
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == expected
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"index,p_value\n1,0.0\xe91\n")
+        assert main(["run", str(path), "--proc", "bh", "--alpha", "0.05"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+    def test_over_long_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("index,p_value\n1,0.1\n2,0." + "0" * _LIMIT + "1\n",
+                        encoding="utf-8")
+        assert main(["run", str(path), "--proc", "bh", "--alpha", "0.05"]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: field larger than field limit ({_LIMIT})\n"
+        )

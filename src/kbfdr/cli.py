@@ -82,9 +82,9 @@ def _read_plain(text: str):
 
     Only text on which ``csv.reader`` gives the same rows is taken: no
     quote, no CR, exactly one comma on every line, no field over
-    ``csv.field_size_limit()``, every index and value parsing, and the
-    indices counting 1, 2, ..., n. ``float`` parses the values, so they
-    equal the fallback's bit for bit.
+    ``csv.field_size_limit()``, every index and value parsed by ``int``
+    and ``float``, and the indices counting 1, 2, ..., n. The values then
+    equal the fallback's bit for bit, since both call ``float``.
     """
     if '"' in text or "\r" in text:
         return None
@@ -92,8 +92,7 @@ def _read_plain(text: str):
     kind = _HEADER_KINDS.get(tuple(cell.strip().lower() for cell in head.split(",")))
     if kind is None or not body:
         return None
-    if body.endswith("\n"):
-        body = body[:-1]
+    body = body.removesuffix("\n")
     # Exactly one comma a line: the separators alternate ",", "\n", ..., ",".
     # UTF-8 continuation bytes are never "," or "\n", so bytes suffice here.
     raw = np.frombuffer(body.encode(), dtype=np.uint8)

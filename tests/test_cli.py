@@ -320,7 +320,6 @@ class TestReadEvidence:
 
 
 _LIMIT = 131_072  # csv.field_size_limit() unless a caller changed it
-_TEN = "".join(f"{i},0.5\n" for i in range(1, 10))
 
 # (name, file bytes, whether the plain-shape reader takes the file, None if
 # the file never reaches it). Files it refuses go through csv.reader; either
@@ -341,7 +340,8 @@ EVIDENCE_CORPUS = [
     ("nan", b"index,p_value\n1,nan\n2,0.5\n", True),
     ("subnormals", b"index,p_value\n1,5e-324\n2,2.2250738585072014e-308\n"
      b"3,1e-310\n4,4.9e-324\n", True),
-    ("underscore index", b"index,p_value\n" + _TEN.encode() + b"1_0,0.5\n", True),
+    ("underscore index", b"index,p_value\n" + "".join(
+        f"{i},0.5\n" for i in range(1, 10)).encode() + b"1_0,0.5\n", True),
     ("plus index", b"index,p_value\n+1,0.1\n+2,0.2\n", True),
     ("spaced cells", b"index,p_value\n 1,0.1\n 2, 0.2 \n", True),
     ("non-ascii digit", "index,p_value\n١,0.1\n".encode(), True),

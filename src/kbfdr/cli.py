@@ -58,10 +58,10 @@ def read_evidence_csv(path: str) -> EvidenceVector:
     plain shape, a header and then one ``int,float`` line per row, is parsed
     without ``csv.reader``; every other file goes through it.
 
-    Raises ParseFailure naming the file. A bad row is named by its row
-    number, the header being row 1 and blank rows not counted; an error of
-    ``csv.reader`` itself, such as a field over ``csv.field_size_limit()``,
-    by its line number.
+    Raises ParseFailure naming the file. A bad row, and an error of
+    ``csv.reader`` itself such as a field over ``csv.field_size_limit()``,
+    are named by their physical line number, blank lines counted; a row
+    whose quoted cell spans lines is named by its last line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -119,14 +119,14 @@ def _read_rows(path: str, text: str):
     """``(kind, values)`` through ``csv.reader``, or the first error."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(reader)
+        # Each row with the line it ends on. A row whose cells are all blank
+        # is skipped, like an empty line.
+        rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
     except csv.Error as exc:
         raise ParseFailure(f"{path}:{reader.line_num}: {exc}") from exc
-    # A row whose cells are all blank is skipped, like an empty line.
-    rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise ParseFailure(f"{path}: empty evidence file")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     kind = _HEADER_KINDS.get(tuple(header))
     if kind is None:
         raise ParseFailure(
@@ -136,7 +136,7 @@ def _read_rows(path: str, text: str):
     if len(rows) == 1:
         raise ParseFailure(f"{path}: no evidence rows")
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for count, (lineno, row) in enumerate(rows[1:], start=1):
         if len(row) != 2:
             raise ParseFailure(f"{path}:{lineno}: expected 2 fields")
         try:
@@ -144,7 +144,7 @@ def _read_rows(path: str, text: str):
             val = float(row[1])
         except ValueError as exc:
             raise ParseFailure(f"{path}:{lineno}: {exc}") from exc
-        if idx != lineno - 1:
+        if idx != count:
             raise ParseFailure(
                 f"{path}:{lineno}: indices must be 1-based and contiguous"
             )

@@ -132,10 +132,22 @@ def simes(p_subset: Sequence[float], alpha: float) -> int:
     return int(min((n / j) * ps[j - 1] for j in range(1, n + 1)) <= alpha)
 
 
-def scaled_harmonic_mean(p_subset: Sequence[float]) -> CombinedEvidence:
-    """The combined p-value e*ln|S| * |S| / sum(1/p_j) (|S| >= 2).
+def _harmonic_factor(n: int) -> float:
+    """The scale that makes the harmonic mean of n >= 2 p-values valid.
 
-    For a singleton the combination is the p-value itself.
+    e*ln(n) is valid for n >= 3 under any dependence (Vovk & Wang 2020,
+    "Combining p-values via averaging").  At n = 2 it is 1.884, below the
+    sharp factor 2: two uniforms can have P(1/U1 + 1/U2 >= 2/t) = 2t, so
+    e*ln(2) would reject with probability up to 1.06 alpha.
+    """
+    return 2.0 if n == 2 else math.e * math.log(n)
+
+
+def scaled_harmonic_mean(p_subset: Sequence[float]) -> CombinedEvidence:
+    """The combined p-value c(|S|) * |S| / sum(1/p_j) (|S| >= 2).
+
+    The factor c(n) is 2 at n = 2 and e*ln(n) above.  For a singleton the
+    combination is the p-value itself.
     """
     n = len(p_subset)
     if n < 1:
@@ -144,7 +156,7 @@ def scaled_harmonic_mean(p_subset: Sequence[float]) -> CombinedEvidence:
         return CombinedEvidence(float(p_subset[0]))
     inv_sum = sum(_inv(p) for p in p_subset)
     har = 0.0 if math.isinf(inv_sum) else n / inv_sum
-    return CombinedEvidence(math.e * math.log(n) * har)
+    return CombinedEvidence(_harmonic_factor(n) * har)
 
 
 def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
@@ -318,8 +330,11 @@ def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _harmonic_scale(m: int) -> np.ndarray:
-    """e * ln(n) for n = 0..m, rounded as ``scaled_harmonic_mean`` rounds."""
-    scale = np.array([0.0] + [math.e * math.log(n) for n in range(1, m + 1)])
+    """The harmonic factor for n = 0..m: 2 at n = 2, e * ln(n) elsewhere.
+
+    Each entry is the float ``scaled_harmonic_mean`` multiplies by.
+    """
+    scale = np.array([0.0] + [_harmonic_factor(n) for n in range(1, m + 1)])
     scale.flags.writeable = False
     return scale
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     EmptyInputError,
@@ -150,6 +149,10 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
     Draw order is fixed (truth, signal means, noise) so instances are
     bit-identical given (seed, rep).
     """
+    # Imported here, its only use, so that importing kbfdr or running
+    # `kbfdr run` never loads scipy.
+    from scipy.special import ndtr
+
     rng = np.random.Generator(np.random.PCG64(substream_seed(sc.seed, rep)))
     theta = (rng.random(sc.m) < sc.pi1).astype(int)
     mu = np.zeros(sc.m)

@@ -436,3 +436,18 @@ class TestReadEvidenceCorpus:
         assert capsys.readouterr().err == (
             f"error: {path}:3: field larger than field limit ({_LIMIT})\n"
         )
+
+    @pytest.mark.parametrize("data,where", [
+        ("index,p_value\n1,0.1\n3,0.2\n",
+         ":3: indices must be 1-based and contiguous"),
+        ("index,p_value\n\n1,0.1\n3,0.2\n",
+         ":4: indices must be 1-based and contiguous"),
+        ("index,p_value\n1,0.1\n\n , \n2,0.2,x\n", ":5: expected 2 fields"),
+        ('index,p_value\n1,"0.1\n"\n2,x\n',
+         ":4: could not convert string to float: 'x'"),
+    ], ids=["no blank rows", "blank row", "blank rows", "quoted newline"])
+    def test_bad_row_is_named_by_its_line(self, tmp_path, capsys, data, where):
+        path = tmp_path / "rows.csv"
+        path.write_text(data, encoding="utf-8")
+        assert main(["run", str(path), "--proc", "bh", "--alpha", "0.05"]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}{where}\n"

@@ -460,13 +460,23 @@ class TestDefaultMatchesBruteForce:
 
     def test_harmonic_default_on_tied_pvalues(self):
         # Every pair of the five p = 0.05 has a scaled harmonic mean of
-        # e*ln(2)*0.05 > 0.05, so the closure rejects nothing.
+        # 2*0.05 > 0.05, so the closure rejects nothing.
         ev = EvidenceVector.p_values([0.05] * 5)
         cfg = DominoConfig(local_test("harmonic", 1), 0.05)
         assert domino_p(ev, cfg).indices == frozenset()
         assert domino_p_fast_harmonic(ev, 0.05).indices == frozenset()
         brute = domino_bruteforce(ev, cfg)
         assert brute.indices == frozenset()
+
+    def test_harmonic_pair_uses_factor_two(self):
+        # The pair's harmonic mean is 0.02649: scaled by e*ln(2) = 1.884 it
+        # passes at 0.05, scaled by the valid factor 2 it does not, so the
+        # closure rejects nothing.
+        ev = EvidenceVector.p_values([0.026, 0.027])
+        cfg = DominoConfig(local_test("harmonic", 1), 0.05)
+        assert domino_p(ev, cfg).size == 0
+        assert domino_p_fast_harmonic(ev, 0.05).size == 0
+        assert domino_bruteforce(ev, cfg).size == 0
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
         import kbfdr.engine as engine

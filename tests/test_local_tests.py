@@ -94,12 +94,17 @@ class TestHarmonicMean:
         assert harmonic_mean_test([0.06], 0.05) == 0
 
     def test_combined_values(self):
+        # Two p-values are scaled by 2, the sharp factor at |S| = 2.
         assert scaled_harmonic_mean([0.001, 0.001]).value == pytest.approx(
-            math.e * math.log(2) * 0.001
+            2 * 0.001
         )
         # 1/0.05 + 1/0.5 = 22, harmonic mean 1/11
         assert scaled_harmonic_mean([0.05, 0.5]).value == pytest.approx(
-            math.e * math.log(2) / 11.0
+            2 / 11.0
+        )
+        # From three p-values on, the factor is e*ln|S|.
+        assert scaled_harmonic_mean([0.001] * 3).value == pytest.approx(
+            math.e * math.log(3) * 0.001
         )
         assert scaled_harmonic_mean([0.04]).value == 0.04
 

@@ -24,13 +24,14 @@ e-value means.  The last two preselect ranks with a closed-form margin and
 let the member statistics decide.
 
 The oracles stay public for the tests and ``kbfdr validate``; no Domino
-path calls them.  :func:`domino_bruteforce` runs the scan with the superset
-enumeration :func:`check_condition_bruteforce` at each rank (capped);
-:func:`check_condition_rectangular` checks the full rectangular family and
-:func:`domino_e_mean_reduction_check` the per-rank mean reduction.  The
-enumeration and the rectangular family decide each member with
-``test.evaluate``, the evaluator of the test's record; everything about a
-test is its record in ``local_tests``.
+path calls them.  The three condition checks run one member loop and differ
+only in their members and their check.  :func:`check_condition_bruteforce`
+enumerates every superset of M and :func:`check_condition_rectangular` the
+full rectangular family; both decide each member with ``test.evaluate``,
+the evaluator of the test's record.  :func:`domino_e_mean_reduction_check`
+pads M with the outsiders in ascending value order, the L-shaped family of
+e-value means, and compares each member's mean with 1/alpha.
+:func:`domino_bruteforce` runs the superset check at each rank (capped).
 
 :func:`domino_p_fast_bonferroni` is the Bonferroni chain scan.  It checks
 only rank-contiguous augmentations, so it is more liberal than the closure
@@ -44,7 +45,9 @@ A call is fixed by the local test (its id and order k) and alpha;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -132,6 +135,23 @@ def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> N
         raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
 
 
+def _first_failing(sv: SortedView, r: int, members, accepts) -> ConditionTrace:
+    """Trace the first member, in the given order, that ``accepts`` refuses.
+
+    Each member is a list of 0-based significance ranks; ``accepts`` gets
+    its values in that order, as Python floats.  Every oracle is this loop
+    with its own member order and check.
+    """
+    rank_vals = sv.rank_values().tolist()
+    evaluated = 0
+    for ranks in members:
+        evaluated += 1
+        if not accepts([rank_vals[i] for i in ranks]):
+            failing = frozenset(int(sv.perm[i]) for i in ranks)
+            return ConditionTrace(r, evaluated, failing, False)
+    return ConditionTrace(r, evaluated, None, True)
+
+
 def check_condition_bruteforce(
     sv: SortedView,
     r: int,
@@ -150,21 +170,11 @@ def check_condition_bruteforce(
         raise CapExceededError(f"brute force capped at m <= {cap}, got m={m}")
     _require_rank(sv, r, k)
     _require_kind(sv, test)
-    rank_vals = sv.rank_values()
-    marginal_ranks = list(range(r - k, r))  # 0-based ranks of M_{r,k}
-    free_ranks = list(range(0, r - k)) + list(range(r, m))
-    evaluated = 0
-    for extra in range(len(free_ranks) + 1):
-        for combo in combinations(free_ranks, extra):
-            stronger = [c for c in combo if c < r - k]
-            weaker = [c for c in combo if c >= r]
-            member_ranks = stronger + marginal_ranks + weaker
-            values = [float(rank_vals[i]) for i in member_ranks]
-            evaluated += 1
-            if not test.evaluate(values, alpha):
-                failing = frozenset(int(sv.perm[i]) for i in member_ranks)
-                return ConditionTrace(r, evaluated, failing, False)
-    return ConditionTrace(r, evaluated, None, True)
+    marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
+    free = [*range(r - k), *range(r, m)]
+    supersets = (sorted(combo + marginal) for extra in range(len(free) + 1)
+                 for combo in combinations(free, extra))
+    return _first_failing(sv, r, supersets, lambda vs: test.evaluate(vs, alpha))
 
 
 def domino_bruteforce(
@@ -184,65 +194,22 @@ def domino_bruteforce(
     return _trivial_rejection(sv, cfg.k)
 
 
-def _rect_member_ranks(r: int, k: int, m: int, a: int, b: int) -> list[int]:
-    """0-based significance ranks of family member M ∪ A_a ∪ B_b."""
-    return list(range(r - k - a, r)) + list(range(m - b, m))
-
-
-def _rect_bonferroni_grid(
-    sv: SortedView, r: int, k: int, alpha: float
-) -> ConditionTrace:
-    """Vectorized rectangular family for the generalized Bonferroni test.
-
-    Every member is a union of rank-contiguous blocks, so its k-th smallest
-    value sits at rank r - a and the decision is
-    ((k + a + b) / k) * p_(r-a) <= alpha.
-    """
-    m = sv.m
-    rank_vals = sv.rank_values()
-    a = np.arange(r - k + 1)
-    b = np.arange(m - r + 1)
-    kth = rank_vals[r - 1 - a]
-    sizes = k + a[:, None] + b[None, :]
-    ok = (sizes / k) * kth[:, None] <= alpha
-    flat = ok.ravel()
-    if flat.all():
-        return ConditionTrace(r, flat.size, None, True)
-    first = int(np.flatnonzero(~flat)[0])
-    a_f, b_f = divmod(first, b.size)
-    ranks = _rect_member_ranks(r, k, m, a_f, b_f)
-    failing = frozenset(int(sv.perm[i]) for i in ranks)
-    return ConditionTrace(r, first + 1, failing, False)
-
-
 def check_condition_rectangular(
     sv: SortedView, r: int, test: LocalTestDescriptor, alpha: float
 ) -> ConditionTrace:
     """Verify the closure condition via the exact rectangular family.
 
-    Family members are visited a-major, b-minor.  Every built-in test is
-    elementwise monotone, so the decision provably equals
+    Family members M ∪ A_a ∪ B_b are visited a-major, b-minor.  Every
+    built-in test is elementwise monotone, so the decision provably equals
     :func:`check_condition_bruteforce`, which the test suite asserts
     instance by instance.
     """
-    k = test.k
+    k, m = test.k, sv.m
     _require_rank(sv, r, k)
     _require_kind(sv, test)
-    if test.id is TestId.BONFERRONI_K:
-        return _rect_bonferroni_grid(sv, r, k, alpha)
-    m = sv.m
-    rank_vals = sv.rank_values()
-    evaluated = 0
-    for a in range(r - k + 1):
-        head = [float(v) for v in rank_vals[r - k - a : r]]
-        for b in range(m - r + 1):
-            values = head + [float(v) for v in rank_vals[m - b : m]]
-            evaluated += 1
-            if not test.evaluate(values, alpha):
-                ranks = _rect_member_ranks(r, k, m, a, b)
-                failing = frozenset(int(sv.perm[i]) for i in ranks)
-                return ConditionTrace(r, evaluated, failing, False)
-    return ConditionTrace(r, evaluated, None, True)
+    family = ([*range(r - k - a, r), *range(m - b, m)]
+              for a in range(r - k + 1) for b in range(m - r + 1))
+    return _first_failing(sv, r, family, lambda vs: test.evaluate(vs, alpha))
 
 
 def domino_e_mean_reduction_check(
@@ -252,28 +219,23 @@ def domino_e_mean_reduction_check(
 
     The mean over supersets of M_{r,k} is minimized, at every cardinality, by
     adding the smallest e-values outside M; checking those m - k prefixes is
-    therefore equivalent to checking every superset.  Sums are Python floats,
-    so an overflowing sum becomes +inf without a warning.
+    therefore equivalent to checking every superset.  Sums are Python floats
+    added left to right, as the e-value kernel adds them (the built-in
+    ``sum`` compensates on Python 3.12+), and one that overflows becomes
+    +inf without a warning.
     """
     _require_rank(sv, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
     m = sv.m
-    rank_vals = sv.rank_values()
     threshold = 1.0 / alpha
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
-    outsider_ranks = list(range(m - 1, r - 1, -1)) + list(range(r - k - 1, -1, -1))
-    base = sum(float(v) for v in rank_vals[r - k : r])
-    running = base
-    for t in range(0, m - k + 1):
-        if t > 0:
-            running += float(rank_vals[outsider_ranks[t - 1]])
-        if running / (k + t) < threshold:
-            ranks = list(range(r - k, r)) + outsider_ranks[:t]
-            failing = frozenset(int(sv.perm[i]) for i in ranks)
-            return ConditionTrace(r, t + 1, failing, False)
-    return ConditionTrace(r, m - k + 1, None, True)
+    outsiders = [*range(m - 1, r - 1, -1), *range(r - k - 1, -1, -1)]
+    padded = ([*range(r - k, r), *outsiders[:t]] for t in range(m - k + 1))
+    return _first_failing(
+        sv, r, padded, lambda vs: reduce(add, vs, 0.0) / len(vs) >= threshold
+    )
 
 
 def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:

@@ -264,12 +264,11 @@ def _e_closure_reduced(values: Sequence[float], k: int, alpha: float) -> int:
 
 
 # L-shaped scan kernels, the ``scan`` of each record.  The Bonferroni and
-# Simes statistics are the floating-point expressions of the local tests above
-# (and of the engine's rectangular Bonferroni grid), so a member passes here
-# exactly when the local test accepts it.  The harmonic and e-value kernels add
-# their sums in another order than the local tests (the e-value one in the
-# order of the engine's mean-reduction check), which can move a member lying
-# within rounding of the threshold.
+# Simes statistics are the floating-point expressions of the local tests above,
+# so a member passes here exactly when the local test accepts it.  The harmonic
+# and e-value kernels add their sums in another order than the local tests (the
+# e-value one in the order of the engine's mean-reduction check), which can
+# move a member lying within rounding of the threshold.
 
 
 def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:

@@ -1,10 +1,10 @@
 """Self-check suites wired to the ``validate`` CLI subcommand.
 
 These are trimmed-down versions of the test-suite invariants, sized to run
-in seconds: the rectangular search against brute-force enumeration, the
-e-value mean-reduction against direct closure enumeration, Domino against
-brute-force Domino, pointwise indicator ordering, and the documented
-divergence of the fast Bonferroni scan from the fully closed procedure.
+in seconds: the rectangular family and the e-value mean reduction, rank by
+rank, against brute-force superset enumeration, Domino against brute-force
+Domino, pointwise indicator ordering, and the documented divergence of the
+fast Bonferroni scan from the fully closed procedure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .engine import (
     check_condition_rectangular,
     domino_bruteforce,
     domino_e,
+    domino_e_mean_reduction_check,
     domino_p,
     domino_p_fast_bonferroni,
 )
@@ -50,56 +51,57 @@ def _random_pvalues(rng: np.random.Generator, m: int) -> np.ndarray:
     return p
 
 
-def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
+def _paired_checks(name: str, oracle, checks) -> SuiteResult:
+    """Compare ``oracle`` with brute force on every (sv, r, test, alpha)."""
+    compared = 0
+    for sv, r, test, alpha in checks:
+        compared += 1
+        brute = check_condition_bruteforce(sv, r, test, alpha)
+        if oracle(sv, r, test, alpha).passed != brute.passed:
+            values = f"{sv.ev.kind.value}={sv.ev.values.tolist()}"
+            return SuiteResult(name, False, f"disagreement at {values}, r={r}, "
+                               f"k={test.k}, test={test.id.value}, alpha={alpha}")
+    return SuiteResult(name, True, f"{compared} paired condition checks agree")
+
+
+def _rectangular_checks(n_instances: int, seed: int):
+    """One random rank per instance and p-value test."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    cases = [
-        test for test in _DIFFERENTIAL_CASES
-        if test.evidence_kind is EvidenceKind.P_VALUE
-    ]
-    checked = 0
+    cases = [t for t in _DIFFERENTIAL_CASES if t.evidence_kind is EvidenceKind.P_VALUE]
     for _ in range(n_instances):
         m = int(rng.integers(4, 11))
         sv = sort_evidence(EvidenceVector.p_values(_random_pvalues(rng, m)))
         alpha = float(rng.choice([0.05, 0.2]))
         for test in cases:
-            r = int(rng.integers(test.k, m + 1))
-            brute = check_condition_bruteforce(sv, r, test, alpha)
-            rect = check_condition_rectangular(sv, r, test, alpha)
-            checked += 1
-            if brute.passed != rect.passed:
-                return SuiteResult(
-                    "rectangular-vs-brute",
-                    False,
-                    f"disagreement at p={sv.ev.values.tolist()}, "
-                    f"r={r}, k={test.k}, test={test.id.value}, alpha={alpha}",
-                )
-    return SuiteResult(
-        "rectangular-vs-brute", True, f"{checked} paired condition checks agree"
-    )
+            yield sv, int(rng.integers(test.k, m + 1)), test, alpha
 
 
-def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteResult:
+def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
+    checks = _rectangular_checks(n_instances, seed)
+    return _paired_checks("rectangular-vs-brute", check_condition_rectangular, checks)
+
+
+def _mean_reduction_checks(n_instances: int, seed: int):
+    """Every rank of every instance, for the closure e-test at k in {1, 2}."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    alpha = 0.05
     for _ in range(n_instances):
         m = int(rng.integers(3, 9))
         e = np.where(rng.random(m) < 0.35, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
-        ev = EvidenceVector.e_values(e)
+        sv = sort_evidence(EvidenceVector.e_values(e))
         for k in (1, 2):
-            if k > m:
-                continue
             test = local_test(TestId.E_CLOSURE_K, k)
-            scan = domino_e(ev, DominoConfig(test, alpha))
-            brute = domino_bruteforce(ev, DominoConfig(test, alpha))
-            if scan.indices != brute.indices:
-                return SuiteResult(
-                    "mean-reduction-equivalence",
-                    False,
-                    f"sets differ at e={e.tolist()}, k={k}",
-                )
-    return SuiteResult(
-        "mean-reduction-equivalence", True, f"{n_instances} e-vectors, identical sets"
-    )
+            for r in range(k, m + 1):
+                yield sv, r, test, 0.05
+
+
+def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteResult:
+    """The e-value mean reduction decides like brute force with the closure
+    e-test, at every rank."""
+    def reduction(sv, r, test, alpha):
+        return domino_e_mean_reduction_check(sv, r, test.k, alpha)
+
+    checks = _mean_reduction_checks(n_instances, seed)
+    return _paired_checks("mean-reduction-equivalence", reduction, checks)
 
 
 def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.ndarray:

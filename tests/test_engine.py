@@ -108,8 +108,9 @@ class TestRectangular:
         for values, r, tests in [
             ([0.02, 0.02, 0.9], 2, order_one),
             ([0.002, 0.01, 0.9], 2, order_one),
-            # Brute force and the rectangular Bonferroni grid once disagreed
-            # here, when the grid was handed an order other than the test's.
+            # Brute force and the rectangular oracle once disagreed here,
+            # when the rectangular side was handed an order other than the
+            # test's.
             ([0.016, 0.0064, 0.7966, 0.0045], 4, (local_test("bonferroni", 2),)),
         ]:
             sv = p_view(values)
@@ -477,6 +478,23 @@ class TestDefaultMatchesBruteForce:
         assert domino_p(ev, cfg).size == 0
         assert domino_p_fast_harmonic(ev, 0.05).size == 0
         assert domino_bruteforce(ev, cfg).size == 0
+
+    def test_harmonic_pair_in_the_factor_band(self):
+        # A pair whose harmonic mean h lies in (alpha/2, alpha/1.884]: the
+        # factor 2 refuses it and e*ln(2) = 1.884 would reject it, so a kernel
+        # whose n = 2 factor strays from the evaluator's decides differently.
+        # Random vectors rarely land here, so the pair is built, then padded
+        # with 0-4 uniform p-values.
+        rng = np.random.default_rng(1884)
+        alpha = 0.05
+        cfg = DominoConfig(local_test("harmonic", 1), alpha)
+        for _ in range(300):
+            h = rng.uniform(alpha / 2, alpha / (math.e * math.log(2)))
+            p1 = h * (1.0 + rng.random())  # 1/p1 + 1/p2 = 2/h
+            p2 = 1.0 / (2.0 / h - 1.0 / p1)
+            pad = rng.random(int(rng.integers(0, 5)))
+            ev = EvidenceVector.p_values(np.concatenate(([p1, p2], pad)))
+            assert domino_p(ev, cfg) == domino_bruteforce(ev, cfg), ev.values.tolist()
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
         import kbfdr.engine as engine

@@ -358,3 +358,57 @@ class TestLevelValidity:
             worst = ((top[:, None] + rest) / counts).min(axis=1)
             freq = (worst >= 1.0 / self.ALPHA).mean()
             assert freq <= self._bound()
+
+
+def _worst_coupling_rejection(test, alpha):
+    """The largest P(reject) over couplings of two uniform p-values, by LP.
+
+    Each marginal is cut into 150 equal bins on [0, 0.1] and one bin
+    [0.1, 1]; the variables are the masses of the bin pairs, and every row
+    and column of them sums to its bin's width.  A cell counts as rejected
+    when the test rejects its upper corner.  The test is elementwise
+    monotone, so it then rejects every point of the cell, and spreading each
+    mass uniformly over its cell is a joint law with uniform marginals that
+    rejects with at least this probability: a value above alpha proves the
+    test invalid under that dependence.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    edges = np.append(np.linspace(0.0, 0.1, 151), 1.0)
+    upper = edges[1:].tolist()
+    n = len(upper)
+    rejects = [test.evaluate([u, v], alpha) for u in upper for v in upper]
+    eye, ones = sparse.identity(n), np.ones((1, n))
+    marginals = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)])
+    widths = np.diff(edges)
+    res = linprog(-np.array(rejects, dtype=float), A_eq=marginals,
+                  b_eq=np.concatenate((widths, widths)), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestValidityCertificates:
+    """No coupling of two uniform p-values makes a test sold as valid under
+    arbitrary dependence reject with probability above alpha.  Simes is left
+    out: it is valid only under positive dependence (PRDS)."""
+
+    ALPHA = 0.05
+
+    @pytest.mark.parametrize("test_id,k", [
+        ("bonferroni", 1), ("bonferroni", 2), ("harmonic", 1),
+    ])
+    def test_worst_case_within_level(self, test_id, k):
+        worst = _worst_coupling_rejection(local_test(test_id, k), self.ALPHA)
+        assert worst <= self.ALPHA
+
+    def test_catches_the_e_ln_2_factor(self, monkeypatch):
+        # e*ln(2) = 1.884 at |S| = 2 lets some coupling reject more often
+        # than alpha; the certificate must see it.
+        import kbfdr.local_tests as local_tests
+
+        monkeypatch.setattr(local_tests, "_harmonic_factor",
+                            lambda n: math.e * math.log(n))
+        worst = _worst_coupling_rejection(local_test("harmonic", 1), self.ALPHA)
+        assert worst > self.ALPHA

@@ -243,34 +243,37 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 _DOMINO_NAMES = frozenset(t.value for t in TestId)
-_REQUIRED_SCENARIO_KEYS = (
-    "m", "pi1", "mu_c", "sigma", "rho", "alpha", "k", "reps", "seed", "procedures",
-)
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+# Each scenario key and its parser, in parse order, which decides the bad
+# value reported first; the procedure tokens are checked once m is known.
+_SCENARIO_KEYS = {
+    "m": int, "pi1": float, "mu_c": float, "sigma": float, "rho": _float_list,
+    "alpha": _float_list, "k": int, "reps": int, "seed": int, "procedures": str,
+}
 
 
 def _build_scenarios(entries: dict[str, str], seed_override) -> tuple[list[SimScenario], list]:
-    missing = [key for key in _REQUIRED_SCENARIO_KEYS if key not in entries]
+    missing = [key for key in _SCENARIO_KEYS if key not in entries]
     if missing:
         raise ParseFailure(f"config is missing required keys: {', '.join(missing)}")
-    unknown = set(entries) - set(_REQUIRED_SCENARIO_KEYS)
+    unknown = set(entries) - set(_SCENARIO_KEYS)
     if unknown:
         raise ParseFailure(f"config has unknown keys: {', '.join(sorted(unknown))}")
     try:
-        m = int(entries["m"])
-        pi1 = float(entries["pi1"])
-        mu_c = float(entries["mu_c"])
-        sigma = float(entries["sigma"])
-        rhos = [float(tok) for tok in entries["rho"].split(",")]
-        alphas = [float(tok) for tok in entries["alpha"].split(",")]
-        k = int(entries["k"])
-        reps = int(entries["reps"])
-        seed = int(entries["seed"])
+        fields = {key: parse(entries[key]) for key, parse in _SCENARIO_KEYS.items()}
     except ValueError as exc:
         raise ParseFailure(f"bad scenario value: {exc}") from exc
+    rhos, alphas = fields.pop("rho"), fields.pop("alpha")
+    tokens = [tok for tok in fields.pop("procedures").split(",") if tok.strip()]
+    m = fields["m"]
     if seed_override is not None:
-        seed = seed_override
+        fields["seed"] = seed_override
     try:
-        tokens = [tok for tok in entries["procedures"].split(",") if tok.strip()]
         if not tokens:
             raise ValueError("no procedures given")
         procedures = [make_procedure(tok) for tok in tokens]
@@ -278,12 +281,8 @@ def _build_scenarios(entries: dict[str, str], seed_override) -> tuple[list[SimSc
             # Domino needs k <= m; bh and holm are defined for any k.
             if tok.split(":")[0].strip().lower() in _DOMINO_NAMES and proc.k > m:
                 raise ValueError(f"procedure {tok.strip()!r}: k={proc.k} exceeds m={m}")
-        scenarios = [
-            SimScenario(m=m, pi1=pi1, mu_c=mu_c, sigma=sigma, rho=rho,
-                        alpha=alpha, k=k, reps=reps, seed=seed)
-            for rho in rhos
-            for alpha in alphas
-        ]
+        scenarios = [SimScenario(**fields, rho=rho, alpha=alpha)
+                     for rho in rhos for alpha in alphas]
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     return scenarios, procedures

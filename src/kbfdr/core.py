@@ -60,6 +60,14 @@ def require_level(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def require_rank(m: int, r: int, k: int) -> None:
+    """Reject an order k < 1, or a rank r outside [k, m]."""
+    if k < 1:
+        raise OutOfRangeError(f"k must be >= 1, got {k}")
+    if r < k or r > m:
+        raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={m}")
+
+
 class EvidenceKind(enum.Enum):
     P_VALUE = "p"
     E_VALUE = "e"
@@ -243,10 +251,7 @@ def sort_evidence(ev: EvidenceVector) -> SortedView:
 
 def marginal_set(sv: SortedView, r: int, k: int) -> MarginalSet:
     """The k rank-consecutive indices ending at rank r (no tie absorption)."""
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k}")
-    if r < k or r > sv.m:
-        raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={sv.m}")
+    require_rank(sv.m, r, k)
     return MarginalSet(r, k, frozenset(int(j) for j in sv.perm[r - k : r]))
 
 

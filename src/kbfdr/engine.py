@@ -60,6 +60,7 @@ from .core import (
     SortedView,
     reject_by_rank,
     require_level,
+    require_rank,
     sort_evidence,
 )
 from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
@@ -107,13 +108,6 @@ class ConditionTrace:
     def __post_init__(self) -> None:
         if self.passed != (self.first_failing_subset is None):
             raise ValueError("passed must match the absence of a failing subset")
-
-
-def _require_rank(sv: SortedView, r: int, k: int) -> None:
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k}")
-    if r < k or r > sv.m:
-        raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={sv.m}")
 
 
 def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
@@ -168,7 +162,7 @@ def check_condition_bruteforce(
     m, k = sv.m, test.k
     if m > cap:
         raise CapExceededError(f"brute force capped at m <= {cap}, got m={m}")
-    _require_rank(sv, r, k)
+    require_rank(m, r, k)
     _require_kind(sv, test)
     marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
     free = [*range(r - k), *range(r, m)]
@@ -205,7 +199,7 @@ def check_condition_rectangular(
     instance by instance.
     """
     k, m = test.k, sv.m
-    _require_rank(sv, r, k)
+    require_rank(m, r, k)
     _require_kind(sv, test)
     family = ([*range(r - k - a, r), *range(m - b, m)]
               for a in range(r - k + 1) for b in range(m - r + 1))
@@ -224,7 +218,7 @@ def domino_e_mean_reduction_check(
     ``sum`` compensates on Python 3.12+), and one that overflows becomes
     +inf without a warning.
     """
-    _require_rank(sv, r, k)
+    require_rank(sv.m, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
     m = sv.m

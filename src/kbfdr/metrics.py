@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,6 +135,16 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+# Each averaged report field (and its "_se") with the RunSample field it reads.
+_AVERAGED = (
+    ("kbfdr", "kbfdr_ind"),
+    ("kfwer", "kfwer_ind"),
+    ("fdr", "fdp"),
+    ("tdr", "tdr"),
+    ("power", "power"),
+)
+
+
 def aggregate(
     samples,
     *,
@@ -149,19 +160,15 @@ def aggregate(
     samples = list(samples)
     if not samples:
         raise EmptyInputError("no samples to aggregate")
-    kbfdr = np.array([s.kbfdr_ind for s in samples], dtype=float)
-    kfwer = np.array([s.kfwer_ind for s in samples], dtype=float)
-    fdp = np.array([s.fdp for s in samples], dtype=float)
-    tdr = np.array([s.tdr for s in samples], dtype=float)
-    power = np.array([s.power for s in samples], dtype=float)
-    nonempty = np.array([s.rejections >= 1 for s in samples], dtype=bool)
-    kbfdr_m, kbfdr_s = _mean_se(kbfdr)
-    kfwer_m, kfwer_s = _mean_se(kfwer)
-    fdr_m, fdr_s = _mean_se(fdp)
-    tdr_m, tdr_s = _mean_se(tdr)
-    power_m, power_s = _mean_se(power)
-    if nonempty.any():
-        tdr_ne_m, tdr_ne_s = _mean_se(tdr[nonempty])
+    stats = {}
+    for field, source in _AVERAGED:
+        # A 1-d array per metric: numpy sums it pairwise, while an axis of a
+        # 2-d array is added in another order and can round differently.
+        values = np.array(list(map(attrgetter(source), samples)), dtype=float)
+        stats[field], stats[f"{field}_se"] = _mean_se(values)
+    nonempty_tdr = [s.tdr for s in samples if s.rejections >= 1]
+    if nonempty_tdr:
+        tdr_ne_m, tdr_ne_s = _mean_se(np.array(nonempty_tdr, dtype=float))
     else:
         tdr_ne_m, tdr_ne_s = float("nan"), float("nan")
     return MetricsReport(
@@ -173,17 +180,8 @@ def aggregate(
         pi1=pi1,
         mu_c=mu_c,
         reps=len(samples),
-        kbfdr=kbfdr_m,
-        kbfdr_se=kbfdr_s,
-        kfwer=kfwer_m,
-        kfwer_se=kfwer_s,
-        fdr=fdr_m,
-        fdr_se=fdr_s,
-        tdr=tdr_m,
-        tdr_se=tdr_s,
-        power=power_m,
-        power_se=power_s,
-        empty_runs=int((~nonempty).sum()),
+        empty_runs=len(samples) - len(nonempty_tdr),
         tdr_nonempty=tdr_ne_m,
         tdr_nonempty_se=tdr_ne_s,
+        **stats,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,10 +39,14 @@ from .metrics import MetricsReport, RunSample, aggregate, run_sample
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-CSV_HEADER = (
-    "scenario_id,procedure,k,alpha,rho,pi1,mu_c,reps,"
-    "kbfdr,kbfdr_se,kfwer,fdr,tdr,tdr_se,power,power_se"
+# The MetricsReport fields of the metrics CSV, in order.  A cell's format
+# depends on its column, not on its value's type (mu_c may be an int).
+CSV_COLUMNS = (
+    "scenario_id", "procedure", "k", "alpha", "rho", "pi1", "mu_c", "reps",
+    "kbfdr", "kbfdr_se", "kfwer", "fdr", "tdr", "tdr_se", "power", "power_se",
 )
+_STR_COLUMNS = frozenset({"scenario_id", "procedure", "k", "reps"})
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def substream_seed(base_seed: int, rep: int) -> int:
@@ -289,30 +294,8 @@ def emit_table(reports: Iterable[MetricsReport], path) -> None:
     reports = list(reports)
     if not reports:
         raise EmptyInputError("no reports to emit")
-    lines = [CSV_HEADER]
-    for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    rep.scenario_id,
-                    rep.procedure,
-                    str(rep.k),
-                    _fmt(rep.alpha),
-                    _fmt(rep.rho),
-                    _fmt(rep.pi1),
-                    _fmt(rep.mu_c),
-                    str(rep.reps),
-                    _fmt(rep.kbfdr),
-                    _fmt(rep.kbfdr_se),
-                    _fmt(rep.kfwer),
-                    _fmt(rep.fdr),
-                    _fmt(rep.tdr),
-                    _fmt(rep.tdr_se),
-                    _fmt(rep.power),
-                    _fmt(rep.power_se),
-                ]
-            )
-        )
-    payload = "\n".join(lines) + "\n"
+    columns = [map(str if col in _STR_COLUMNS else _fmt, map(attrgetter(col), reports))
+               for col in CSV_COLUMNS]
+    payload = "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(payload)

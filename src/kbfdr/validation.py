@@ -206,10 +206,4 @@ SUITES = {
 
 
 def run_suites(names=None) -> list[SuiteResult]:
-    selected = list(SUITES) if names is None else list(names)
-    results = []
-    for name in selected:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.append(SUITES[name]())
-    return results
+    return [SUITES[name]() for name in (SUITES if names is None else names)]

@@ -19,6 +19,7 @@ from kbfdr import (
     check_condition_rectangular,
     domino_bruteforce,
     domino_e,
+    domino_e_mean_reduction_check,
     domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     gen_instance,
@@ -107,23 +108,32 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_mean_reduction_equivalence():
-    """Mean-reduction Domino-E == brute-force closure Domino-E, 10^3 vectors."""
+    """The e-value mean reduction == brute-force closure enumeration at every
+    rank, and Domino-E == brute-force Domino-E, on 10^3 vectors."""
     rng = np.random.default_rng(1729)
-    disagreements = 0
+    disagreements = checks = check_disagreements = 0
     compared = 0
     for _ in range(1000):
         m = int(rng.integers(3, 11))
         e = np.where(rng.random(m) < 0.35,
                      rng.uniform(5.0, 80.0, m), rng.uniform(0.0, 3.0, m))
         ev = EvidenceVector.e_values(e)
+        sv = sort_evidence(ev)
         for k in (1, 2):
             test = local_test("eclosure", k)
+            for r in range(k, m + 1):
+                reduced = domino_e_mean_reduction_check(sv, r, k, 0.05)
+                brute_check = check_condition_bruteforce(sv, r, test, 0.05)
+                checks += 1
+                check_disagreements += int(reduced.passed != brute_check.passed)
             scan = domino_e(ev, DominoConfig(test, 0.05))
             brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
             compared += 1
             disagreements += int(scan.indices != brute.indices)
+    assert check_disagreements == 0, f"{check_disagreements} differing checks"
     assert disagreements == 0, f"{disagreements} differing rejection sets"
-    _report(2, f"{compared} paired rejection sets identical")
+    _report(2, f"{checks} paired condition checks agree, "
+               f"{compared} paired rejection sets identical")
 
 
 def test_criterion_3_level_control(level_grid):

@@ -19,7 +19,7 @@ from kbfdr import (
     scaled_harmonic_mean,
     simes,
 )
-from kbfdr.local_tests import RECORDS
+from kbfdr.local_tests import RECORDS, _harmonic_factor
 
 
 class TestDescriptor:
@@ -330,7 +330,7 @@ class TestLevelValidity:
     def test_harmonic_level(self, size):
         rng = np.random.default_rng(40 + size)
         mat = rng.random((self.DRAWS, size))
-        stat = math.e * math.log(size) * size / (1.0 / mat).sum(axis=1)
+        stat = _harmonic_factor(size) * size / (1.0 / mat).sum(axis=1)
         freq = (stat <= self.ALPHA).mean()
         assert freq <= self._bound()
 

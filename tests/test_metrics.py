@@ -11,6 +11,7 @@ from kbfdr import (
     EvidenceKind,
     EvidenceVector,
     GroundTruth,
+    MetricsReport,
     RejectionSet,
     RunSample,
     aggregate,
@@ -235,3 +236,28 @@ class TestAggregate:
     def test_no_nonempty_runs(self):
         rep = aggregate([sample(rejections=0)])
         assert math.isnan(rep.tdr_nonempty)
+
+    def test_pins_every_field(self):
+        # Means and population SEs of each metric's own float array; fdr_se
+        # and tdr_se differ in the last digit, so the rounding is pinned too.
+        samples = [
+            sample(kbfdr_ind=1, kfwer_ind=1, fdp=0.5, tdr=0.5, power=0.25, rejections=4),
+            sample(kfwer_ind=1, fdp=0.25, tdr=0.75, power=0.5, rejections=4),
+            sample(),
+            sample(kbfdr_ind=1, kfwer_ind=1, fdp=1 / 3, tdr=2 / 3, power=0.5,
+                   rejections=3),
+            sample(power=1.0, rejections=2),
+        ]
+        rep = aggregate(samples, scenario_id="sc", procedure="bh", k=2,
+                        alpha=0.05, rho=0.25, pi1=0.2, mu_c=3.0)
+        assert rep == MetricsReport(
+            scenario_id="sc", procedure="bh", k=2, alpha=0.05, rho=0.25,
+            pi1=0.2, mu_c=3.0, reps=5,
+            kbfdr=0.4, kbfdr_se=0.21908902300206645,
+            kfwer=0.6, kfwer_se=0.21908902300206645,
+            fdr=0.21666666666666665, fdr_se=0.08692269873603531,
+            tdr=0.7833333333333333, tdr_se=0.08692269873603532,
+            power=0.45, power_se=0.14832396974191328,
+            empty_runs=1,
+            tdr_nonempty=0.7291666666666666, tdr_nonempty_se=0.09021097956087902,
+        )

@@ -7,6 +7,7 @@ from kbfdr import (
     EmptyInputError,
     EvidenceKind,
     InvalidRhoError,
+    MetricsReport,
     TestId,
     domino_e,
     domino_p,
@@ -234,6 +235,38 @@ class TestEmitTable:
     def test_empty_reports(self, tmp_path):
         with pytest.raises(EmptyInputError):
             emit_table([], tmp_path / "x.csv")
+
+    def test_exact_text(self, tmp_path):
+        # Each cell is formatted by its column: the label and count columns
+        # through str, the rest to 6 significant digits, whatever the type
+        # of the value (mu_c and reps are ints here).
+        nan = float("nan")
+        common = dict(kfwer_se=0.5, fdr_se=0.5, empty_runs=7,
+                      tdr_nonempty=nan, tdr_nonempty_se=nan)
+        reports = [
+            MetricsReport(
+                scenario_id="s1", procedure="bh", k=2, alpha=0.05, rho=1 / 3,
+                pi1=0.2, mu_c=1234567, reps=1000000, kbfdr=1 / 3,
+                kbfdr_se=nan, kfwer=0.0, fdr=0.125, tdr=1.0, tdr_se=0.0,
+                power=12345.6789, power_se=1e-7, **common,
+            ),
+            MetricsReport(
+                scenario_id="s2", procedure="holm_k3", k=3, alpha=0.1,
+                rho=-0.5, pi1=0.0, mu_c=3.0, reps=1, kbfdr=nan, kbfdr_se=0.0,
+                kfwer=1.0, fdr=2 / 3, tdr=nan, tdr_se=nan, power=0.0,
+                power_se=0.0, **common,
+            ),
+        ]
+        path = tmp_path / "out.csv"
+        emit_table(reports, path)
+        assert path.read_bytes().decode("utf-8") == (
+            "scenario_id,procedure,k,alpha,rho,pi1,mu_c,reps,"
+            "kbfdr,kbfdr_se,kfwer,fdr,tdr,tdr_se,power,power_se\n"
+            "s1,bh,2,0.05,0.333333,0.2,1.23457e+06,1000000,"
+            "0.333333,nan,0,0.125,1,0,12345.7,1e-07\n"
+            "s2,holm_k3,3,0.1,-0.5,0,3,1,"
+            "nan,0,1,0.666667,nan,nan,0,0\n"
+        )
 
     def test_six_significant_digits(self):
         from kbfdr.simulate import _fmt

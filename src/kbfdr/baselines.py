@@ -77,7 +77,9 @@ def external_boundary(
 
     ``select_rank`` receives the ascending sorted p-values and alpha and must
     return a boundary rank in [0, m]; the rejection set is everything at
-    least as significant as that rank.
+    least as significant as that rank.  The sorted p-values are the
+    read-only array cached on ``p`` and shared with every other procedure,
+    so a plugin that needs to modify them must copy them first.
     """
     _require_p(p, "external_boundary")
     require_level(alpha)

@@ -3,9 +3,11 @@
 Evidence is either a vector of p-values (small = significant) or e-values
 (large = significant).  All procedures work on a sorted view of the evidence:
 p-values ascending, e-values descending, ties broken by ascending original
-index.  Each evidence vector is sorted once, on first use, and the
-permutation is cached on it.  Ranks are 1-based throughout the public API;
-hypothesis indices are 0-based.
+index.  Each evidence vector is sorted once, on first use, by numpy's default
+argsort, and again by the stable one only if two values are equal.  The
+permutation and the values in rank order are cached on it as read-only
+arrays that every procedure shares.  Ranks are 1-based throughout the public
+API; hypothesis indices are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -105,18 +107,33 @@ class EvidenceVector:
         return int(self.values.size)
 
     @functools.cached_property
+    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation and the values in rank order, both read-only.
+
+        numpy's default argsort is not stable, but without a tie the sorted
+        order is unique, so it equals the stable one.  Any tie (-0.0 and
+        0.0 included) sends the vector to the stable sort.
+        """
+        key = self.values if self.kind is EvidenceKind.P_VALUE else -self.values
+        perm = np.argsort(key)
+        ranked = self.values[perm]
+        if (ranked[1:] == ranked[:-1]).any():
+            perm = np.argsort(key, kind="stable")
+            ranked = self.values[perm]
+        perm.flags.writeable = False
+        ranked.flags.writeable = False
+        return perm, ranked
+
+    @property
     def perm(self) -> np.ndarray:
         """The significance permutation, computed on first use and kept.
 
         ``perm[i]`` is the original index of the hypothesis at rank i+1;
-        see :class:`SortedView` for the order and its tie rule.
+        see :class:`SortedView` for the order and its tie rule.  It is
+        numpy's default argsort of the evidence when no two values are
+        equal, and the stable argsort when any are.
         """
-        if self.kind is EvidenceKind.P_VALUE:
-            perm = np.argsort(self.values, kind="stable")
-        else:
-            perm = np.argsort(-self.values, kind="stable")
-        perm.flags.writeable = False
-        return perm
+        return self._order[0]
 
     @classmethod
     def p_values(cls, values) -> "EvidenceVector":
@@ -140,7 +157,14 @@ class SortedView:
     perm: np.ndarray
 
     def rank_values(self) -> np.ndarray:
-        """Evidence values in rank order (monotone for the kind)."""
+        """Evidence values in rank order (monotone for the kind).
+
+        For the view :func:`sort_evidence` builds, this is the read-only
+        array cached with the permutation, shared by every procedure run on
+        the same evidence vector.
+        """
+        if self.perm is self.ev.perm:
+            return self.ev._order[1]
         return self.ev.values[self.perm]
 
     @property

@@ -81,10 +81,12 @@ class SimScenario:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.pi1 <= 1.0:
             raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.mu_c):
+            raise ValueError(f"mu_c must be finite, got {self.mu_c}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         lo = -1.0 / (self.m - 1) if self.m > 1 else 0.0
-        if self.rho < lo - 1e-12 or self.rho >= 1.0:
+        if not lo - 1e-12 <= self.rho < 1.0:
             raise InvalidRhoError(
                 f"rho must lie in [{lo:.6g}, 1), got {self.rho}"
             )
@@ -189,6 +191,10 @@ class ProcedureSpec:
     k: int | None
     run: Callable[[SimInstance, SimScenario], RejectionSet]
 
+    def order(self, sc: SimScenario) -> int:
+        """The boundary order in effect for this procedure in ``sc``."""
+        return self.k if self.k is not None else sc.k
+
 
 def make_procedure(token: str) -> ProcedureSpec:
     """Parse a procedure token ``name[:k]``.
@@ -252,8 +258,7 @@ def iter_run_samples(
                 if proc.evidence_kind is EvidenceKind.P_VALUE
                 else inst.evalues
             )
-            k_eff = proc.k if proc.k is not None else sc.k
-            samples.append(run_sample(rejection, inst.truth, evidence, k_eff))
+            samples.append(run_sample(rejection, inst.truth, evidence, proc.order(sc)))
         yield rep, samples
 
 
@@ -275,7 +280,7 @@ def run_grid(
                     samples,
                     scenario_id=sc.scenario_id,
                     procedure=proc.name,
-                    k=proc.k if proc.k is not None else sc.k,
+                    k=proc.order(sc),
                     alpha=sc.alpha,
                     rho=sc.rho,
                     pi1=sc.pi1,

@@ -96,6 +96,17 @@ class TestExternalPlugin:
         ev = EvidenceVector.p_values([0.01, 0.02, 0.04, 0.9])
         assert external_boundary(ev, 0.05, bh_rank).indices == bh(ev, 0.05).indices
 
+    def test_plugin_cannot_write_the_shared_sort(self):
+        # The plugin's array is the one every procedure on ev reads.
+        def overwrite(sorted_p, alpha):
+            sorted_p[0] = 1.0
+            return 0
+
+        ev = EvidenceVector.p_values([0.01, 0.02, 0.04, 0.9])
+        with pytest.raises(ValueError, match="read-only"):
+            external_boundary(ev, 0.05, overwrite)
+        assert bh(ev, 0.05).indices == frozenset({0, 1})
+
     def test_invalid_rank_rejected(self):
         ev = EvidenceVector.p_values([0.1, 0.2])
         with pytest.raises(ValueError):

@@ -237,6 +237,28 @@ class TestSimulate:
         out = tmp_path / "m.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mu_c = 3.0", "mu_c = inf", "mu_c must be finite, got inf"),
+            ("mu_c = 3.0", "mu_c = -inf", "mu_c must be finite, got -inf"),
+            ("mu_c = 3.0", "mu_c = nan", "mu_c must be finite, got nan"),
+            ("sigma = 1.0", "sigma = inf", "sigma must be finite and > 0, got inf"),
+            ("sigma = 1.0", "sigma = nan", "sigma must be finite and > 0, got nan"),
+            ("rho = 0.0", "rho = nan", "rho must lie in [-0.0526316, 1), got nan"),
+        ],
+        ids=["mu_c-inf", "mu_c-minus-inf", "mu_c-nan", "sigma-inf", "sigma-nan",
+             "rho-nan"],
+    )
+    def test_non_finite_scenario_value_exits_2(self, tmp_path, capsys, old, new, message):
+        # Rejected while parsing, before a non-finite value reaches the evidence.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CONFIG.replace(old, new), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(CONFIG + "extra = 1\n", encoding="utf-8")

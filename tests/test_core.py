@@ -81,6 +81,43 @@ class TestSortEvidence:
             first.perm[0] = 0
 
 
+# Value sets for the sort cases.  numpy's default argsort often keeps ties in
+# index order below 16 elements and rarely does from 16 up, so the sizes
+# straddle 16.
+_SORT_DRAWS = {
+    "p-ties": (EvidenceKind.P_VALUE, [0.0, 0.01, 0.05, 0.5, 1.0]),
+    "p-signed-zeros": (EvidenceKind.P_VALUE, [-0.0, 0.0, 1.0]),
+    "p-zero-one": (EvidenceKind.P_VALUE, [0.0, 1.0]),
+    "p-distinct": (EvidenceKind.P_VALUE, None),
+    "e-ties": (EvidenceKind.E_VALUE, [0.0, 0.5, 1.0, 20.0]),
+    "e-extremes": (EvidenceKind.E_VALUE, [0.0, np.inf, 1.8e308]),
+    "e-distinct": (EvidenceKind.E_VALUE, None),
+    "p-all-equal": (EvidenceKind.P_VALUE, [0.3]),
+    "e-all-equal": (EvidenceKind.E_VALUE, [np.inf]),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 100, 10_000])
+@pytest.mark.parametrize("draw", list(_SORT_DRAWS))
+def test_sort_is_the_stable_argsort(draw, m):
+    """The order is the stable argsort of the key, ties included, and the
+    rank values are one read-only array gathered through it."""
+    kind, support = _SORT_DRAWS[draw]
+    rng = np.random.default_rng(m)
+    if support is None:
+        values = rng.random(m) * (1.0 if kind is EvidenceKind.P_VALUE else 50.0)
+    else:
+        values = rng.choice(np.array(support), m)
+    ev = EvidenceVector(kind, values)
+    key = ev.values if kind is EvidenceKind.P_VALUE else -ev.values
+    assert np.array_equal(ev.perm, np.argsort(key, kind="stable"))
+    ranked = sort_evidence(ev).rank_values()
+    # Compared as bits, so -0.0 and 0.0 differ.
+    assert ranked.tobytes() == ev.values[ev.perm].tobytes()
+    assert not ranked.flags.writeable
+    assert sort_evidence(ev).rank_values() is ranked
+
+
 @pytest.mark.parametrize(
     "build",
     [

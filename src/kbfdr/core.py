@@ -4,10 +4,11 @@ Evidence is either a vector of p-values (small = significant) or e-values
 (large = significant).  All procedures work on a sorted view of the evidence:
 p-values ascending, e-values descending, ties broken by ascending original
 index.  Each evidence vector is sorted once, on first use, by numpy's default
-argsort, and again by the stable one only if two values are equal.  The
-permutation and the values in rank order are cached on it as read-only
-arrays that every procedure shares.  Ranks are 1-based throughout the public
-API; hypothesis indices are 0-based.
+argsort; only if that left equal values out of index order are the runs of
+equal values put back in index order.  The permutation and the values in
+rank order are cached on it as read-only arrays that every procedure
+shares.  Ranks are 1-based throughout the public API; hypothesis indices
+are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -111,14 +112,19 @@ class EvidenceVector:
         """The permutation and the values in rank order, both read-only.
 
         numpy's default argsort is not stable, but without a tie the sorted
-        order is unique, so it equals the stable one.  Any tie (-0.0 and
-        0.0 included) sends the vector to the stable sort.
+        order is unique, so it equals the stable one.  Under ties (-0.0 and
+        0.0 included) it can misorder indices only within a run of equal
+        values.  If it did, sorting the (run number, index) pairs, packed
+        into one int64 as run * m + index (exact for m < 3e9), puts every
+        run in ascending index order, which is the stable order.
         """
         key = self.values if self.kind is EvidenceKind.P_VALUE else -self.values
         perm = np.argsort(key)
         ranked = self.values[perm]
-        if (ranked[1:] == ranked[:-1]).any():
-            perm = np.argsort(key, kind="stable")
+        tied = ranked[1:] == ranked[:-1]
+        if tied.any() and (tied & (perm[1:] < perm[:-1])).any():
+            run = np.concatenate(([0], np.cumsum(~tied))) * perm.size
+            perm = np.sort(run + perm) - run
             ranked = self.values[perm]
         perm.flags.writeable = False
         ranked.flags.writeable = False
@@ -130,8 +136,8 @@ class EvidenceVector:
 
         ``perm[i]`` is the original index of the hypothesis at rank i+1;
         see :class:`SortedView` for the order and its tie rule.  It is
-        numpy's default argsort of the evidence when no two values are
-        equal, and the stable argsort when any are.
+        numpy's default argsort of the evidence, with any run of equal
+        values that sort left out of index order put back in index order.
         """
         return self._order[0]
 

@@ -9,6 +9,7 @@ from kbfdr import (
     GroundTruth,
     OutOfRangeError,
     RejectionSet,
+    SortedView,
     marginal_of,
     marginal_set,
     reject_by_rank,
@@ -80,20 +81,34 @@ class TestSortEvidence:
         with pytest.raises(ValueError):
             first.perm[0] = 0
 
+    def test_rank_values_follow_a_hand_built_view(self):
+        ev = EvidenceVector.p_values([0.3, 0.1, 0.2])
+        sort_evidence(ev).rank_values()  # caches the values in sorted order
+        other = np.array([2, 0, 1])
+        assert SortedView(ev, other).rank_values().tolist() == [0.2, 0.3, 0.1]
 
-# Value sets for the sort cases.  numpy's default argsort often keeps ties in
-# index order below 16 elements and rarely does from 16 up, so the sizes
-# straddle 16.
+
+# Draws for the sort cases, as (kind, values from rng and m).  numpy's
+# default argsort often keeps ties in index order below 16 elements and
+# rarely does from 16 up, so the sizes straddle 16.
+def _from(support):
+    return lambda rng, m: rng.choice(np.array(support), m)
+
+
 _SORT_DRAWS = {
-    "p-ties": (EvidenceKind.P_VALUE, [0.0, 0.01, 0.05, 0.5, 1.0]),
-    "p-signed-zeros": (EvidenceKind.P_VALUE, [-0.0, 0.0, 1.0]),
-    "p-zero-one": (EvidenceKind.P_VALUE, [0.0, 1.0]),
-    "p-distinct": (EvidenceKind.P_VALUE, None),
-    "e-ties": (EvidenceKind.E_VALUE, [0.0, 0.5, 1.0, 20.0]),
-    "e-extremes": (EvidenceKind.E_VALUE, [0.0, np.inf, 1.8e308]),
-    "e-distinct": (EvidenceKind.E_VALUE, None),
-    "p-all-equal": (EvidenceKind.P_VALUE, [0.3]),
-    "e-all-equal": (EvidenceKind.E_VALUE, [np.inf]),
+    "p-ties": (EvidenceKind.P_VALUE, _from([0.0, 0.01, 0.05, 0.5, 1.0])),
+    "p-signed-zeros": (EvidenceKind.P_VALUE, _from([-0.0, 0.0, 1.0])),
+    "p-zero-one": (EvidenceKind.P_VALUE, _from([0.0, 1.0])),
+    "p-ones-among-distinct": (
+        EvidenceKind.P_VALUE,
+        lambda rng, m: np.where(rng.random(m) < 0.1, 1.0, rng.random(m)),
+    ),
+    "p-distinct": (EvidenceKind.P_VALUE, lambda rng, m: rng.random(m)),
+    "e-ties": (EvidenceKind.E_VALUE, _from([0.0, 0.5, 1.0, 20.0])),
+    "e-extremes": (EvidenceKind.E_VALUE, _from([-0.0, 0.0, np.inf, 1.8e308])),
+    "e-distinct": (EvidenceKind.E_VALUE, lambda rng, m: rng.random(m) * 50.0),
+    "p-all-equal": (EvidenceKind.P_VALUE, _from([0.3])),
+    "e-all-equal": (EvidenceKind.E_VALUE, _from([np.inf])),
 }
 
 
@@ -102,13 +117,8 @@ _SORT_DRAWS = {
 def test_sort_is_the_stable_argsort(draw, m):
     """The order is the stable argsort of the key, ties included, and the
     rank values are one read-only array gathered through it."""
-    kind, support = _SORT_DRAWS[draw]
-    rng = np.random.default_rng(m)
-    if support is None:
-        values = rng.random(m) * (1.0 if kind is EvidenceKind.P_VALUE else 50.0)
-    else:
-        values = rng.choice(np.array(support), m)
-    ev = EvidenceVector(kind, values)
+    kind, values = _SORT_DRAWS[draw]
+    ev = EvidenceVector(kind, values(np.random.default_rng(m), m))
     key = ev.values if kind is EvidenceKind.P_VALUE else -ev.values
     assert np.array_equal(ev.perm, np.argsort(key, kind="stable"))
     ranked = sort_evidence(ev).rank_values()
@@ -116,6 +126,18 @@ def test_sort_is_the_stable_argsort(draw, m):
     assert ranked.tobytes() == ev.values[ev.perm].tobytes()
     assert not ranked.flags.writeable
     assert sort_evidence(ev).rank_values() is ranked
+
+
+def test_sort_orders_a_lone_tied_pair_by_index():
+    """One tied pair among distinct values, which numpy's default argsort
+    leaves reversed in about half of these draws."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        values = rng.random(100)
+        i, j = rng.choice(100, 2, replace=False)
+        values[j] = values[i]
+        ev = EvidenceVector.p_values(values)
+        assert np.array_equal(ev.perm, np.argsort(values, kind="stable")), seed
 
 
 @pytest.mark.parametrize(

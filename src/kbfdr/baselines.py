@@ -28,11 +28,11 @@ def _require_p(p: EvidenceVector, name: str) -> None:
         raise ValueError(f"{name} requires p-values")
 
 
-def bh(p: EvidenceVector, alpha: float, k: int = 1) -> RejectionSet:
+def bh(p: EvidenceVector, alpha: float) -> RejectionSet:
     """Benjamini-Hochberg step-up: r = max{i : p_(i) <= i*alpha/m}.
 
-    ``k`` only sizes the marginal bookkeeping of the returned set; the
-    rejection decision never depends on it.
+    The decision has no boundary order; read the marginal set of any order
+    k off the result with ``marginal_indices(k)``.
     """
     _require_p(p, "bh")
     require_level(alpha)
@@ -42,7 +42,7 @@ def bh(p: EvidenceVector, alpha: float, k: int = 1) -> RejectionSet:
     thresholds = (np.arange(1, m + 1) * alpha) / m
     passing = np.flatnonzero(rank_vals <= thresholds)
     r = int(passing[-1]) + 1 if passing.size else 0
-    return reject_by_rank(sv, r, k)
+    return reject_by_rank(sv, r)
 
 
 def holm_critical_values(m: int, k: int, alpha: float) -> np.ndarray:
@@ -67,19 +67,20 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     crit = holm_critical_values(sv.m, k, alpha)
     failing = np.flatnonzero(rank_vals > crit)
     r = int(failing[0]) if failing.size else sv.m
-    return reject_by_rank(sv, r, k)
+    return reject_by_rank(sv, r)
 
 
 def external_boundary(
-    p: EvidenceVector, alpha: float, select_rank: RankSelector, k: int = 1
+    p: EvidenceVector, alpha: float, select_rank: RankSelector
 ) -> RejectionSet:
     """Run a user-supplied boundary procedure.
 
     ``select_rank`` receives the ascending sorted p-values and alpha and must
     return a boundary rank in [0, m]; the rejection set is everything at
-    least as significant as that rank.  The sorted p-values are the
-    read-only array cached on ``p`` and shared with every other procedure,
-    so a plugin that needs to modify them must copy them first.
+    least as significant as the value at that rank, ties included.  The
+    sorted p-values are the read-only array cached on ``p`` and shared with
+    every other procedure, so a plugin that needs to modify them must copy
+    them first.
     """
     _require_p(p, "external_boundary")
     require_level(alpha)
@@ -87,4 +88,4 @@ def external_boundary(
     r = int(select_rank(sv.rank_values(), alpha))
     if not 0 <= r <= sv.m:
         raise ValueError(f"plugin returned rank {r}, outside [0, {sv.m}]")
-    return reject_by_rank(sv, r, k)
+    return reject_by_rank(sv, r)

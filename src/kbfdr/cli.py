@@ -25,7 +25,7 @@ from .baselines import bh, holm_k
 from .core import EvidenceKind, EvidenceVector, RejectionSet
 from .engine import DominoConfig, domino_e, domino_p
 from .local_tests import TestId, local_test
-from .simulate import SimScenario, emit_table, make_procedure, run_grid
+from .simulate import SignalMeanError, SimScenario, emit_table, make_procedure, run_grid
 from .validation import SUITES, run_suites
 
 EXIT_OK = 0
@@ -167,6 +167,8 @@ def _resolve_run_test(args) -> TestId:
 
 
 def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
+    if args.k < 1:
+        raise ConfigConflict(f"k must be >= 1, got {args.k}")
     if args.proc in ("bh", "holm"):
         if ev.kind is not EvidenceKind.P_VALUE:
             raise ConfigConflict(f"{args.proc} requires a p-value file")
@@ -174,7 +176,7 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
             raise ConfigConflict(f"--test does not apply to {args.proc}")
     try:
         if args.proc == "bh":
-            return bh(ev, args.alpha, k=args.k)
+            return bh(ev, args.alpha)
         if args.proc == "holm":
             return holm_k(ev, args.k, args.alpha)
         test = local_test(_resolve_run_test(args), args.k)
@@ -184,13 +186,14 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
         raise ConfigConflict(str(exc)) from exc
 
 
-def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet) -> None:
+def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet,
+                      marginal: tuple[int, ...]) -> None:
     # Built column by column: each row is "<index>," + repr(value) + a tail
     # that holds the rejected flag and the marginal rank.
     tails = [",0,\n"] * ev.m
     for j in rejection.ranked.tolist():
         tails[j] = ",1,\n"
-    for rank, j in enumerate(rejection.marginal_indices, start=1):
+    for rank, j in enumerate(marginal, start=1):
         tails[j] = f",1,{rank}\n"
     parts = [""] * (3 * ev.m)
     parts[0::3] = map("{},".format, range(1, ev.m + 1))
@@ -207,11 +210,9 @@ def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet) -> None
 def cmd_run(args) -> int:
     ev = read_evidence_csv(args.input)
     rejection = _apply_procedure(args, ev)
-    _write_rejections(args.out, ev, rejection)
-    if rejection.marginal_indices:
-        boundary = repr(float(ev.values[rejection.marginal_indices[0]]))
-    else:
-        boundary = "NA"
+    marginal = rejection.marginal_indices(args.k)
+    _write_rejections(args.out, ev, rejection, marginal)
+    boundary = repr(float(ev.values[marginal[0]])) if marginal else "NA"
     print(f"rejections={rejection.size} boundary={boundary}")
     return EXIT_OK
 
@@ -291,7 +292,10 @@ def _build_scenarios(entries: dict[str, str], seed_override) -> tuple[list[SimSc
 def cmd_simulate(args) -> int:
     entries = _load_config(args.config)
     scenarios, procedures = _build_scenarios(entries, args.seed)
-    reports = run_grid(scenarios, procedures)
+    try:
+        reports = run_grid(scenarios, procedures)
+    except SignalMeanError as exc:
+        raise ParseFailure(f"bad scenario value: {exc}") from exc
     emit_table(reports, args.out)
     print(f"wrote {len(reports)} report rows to {args.out}")
     return EXIT_OK

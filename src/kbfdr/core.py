@@ -178,34 +178,22 @@ class SortedView:
         return self.ev.m
 
 
-@dataclass(frozen=True)
-class MarginalSet:
-    """The k rank-consecutive indices ending at rank r: {pi(r-k+1),...,pi(r)}."""
-
-    r: int
-    k: int
-    indices: frozenset[int]
-
-
 @dataclass(frozen=True, eq=False)
 class RejectionSet:
     """A rejection decision: a prefix of the significance order.
 
     ``ranked`` holds the rejected 0-based indices, most significant first,
     as a read-only array; every built-in procedure returns a view of the
-    sorted permutation.  ``boundary_rank`` is the effective boundary after
-    tie absorption (the number of ranks at or below the rejection
-    threshold); 0 encodes both the empty set and trivial fallback outcomes,
-    so callers should read ``ranked`` or ``indices`` rather than the rank
-    for set contents.  ``k`` is the boundary order: ``marginal_indices``
-    lists the min(k, |R|) least significant rejections, least first.
+    sorted permutation.  ``fallback`` marks Domino's trivial outcome, when
+    no candidate rank passed.  The boundary order k is not stored: it
+    belongs to the question asked of the set, so ``marginal_indices(k)``
+    takes it.
 
-    Equality and hashing compare the three fields by value.
+    Equality and hashing compare the two fields by value.
     """
 
     ranked: np.ndarray
-    boundary_rank: int
-    k: int
+    fallback: bool = False
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.ranked)
@@ -214,8 +202,6 @@ class RejectionSet:
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise ValueError("ranked must be a 1-d array of integer indices")
         arr = arr.astype(np.intp, copy=False)
-        if self.k < 1:
-            raise OutOfRangeError(f"k must be >= 1, got {self.k}")
         if arr.flags.writeable:
             arr = arr.copy()
             arr.flags.writeable = False
@@ -231,13 +217,20 @@ class RejectionSet:
         return frozenset(self.ranked.tolist())
 
     @property
-    def marginal_indices(self) -> tuple[int, ...]:
+    def boundary_rank(self) -> int:
+        """The rank of the least significant rejection: |R|, or 0 for the
+        trivial fallback."""
+        return 0 if self.fallback else self.size
+
+    def marginal_indices(self, k: int) -> tuple[int, ...]:
         """The min(k, |R|) least significant rejections, least first."""
-        tail = self.ranked[max(self.size - self.k, 0) :]
+        if k < 1:
+            raise OutOfRangeError(f"k must be >= 1, got {k}")
+        tail = self.ranked[max(self.size - k, 0) :]
         return tuple(tail[::-1].tolist())
 
     def _key(self) -> tuple:
-        return (self.ranked.tobytes(), self.boundary_rank, self.k)
+        return (self.ranked.tobytes(), self.fallback)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RejectionSet):
@@ -279,12 +272,6 @@ def sort_evidence(ev: EvidenceVector) -> SortedView:
     return SortedView(ev, ev.perm)
 
 
-def marginal_set(sv: SortedView, r: int, k: int) -> MarginalSet:
-    """The k rank-consecutive indices ending at rank r (no tie absorption)."""
-    require_rank(sv.m, r, k)
-    return MarginalSet(r, k, frozenset(int(j) for j in sv.perm[r - k : r]))
-
-
 def _tied_prefix_length(sv: SortedView, r: int) -> int:
     """Number of ranks at least as significant as the value at rank r."""
     vals = sv.ev.values
@@ -294,19 +281,19 @@ def _tied_prefix_length(sv: SortedView, r: int) -> int:
     return int(np.count_nonzero(vals >= thresh))
 
 
-def reject_by_rank(sv: SortedView, r: int, k: int) -> RejectionSet:
+def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
     """Reject everything at least as significant as the value at rank r.
 
     Rejection is threshold-based, so ties at the boundary are absorbed even
-    when that pushes |R| beyond r.  r = 0 yields the empty set.  Among tied
-    boundary values the marginal indices are taken by descending original
-    index, which is what the stable sorted order yields.  The returned
-    ``ranked`` is a view of ``sv.perm``, not a copy.
+    when that pushes |R|, and so ``boundary_rank``, beyond r.  r = 0 yields
+    the empty set.  Among tied boundary values the marginal indices, at any
+    order k, are taken by descending original index, which is what the
+    stable sorted order yields.  The returned ``ranked`` is a view of
+    ``sv.perm``, not a copy.
     """
     if r < 0 or r > sv.m:
         raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={sv.m}")
-    r_eff = _tied_prefix_length(sv, r) if r else 0
-    return RejectionSet(sv.perm[:r_eff], r_eff, k)
+    return RejectionSet(sv.perm[: _tied_prefix_length(sv, r) if r else 0])
 
 
 def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:

@@ -184,7 +184,7 @@ def domino_bruteforce(
     sv = sort_evidence(ev)
     for r in range(sv.m, cfg.k - 1, -1):
         if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha, cap=cap).passed:
-            return reject_by_rank(sv, r, cfg.k)
+            return reject_by_rank(sv, r)
     return _trivial_rejection(sv, cfg.k)
 
 
@@ -236,16 +236,16 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     """Fallback set when no rank passes: the k-1 most significant hypotheses.
 
     For k = 1 the threshold convention (p below 0, e above +inf) keeps only
-    perfect evidence.  boundary_rank is 0 to mark the trivial outcome.
+    perfect evidence.  The set is marked ``fallback``.
     """
     if k >= 2:
-        return RejectionSet(reject_by_rank(sv, k - 1, k).ranked, 0, k)
+        return RejectionSet(reject_by_rank(sv, k - 1).ranked, fallback=True)
     vals = sv.ev.values
     if sv.ev.kind is EvidenceKind.P_VALUE:
         n = int(np.count_nonzero(vals <= 0.0))
     else:
         n = int(np.count_nonzero(np.isposinf(vals)))
-    return RejectionSet(sv.perm[:n], 0, k)
+    return RejectionSet(sv.perm[:n], fallback=True)
 
 
 def domino_p_fast_bonferroni(
@@ -275,7 +275,7 @@ def domino_p_fast_bonferroni(
         ells = np.arange(1, r + 1)
         stats = ((k + r - ells) / k) * rank_vals[:r]
         if (stats <= alpha).all():
-            return reject_by_rank(sv, r, k)
+            return reject_by_rank(sv, r)
     return trivial
 
 
@@ -285,7 +285,7 @@ def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> Reject
     sv = sort_evidence(ev)
     r = RECORDS[cfg.test.id].scan(sv.rank_values(), cfg.k, cfg.alpha)
     if r >= cfg.k:
-        return reject_by_rank(sv, r, cfg.k)
+        return reject_by_rank(sv, r)
     return _trivial_rejection(sv, cfg.k)
 
 

@@ -345,9 +345,11 @@ def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
     at once.  The a = 0 leg, {r} with the b least significant p-values for
     1 <= b < m-r, passes iff 1/p_(r) >= scale(b+1) * (b+1)/alpha - tail(b)
     for each b, so a running maximum of that bound preselects the ranks.
-    The bound is rounded differently from the local test, so it carries a
-    slack of 4*m*eps times the finite magnitudes involved, and one vector
-    per preselected rank, scanned from the top, decides.
+    The preselection and the member check below read the same float tail
+    sums, so only the rounding of the member threshold, at most
+    scale(m) * m/alpha, needs covering: the bound carries a slack of 4*m*eps
+    times that threshold.  One vector per preselected rank, scanned from
+    the top, decides.
     """
     m = v.size
     scale = _harmonic_scale(m)
@@ -366,8 +368,7 @@ def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
         need = scale[2:m] * n[1 : m - 1] / alpha - tail[: m - 2]
         hardest = np.concatenate(([-np.inf], np.maximum.accumulate(need)))
         widths = np.maximum(m - 1 - n[:r_top], 0)  # the largest b at rank r
-        bound = scale[m] * m / alpha + float(inv[np.isfinite(inv)].sum())
-        slack = 4 * m * np.finfo(float).eps * bound
+        slack = 4 * m * np.finfo(float).eps * (scale[m] * m / alpha)
         candidates = np.flatnonzero(inv[:r_top] >= hardest[widths] - slack) + 1
         for r in candidates[::-1]:
             b = max(m - r - 1, 0)  # members {r} ∪ (top b) with 1 <= b < m-r
@@ -393,8 +394,11 @@ def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
     max(1/alpha - v, 0).  That margin, found for every rank at once, is
     rounded differently from the member means, so it only preselects the
     ranks that the cumulative sum then decides.  Its slack, 4*m*eps times
-    the finite sum plus m/alpha, exceeds the rounding error of both the
-    margin and the member sums, so no rank that passes is left out.
+    the sum plus m/alpha, exceeds the rounding error of both the margin and
+    the member sums, so no rank that passes is left out.  The sum clips each
+    value at m/alpha: a member holding a larger value has a mean of at least
+    1/alpha anyway, and such a value outside M enters neither the margin nor
+    the member sums that bind it.
     """
     m = v.size
     threshold = 1.0 / alpha
@@ -411,8 +415,8 @@ def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
         for i in range(1, k):
             base += v[i : m - k + 1 + i]
             cover += excess[i : m - k + 1 + i]
-        finite_sum = float(v[np.isfinite(v)].sum())
-        slack = 4 * m * np.finfo(float).eps * (finite_sum + m * threshold)
+        clipped_sum = float(np.minimum(v, m * threshold).sum())
+        slack = 4 * m * np.finfo(float).eps * (clipped_sum + m * threshold)
         candidates = (base / k >= threshold) & (cover - deficit >= -slack)
         for r in (np.flatnonzero(candidates) + k)[::-1]:
             outsiders = np.concatenate(

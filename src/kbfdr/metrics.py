@@ -82,8 +82,7 @@ def _boundary_all_null(alt: np.ndarray, k: int) -> int:
 def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
     """1 iff |R| >= k and the k least significant rejections are all null.
 
-    They are the last k entries of ``R.ranked``, for any k, not only the
-    ``R.k`` that R was built with.
+    They are the last k entries of ``R.ranked``.
     """
     _require_order(k)
     return _boundary_all_null(truth.theta[R.ranked], k)
@@ -101,8 +100,7 @@ def run_sample(
     """Realized indicators and rates for one run.
 
     ``R.ranked`` lists the rejections in the significance order of
-    ``evidence``, so the boundary indicator is valid for any k, not only the
-    ``R.k`` that R was built with.
+    ``evidence``, so the boundary indicator reads its last k entries.
     """
     if evidence.m != truth.m:
         raise DimensionMismatchError(

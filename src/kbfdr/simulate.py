@@ -85,6 +85,10 @@ class SimScenario:
             raise ValueError(f"mu_c must be finite, got {self.mu_c}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        # The e-values square both.
+        for name, value in (("mu_c", self.mu_c), ("sigma", self.sigma)):
+            if math.isinf(value * value):
+                raise ValueError(f"{name} must have a finite square, got {value}")
         lo = -1.0 / (self.m - 1) if self.m > 1 else 0.0
         if not lo - 1e-12 <= self.rho < 1.0:
             raise InvalidRhoError(
@@ -115,6 +119,10 @@ class SimInstance:
     truth: GroundTruth
 
 
+class SignalMeanError(RuntimeError):
+    """No set of positive signal means could be drawn for a scenario."""
+
+
 def _truncated_positive_normal(
     rng: np.random.Generator, mean: float, sd: float, size: int
 ) -> np.ndarray:
@@ -129,8 +137,8 @@ def _truncated_positive_normal(
         take = min(keep.size, size - filled)
         out[filled : filled + take] = keep[:take]
         filled += take
-    raise RuntimeError(
-        f"truncated-normal acceptance too low at mean={mean}, sd={sd}"
+    raise SignalMeanError(
+        f"mu_c = {mean} with sigma = {sd} draws too few positive signal means"
     )
 
 

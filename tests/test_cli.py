@@ -259,6 +259,28 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mu_c = 3.0", "mu_c = -50",
+             "bad scenario value: mu_c = -50.0 with sigma = 1.0 draws too few "
+             "positive signal means"),
+            ("mu_c = 3.0", "mu_c = 1e200", "mu_c must have a finite square, got 1e+200"),
+            ("sigma = 1.0", "sigma = 1e200",
+             "sigma must have a finite square, got 1e+200"),
+        ],
+        ids=["mu_c-minus-50", "mu_c-1e200", "sigma-1e200"],
+    )
+    def test_extreme_finite_scenario_value_exits_2(self, tmp_path, capsys, old, new,
+                                                   message):
+        # Finite, but the generator cannot draw from it: no traceback.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CONFIG.replace(old, new), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(CONFIG + "extra = 1\n", encoding="utf-8")

@@ -11,7 +11,6 @@ from kbfdr import (
     RejectionSet,
     SortedView,
     marginal_of,
-    marginal_set,
     reject_by_rank,
     significance_order,
     sort_evidence,
@@ -184,106 +183,104 @@ class TestGroundTruth:
 
 class TestRejectionSet:
     def test_derived_fields(self):
-        rej = RejectionSet([4, 0, 2], 3, 2)
-        assert rej.size == 3
+        rej = RejectionSet([4, 0, 2])
+        assert rej.size == rej.boundary_rank == 3
         assert rej.indices == frozenset({0, 2, 4})
-        assert rej.marginal_indices == (2, 0)
-        assert RejectionSet([4], 1, 3).marginal_indices == (4,)
-        assert RejectionSet((), 0, 1).marginal_indices == ()
+        assert rej.marginal_indices(2) == (2, 0)
+        assert rej.marginal_indices(1) == (2,)
+        assert RejectionSet([4]).marginal_indices(3) == (4,)
+        assert RejectionSet(()).marginal_indices(1) == ()
+        fallback = RejectionSet([4], fallback=True)
+        assert fallback.boundary_rank == 0
+        assert fallback.marginal_indices(2) == (4,)
 
     def test_ranked_is_a_read_only_copy(self):
         source = np.array([1, 0])
-        rej = RejectionSet(source, 2, 1)
+        rej = RejectionSet(source)
         source[0] = 5
         assert rej.ranked.tolist() == [1, 0]
         with pytest.raises(ValueError):
             rej.ranked[0] = 3
 
     def test_value_equality_and_hash(self):
-        a = RejectionSet(np.array([2, 1]), 2, 1)
-        b = RejectionSet([2, 1], 2, 1)
+        a = RejectionSet(np.array([2, 1]))
+        b = RejectionSet([2, 1], fallback=False)
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-        assert a != RejectionSet([1, 2], 2, 1)
-        assert a != RejectionSet([2, 1], 0, 1)
-        assert a != RejectionSet([2, 1], 2, 2)
+        assert a != RejectionSet([1, 2])
+        assert a != RejectionSet([2, 1], fallback=True)
         assert a != "not a rejection set"
 
     def test_rejects_bad_shape_and_order(self):
         with pytest.raises(ValueError):
-            RejectionSet([[0, 1]], 2, 1)
+            RejectionSet([[0, 1]])
         with pytest.raises(ValueError):
-            RejectionSet([0.5], 1, 1)
+            RejectionSet([0.5])
         with pytest.raises(OutOfRangeError):
-            RejectionSet([0], 1, 0)
+            RejectionSet([0]).marginal_indices(0)
 
 
 class TestMarginalSet:
+    """The marginal set of a rank-r rejection, read at order k."""
+
     def test_identity_permutation(self):
         sv = sort_evidence(EvidenceVector.p_values([0.1, 0.2, 0.3, 0.4, 0.5]))
-        ms = marginal_set(sv, 5, 2)
-        assert ms.indices == frozenset({3, 4})
+        assert reject_by_rank(sv, 5).marginal_indices(2) == (4, 3)
 
     def test_permuted(self):
         # p = [0.3, 0.1, 0.2] sorts to perm (1, 2, 0); rank 2 is index 2
         sv = sort_evidence(EvidenceVector.p_values([0.3, 0.1, 0.2]))
-        assert marginal_set(sv, 2, 1).indices == frozenset({2})
-
-    @pytest.mark.parametrize("r,k", [(1, 2), (4, 1), (0, 1)])
-    def test_out_of_range(self, r, k):
-        sv = sort_evidence(EvidenceVector.p_values([0.1, 0.2, 0.3]))
-        with pytest.raises(OutOfRangeError):
-            marginal_set(sv, r, k)
+        assert reject_by_rank(sv, 2).marginal_indices(1) == (2,)
 
 
 class TestRejectByRank:
     def test_threshold_read(self):
         sv = sort_evidence(EvidenceVector.p_values([0.01, 0.04, 0.9]))
-        rej = reject_by_rank(sv, 2, 1)
+        rej = reject_by_rank(sv, 2)
         assert rej.indices == frozenset({0, 1})
-        assert rej.marginal_indices == (1,)
+        assert rej.marginal_indices(1) == (1,)
         assert rej.boundary_rank == 2
 
     def test_prefix_is_a_view_of_the_sort(self):
         sv = sort_evidence(EvidenceVector.p_values([0.5, 0.01, 0.04, 0.9]))
-        rej = reject_by_rank(sv, 2, 1)
+        rej = reject_by_rank(sv, 2)
         assert rej.ranked.tolist() == [1, 2]
         assert np.shares_memory(rej.ranked, sv.perm)
 
     def test_tie_pulls_both_in(self):
         sv = sort_evidence(EvidenceVector.p_values([0.02, 0.02, 0.9]))
-        rej = reject_by_rank(sv, 1, 1)
+        rej = reject_by_rank(sv, 1)
         assert rej.indices == frozenset({0, 1})
         # among tied boundary values the marginal is the larger original index
-        assert rej.marginal_indices == (1,)
+        assert rej.marginal_indices(1) == (1,)
         assert rej.boundary_rank == 2
 
     def test_rank_zero_is_empty(self):
         sv = sort_evidence(EvidenceVector.p_values([0.5, 0.1]))
-        rej = reject_by_rank(sv, 0, 1)
+        rej = reject_by_rank(sv, 0)
         assert rej.indices == frozenset()
-        assert rej.marginal_indices == ()
+        assert rej.marginal_indices(1) == ()
         assert rej.boundary_rank == 0
 
     def test_e_value_threshold(self):
         sv = sort_evidence(EvidenceVector.e_values([50.0, 25.0, 0.1]))
-        rej = reject_by_rank(sv, 2, 2)
+        rej = reject_by_rank(sv, 2)
         assert rej.indices == frozenset({0, 1})
-        assert rej.marginal_indices == (1, 0)
+        assert rej.marginal_indices(2) == (1, 0)
 
     def test_marginal_order_least_first(self):
         sv = sort_evidence(EvidenceVector.p_values([0.4, 0.1, 0.2, 0.3]))
-        rej = reject_by_rank(sv, 3, 2)
+        rej = reject_by_rank(sv, 3)
         # rejected {1, 2, 3}; least significant is 3 (p=0.3), then 2 (p=0.2)
-        assert rej.marginal_indices == (3, 2)
+        assert rej.marginal_indices(2) == (3, 2)
 
     def test_out_of_range(self):
         sv = sort_evidence(EvidenceVector.p_values([0.1, 0.2]))
         with pytest.raises(OutOfRangeError):
-            reject_by_rank(sv, 3, 1)
+            reject_by_rank(sv, 3)
         with pytest.raises(OutOfRangeError):
-            reject_by_rank(sv, -1, 1)
+            reject_by_rank(sv, -1)
 
 
 p_vectors = st.lists(
@@ -320,8 +317,7 @@ def test_rejection_nests_in_rank(values, data):
     m = sv.m
     r_hi = data.draw(st.integers(0, m))
     r_lo = data.draw(st.integers(0, r_hi))
-    k = data.draw(st.integers(1, 3))
-    assert reject_by_rank(sv, r_hi, k).indices >= reject_by_rank(sv, r_lo, k).indices
+    assert reject_by_rank(sv, r_hi).indices >= reject_by_rank(sv, r_lo).indices
 
 
 @given(p_vectors, st.data())
@@ -330,7 +326,8 @@ def test_marginal_set_inside_rejection(values, data):
     sv = sort_evidence(EvidenceVector.p_values(values))
     k = data.draw(st.integers(1, min(3, sv.m)))
     r = data.draw(st.integers(k, sv.m))
-    assert marginal_set(sv, r, k).indices <= reject_by_rank(sv, r, k).indices
+    # M_{r,k}: the k rank-consecutive indices ending at rank r
+    assert frozenset(sv.perm[r - k : r].tolist()) <= reject_by_rank(sv, r).indices
 
 
 @given(p_vectors, st.data())
@@ -342,8 +339,8 @@ def test_marginal_of_matches_rank_suffix(values, data):
     sv = sort_evidence(ev)
     k = data.draw(st.integers(1, 4))
     r = data.draw(st.integers(1, sv.m))
-    rej = reject_by_rank(sv, r, k)
-    assert marginal_of(ev, rej.indices, k) == rej.marginal_indices
+    rej = reject_by_rank(sv, r)
+    assert marginal_of(ev, rej.indices, k) == rej.marginal_indices(k)
 
 
 def test_significance_order_tie_rule():

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from kbfdr import (
     external_boundary,
     holm_k,
     local_test,
+    marginal_of,
     reject_by_rank,
     run_sample,
     significance_order,
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
-from kbfdr.local_tests import TestId, _e_closure_reduced
+from kbfdr.local_tests import RECORDS, TestId, _e_closure_reduced
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
@@ -201,7 +204,7 @@ class TestDominoP:
         rej = domino_p(EvidenceVector.p_values([0.2, 0.4, 0.9]), cfg)
         assert rej.indices == frozenset({0})
         assert rej.boundary_rank == 0
-        assert rej.marginal_indices == (0,)
+        assert rej.marginal_indices(2) == (0,)
 
     def test_kind_and_order_validation(self):
         cfg = DominoConfig(BONF1, 0.05)
@@ -434,7 +437,7 @@ E_LISTS = st.lists(
 
 
 def _outcome(rej):
-    return rej.indices, rej.boundary_rank, rej.marginal_indices
+    return rej.indices, rej.boundary_rank
 
 
 def _assert_matches_brute(decide, ev, cases, alpha):
@@ -582,9 +585,67 @@ class TestLShapedKernels:
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
             rej = decide(ev, DominoConfig(test, 0.1))
             if expected:
-                assert _outcome(rej) == _outcome(reject_by_rank(sv, expected, 1))
+                assert _outcome(rej) == _outcome(reject_by_rank(sv, expected))
             else:
                 assert rej.boundary_rank == 0
+
+    def test_e_mean_preselection_keeps_every_passing_rank(self):
+        # Scaled to where a decision flips, some member mean sits within
+        # rounding of 1/alpha, where the preselection's slack must cover the
+        # margin's rounding.  The kernel must still return the largest rank
+        # whose member check passes; the mean reduction adds every member
+        # sum in the kernel's order.
+        rng = np.random.default_rng(45)
+        scan = RECORDS[TestId.E_CLOSURE_K].scan
+        checked = 0
+        for _ in range(60):
+            m = int(rng.choice([2, 3, 5, 8]))
+            k = int(rng.integers(1, min(m, 3) + 1))
+            alpha = float(rng.choice([0.05, 0.2]))
+            base = rng.exponential(20.0, m)
+            rank_at = lambda s: scan(np.sort(base * s)[::-1], k, alpha)
+            lo, hi = 1e-3, 1e3
+            if rank_at(lo) == rank_at(hi):
+                continue
+            for _ in range(200):  # bisect down to adjacent doubles
+                mid = math.sqrt(lo * hi) if hi / lo > 1.001 else (lo + hi) / 2
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if rank_at(mid) == rank_at(lo) else (lo, mid)
+            for s in (lo, hi):
+                sv = e_view(base * s)
+                expected = next((r for r in range(m, k - 1, -1)
+                                 if domino_e_mean_reduction_check(sv, r, k, alpha).passed), 0)
+                assert rank_at(s) == expected, (base * s).tolist()
+                checked += 1
+        assert checked > 50
+
+
+class TestKernelsStayLinear:
+    """Evidence far from the threshold must not widen a kernel's preselection
+    slack until every rank becomes a candidate; each case took seconds when
+    it did."""
+
+    def test_harmonic_on_strong_signals(self):
+        # The 1e5-row U^4 evidence file of the CI size step.
+        rng = random.Random(0)
+        ev = EvidenceVector.p_values([rng.random() ** 4 for _ in range(100_000)])
+        start = time.perf_counter()
+        rej = domino_p(ev, DominoConfig(local_test("harmonic"), 0.05))
+        assert time.perf_counter() - start < 1.0
+        assert rej.size == 1214 and not rej.fallback
+
+    def test_e_mean_with_a_huge_e_value(self):
+        rng = np.random.default_rng(7)
+        m = 50_000
+        e = rng.exponential(1.0, m)
+        e[rng.random(m) < 0.1] += 25.0  # many ranks with a mean above 1/alpha
+        e[0] = 1e300
+        ev = EvidenceVector.e_values(e)
+        start = time.perf_counter()
+        rej = domino_e(ev, DominoConfig(local_test("eclosure", 1), 0.05))
+        assert time.perf_counter() - start < 1.0
+        assert rej.indices == frozenset({0}) and not rej.fallback
 
 
 class TestRejectionsArePrefixes:
@@ -605,12 +666,15 @@ class TestRejectionsArePrefixes:
             if test.id is TestId.HARMONIC_MEAN:
                 sets.append(domino_p_fast_harmonic(ev, alpha))
             if ev.kind is EvidenceKind.P_VALUE:
-                sets.append(bh(ev, alpha, k))
+                sets.append(bh(ev, alpha))
                 sets.append(holm_k(ev, k, alpha))
                 # a middle rank, so that ties at the boundary are absorbed
-                sets.append(external_boundary(ev, alpha, lambda v, a: v.size // 2, k))
+                sets.append(external_boundary(ev, alpha, lambda v, a: v.size // 2))
             for rej in sets:
                 assert tuple(rej.ranked) == significance_order(ev, rej.indices)
                 assert tuple(rej.ranked) == full_order[: rej.size]
+                for j in (1, 2, 3):
+                    assert rej.marginal_indices(j) == marginal_of(ev, rej.indices, j)
+                assert rej.boundary_rank == (0 if rej.fallback else rej.size)
                 checked += 1
         assert checked > 5000  # 1,000 evidence vectors, 3 to 7 sets each

@@ -22,11 +22,11 @@ from kbfdr import (
 )
 
 
-def rejection(ev: EvidenceVector, indices, k: int) -> RejectionSet:
-    return RejectionSet(significance_order(ev, indices), len(indices), k)
+def rejection(ev: EvidenceVector, indices) -> RejectionSet:
+    return RejectionSet(significance_order(ev, indices))
 
 
-EMPTY = RejectionSet((), 0, 1)
+EMPTY = RejectionSet(())
 
 
 TRUTH = GroundTruth([1, 1, 0])
@@ -35,20 +35,21 @@ EV = EvidenceVector.p_values([0.01, 0.02, 0.03])
 
 class TestKbfdrIndicator:
     def test_least_significant_null(self):
-        assert kbfdr_indicator(rejection(EV, {0, 1, 2}, 1), TRUTH, 1) == 1
+        assert kbfdr_indicator(rejection(EV, {0, 1, 2}), TRUTH, 1) == 1
 
     def test_marginal_pair_contains_alternative(self):
-        assert kbfdr_indicator(rejection(EV, {0, 1, 2}, 2), TRUTH, 2) == 0
+        assert kbfdr_indicator(rejection(EV, {0, 1, 2}), TRUTH, 2) == 0
 
     def test_small_sets_count_zero(self):
         assert kbfdr_indicator(EMPTY, TRUTH, 1) == 0
-        assert kbfdr_indicator(rejection(EV, {0}, 2), TRUTH, 2) == 0
+        assert kbfdr_indicator(rejection(EV, {0}), TRUTH, 2) == 0
 
     def test_order_one_set_serves_order_two(self):
-        # the set carries its whole rank order, so k=1 bookkeeping still
-        # yields the order-2 boundary: the last two rejections
-        rej = rejection(EV, {0, 1, 2}, 1)
-        assert rej.marginal_indices == (2,)
+        # the set carries its whole rank order, so the set an order-1
+        # procedure returns still yields the order-2 boundary: the last two
+        # rejections
+        rej = rejection(EV, {0, 1, 2})
+        assert rej.marginal_indices(1) == (2,)
         assert kbfdr_indicator(rej, TRUTH, 2) == 0  # pair {1, 2} holds theta=1
         assert kbfdr_indicator(rej, GroundTruth([1, 0, 0]), 2) == 1
 
@@ -60,17 +61,17 @@ class TestKbfdrIndicator:
             theta = GroundTruth((rng.random(m) < 0.5).astype(int))
             size = int(rng.integers(1, m + 1))
             idx = frozenset(int(j) for j in rng.choice(m, size=size, replace=False))
-            rej = rejection(ev, idx, 1)
-            boundary = rej.marginal_indices[0]
+            rej = rejection(ev, idx)
+            boundary = rej.marginal_indices(1)[0]
             assert kbfdr_indicator(rej, theta, 1) == int(theta.theta[boundary] == 0)
 
 
 class TestKfwerIndicator:
     def test_one_null_rejected(self):
-        assert kfwer_indicator(rejection(EV, {0, 1, 2}, 1), TRUTH, 1) == 1
+        assert kfwer_indicator(rejection(EV, {0, 1, 2}), TRUTH, 1) == 1
 
     def test_not_enough_nulls(self):
-        assert kfwer_indicator(rejection(EV, {0, 1, 2}, 2), TRUTH, 2) == 0
+        assert kfwer_indicator(rejection(EV, {0, 1, 2}), TRUTH, 2) == 0
 
     def test_empty(self):
         assert kfwer_indicator(EMPTY, TRUTH, 1) == 0
@@ -80,7 +81,7 @@ class TestRunSample:
     def test_counts(self):
         truth = GroundTruth([1, 0, 0])
         ev = EvidenceVector.p_values([0.01, 0.02, 0.9])
-        s = run_sample(rejection(ev, {0, 1}, 1), truth, ev, 1)
+        s = run_sample(rejection(ev, {0, 1}), truth, ev, 1)
         assert s.fdp == 0.5
         assert s.tdr == 0.5
         assert s.power == 1.0
@@ -94,7 +95,7 @@ class TestRunSample:
 
     def test_all_alternatives(self):
         truth = GroundTruth([1, 1, 1])
-        s = run_sample(rejection(EV, {0, 1, 2}, 1), truth, EV, 1)
+        s = run_sample(rejection(EV, {0, 1, 2}), truth, EV, 1)
         assert s.fdp == 0.0
         assert s.tdr == 1.0
         assert s.power == 1.0
@@ -107,16 +108,16 @@ class TestRunSample:
             truth = GroundTruth((rng.random(m) < 0.4).astype(int))
             size = int(rng.integers(0, m + 1))
             idx = frozenset(int(j) for j in rng.choice(m, size=size, replace=False))
-            s = run_sample(rejection(ev, idx, 1), truth, ev, 1)
+            s = run_sample(rejection(ev, idx), truth, ev, 1)
             assert s.fdp + s.tdr == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            run_sample(rejection(EV, {0}, 1), GroundTruth([0, 1]), EV, 1)
+            run_sample(rejection(EV, {0}), GroundTruth([0, 1]), EV, 1)
 
     def test_recomputes_marginals_for_any_k(self):
-        # a set built with k=1 bookkeeping still yields a valid order-2 sample
-        rej = rejection(EV, {0, 1, 2}, 1)
+        # any set yields a valid sample at any order: here order 2
+        rej = rejection(EV, {0, 1, 2})
         s = run_sample(rej, TRUTH, EV, 2)
         assert s.kbfdr_ind == 0  # marginal pair {1, 2} contains theta=1
 
@@ -131,7 +132,7 @@ class TestPointwiseOrdering:
             k = int(rng.integers(1, 4))
             size = int(rng.integers(0, m + 1))
             idx = frozenset(int(j) for j in rng.choice(m, size=size, replace=False))
-            rej = rejection(ev, idx, k)
+            rej = rejection(ev, idx)
             assert kbfdr_indicator(rej, truth, k) <= kfwer_indicator(rej, truth, k)
 
     def test_global_null_equality(self):
@@ -143,7 +144,7 @@ class TestPointwiseOrdering:
             k = int(rng.integers(1, 4))
             size = int(rng.integers(0, m + 1))
             idx = frozenset(int(j) for j in rng.choice(m, size=size, replace=False))
-            rej = rejection(ev, idx, k)
+            rej = rejection(ev, idx)
             assert kbfdr_indicator(rej, truth, k) == kfwer_indicator(rej, truth, k)
 
 
@@ -189,9 +190,8 @@ class TestMatchesSetReference:
         assume(order != significance_order(ev, range(m))[: len(order)])
         theta = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
         truth = GroundTruth(theta)
-        built_k = data.draw(st.integers(1, 4))
         k = data.draw(st.integers(1, 4))
-        rej = RejectionSet(order, len(order), built_k)
+        rej = RejectionSet(order)
         expected = reference_sample(ev, indices, theta, k)
         assert run_sample(rej, truth, ev, k) == expected
         assert kbfdr_indicator(rej, truth, k) == expected.kbfdr_ind

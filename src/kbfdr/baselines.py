@@ -7,6 +7,7 @@ to a boundary rank; no such procedure is built in.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -37,18 +38,35 @@ def bh(p: EvidenceVector, alpha: float) -> RejectionSet:
     _require_p(p, "bh")
     require_level(alpha)
     sv = sort_evidence(p)
-    rank_vals = sv.rank_values()
-    m = sv.m
-    thresholds = (np.arange(1, m + 1) * alpha) / m
-    passing = np.flatnonzero(rank_vals <= thresholds)
+    passing = np.flatnonzero(sv.rank_values() <= _bh_thresholds(sv.m, alpha))
     r = int(passing[-1]) + 1 if passing.size else 0
     return reject_by_rank(sv, r)
+
+
+@functools.lru_cache(maxsize=8)
+def _bh_thresholds(m: int, alpha: float) -> np.ndarray:
+    """BH's thresholds i*alpha/m for i = 1..m, read-only.
+
+    A simulation decides the same (m, alpha) once per replication, so they
+    are built once.
+    """
+    thresholds = (np.arange(1, m + 1) * alpha) / m
+    thresholds.flags.writeable = False
+    return thresholds
 
 
 def holm_critical_values(m: int, k: int, alpha: float) -> np.ndarray:
     """Step-down critical values: k*alpha/m for i <= k, then k*alpha/(m+k-i)."""
     i = np.arange(1, m + 1)
     return np.where(i <= k, k * alpha / m, k * alpha / (m + k - i))
+
+
+@functools.lru_cache(maxsize=8)
+def _holm_thresholds(m: int, k: int, alpha: float) -> np.ndarray:
+    """A read-only copy of ``holm_critical_values``, built once per (m, k, alpha)."""
+    crit = holm_critical_values(m, k, alpha)
+    crit.flags.writeable = False
+    return crit
 
 
 def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
@@ -63,9 +81,7 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sv = sort_evidence(p)
-    rank_vals = sv.rank_values()
-    crit = holm_critical_values(sv.m, k, alpha)
-    failing = np.flatnonzero(rank_vals > crit)
+    failing = np.flatnonzero(sv.rank_values() > _holm_thresholds(sv.m, k, alpha))
     r = int(failing[0]) if failing.size else sv.m
     return reject_by_rank(sv, r)
 

@@ -262,6 +262,11 @@ class GroundTruth:
     def m(self) -> int:
         return int(self.theta.size)
 
+    @functools.cached_property
+    def alternatives(self) -> int:
+        """The number of false nulls (theta = 1), counted on first use."""
+        return int(np.count_nonzero(self.theta))
+
 
 def sort_evidence(ev: EvidenceVector) -> SortedView:
     """Sort evidence by significance; stable under ties by original index.
@@ -273,12 +278,17 @@ def sort_evidence(ev: EvidenceVector) -> SortedView:
 
 
 def _tied_prefix_length(sv: SortedView, r: int) -> int:
-    """Number of ranks at least as significant as the value at rank r."""
-    vals = sv.ev.values
-    thresh = vals[sv.perm[r - 1]]
+    """Number of ranks at least as significant as the value at rank r.
+
+    Read off the rank values: r itself unless rank r+1 ties rank r, which
+    never happens on a tie-free vector.
+    """
+    vals = sv.rank_values()
+    if r == vals.size or vals[r] != vals[r - 1]:
+        return r
     if sv.ev.kind is EvidenceKind.P_VALUE:
-        return int(np.count_nonzero(vals <= thresh))
-    return int(np.count_nonzero(vals >= thresh))
+        return int(np.searchsorted(vals, vals[r - 1], side="right"))
+    return int(np.count_nonzero(vals >= vals[r - 1]))
 
 
 def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
@@ -286,10 +296,12 @@ def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
 
     Rejection is threshold-based, so ties at the boundary are absorbed even
     when that pushes |R|, and so ``boundary_rank``, beyond r.  r = 0 yields
-    the empty set.  Among tied boundary values the marginal indices, at any
-    order k, are taken by descending original index, which is what the
-    stable sorted order yields.  The returned ``ranked`` is a view of
-    ``sv.perm``, not a copy.
+    the empty set.  The tied ranks are found in ``sv.rank_values()``, which
+    must be monotone, as on every view :func:`sort_evidence` builds; a
+    boundary without a tie costs O(1).  Among tied boundary values the
+    marginal indices, at any order k, are taken by descending original
+    index, which is what the stable sorted order yields.  The returned
+    ``ranked`` is a view of ``sv.perm``, not a copy.
     """
     if r < 0 or r > sv.m:
         raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={sv.m}")

@@ -76,7 +76,7 @@ def _require_order(k: int) -> None:
 
 def _boundary_all_null(alt: np.ndarray, k: int) -> int:
     """The boundary event, given theta over the rejections in rank order."""
-    return int(alt.size >= k and not alt[alt.size - k :].any())
+    return int(alt.size >= k and not np.count_nonzero(alt[alt.size - k :]))
 
 
 def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
@@ -100,7 +100,10 @@ def run_sample(
     """Realized indicators and rates for one run.
 
     ``R.ranked`` lists the rejections in the significance order of
-    ``evidence``, so the boundary indicator reads its last k entries.
+    ``evidence``.  One gather of theta over it gives the true discoveries,
+    and the boundary indicator counts over its last k entries.  The number
+    of alternatives is the one cached on ``truth``, so a run costs
+    O(|R|), not O(m).
     """
     if evidence.m != truth.m:
         raise DimensionMismatchError(
@@ -111,10 +114,9 @@ def run_sample(
     n_rej = R.size
     n_true = int(np.count_nonzero(alt))
     n_false = n_rej - n_true
-    n_alt = int(np.count_nonzero(truth.theta))
     fdp = n_false / max(n_rej, 1)
     tdr = n_true / n_rej if n_rej >= 1 else 1.0
-    power = n_true / max(n_alt, 1)
+    power = n_true / max(truth.alternatives, 1)
     return RunSample(
         kbfdr_ind=_boundary_all_null(alt, k),
         kfwer_ind=int(n_false >= k),
@@ -125,12 +127,20 @@ def run_sample(
     )
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    # SE convention pinned by the frozen aggregation examples: population
-    # standard deviation over sqrt(n), so a single sample has SE 0.
-    mean = float(values.mean())
-    se = float(values.std(ddof=0) / math.sqrt(values.size))
-    return mean, se
+def _mean_se(rows: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each row of a C-contiguous 2-d array.
+
+    The ufunc steps are those of ``row.mean()`` and ``row.std(ddof=0)``,
+    and numpy sums each contiguous row pairwise, as it sums a 1-d array, so
+    the results equal the per-row calls bit for bit.  SE convention pinned
+    by the frozen aggregation examples: population standard deviation over
+    sqrt(n), so a single sample has SE 0.
+    """
+    n = rows.shape[1]
+    means = np.add.reduce(rows, axis=1) / n
+    dev = rows - means[:, None]
+    std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / n)
+    return means.tolist(), (std / math.sqrt(n)).tolist()
 
 
 # Each averaged report field (and its "_se") with the RunSample field it reads.
@@ -154,19 +164,23 @@ def aggregate(
     pi1: float = float("nan"),
     mu_c: float = float("nan"),
 ) -> MetricsReport:
-    """Per-metric mean and standard error over a list of run samples."""
+    """Per-metric mean and standard error over a list of run samples.
+
+    The averaged metrics form one (metrics x samples) array, one row per
+    metric, reduced in one pass along its rows.
+    """
     samples = list(samples)
     if not samples:
         raise EmptyInputError("no samples to aggregate")
+    read = attrgetter(*(source for _, source in _AVERAGED))
+    rows = np.array(list(zip(*map(read, samples))), dtype=float)
+    means, ses = _mean_se(rows)
     stats = {}
-    for field, source in _AVERAGED:
-        # A 1-d array per metric: numpy sums it pairwise, while an axis of a
-        # 2-d array is added in another order and can round differently.
-        values = np.array(list(map(attrgetter(source), samples)), dtype=float)
-        stats[field], stats[f"{field}_se"] = _mean_se(values)
+    for (field, _), mean, se in zip(_AVERAGED, means, ses):
+        stats[field], stats[f"{field}_se"] = mean, se
     nonempty_tdr = [s.tdr for s in samples if s.rejections >= 1]
     if nonempty_tdr:
-        tdr_ne_m, tdr_ne_s = _mean_se(np.array(nonempty_tdr, dtype=float))
+        [tdr_ne_m], [tdr_ne_s] = _mean_se(np.array([nonempty_tdr], dtype=float))
     else:
         tdr_ne_m, tdr_ne_s = float("nan"), float("nan")
     return MetricsReport(

@@ -14,6 +14,7 @@ i, so instances depend only on (seed, i) and the distribution parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -85,10 +86,12 @@ class SimScenario:
             raise ValueError(f"mu_c must be finite, got {self.mu_c}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        # The e-values square both.
+        # The e-values square both, and divide by the square of sigma.
         for name, value in (("mu_c", self.mu_c), ("sigma", self.sigma)):
             if math.isinf(value * value):
                 raise ValueError(f"{name} must have a finite square, got {value}")
+        if self.sigma * self.sigma == 0.0:
+            raise ValueError(f"sigma must have a nonzero square, got {self.sigma}")
         lo = -1.0 / (self.m - 1) if self.m > 1 else 0.0
         if not lo - 1e-12 <= self.rho < 1.0:
             raise InvalidRhoError(
@@ -111,12 +114,26 @@ class SimScenario:
 
 @dataclass(frozen=True, eq=False)
 class SimInstance:
-    """One simulated dataset: observations, both evidence kinds, and truth."""
+    """One simulated dataset: observations, both evidence kinds, and truth.
+
+    The p-values are built with the instance.  The e-values are built from
+    ``x`` and the scenario's ``mu_c`` and ``sigma`` on first read and then
+    kept, so a replication whose procedures all read p-values never
+    computes them.
+    """
 
     x: np.ndarray
     pvalues: EvidenceVector
-    evalues: EvidenceVector
     truth: GroundTruth
+    scenario: SimScenario
+
+    @functools.cached_property
+    def evalues(self) -> EvidenceVector:
+        """The likelihood ratios exp((mu_c x - mu_c^2 / 2) / sigma^2)."""
+        sc = self.scenario
+        with np.errstate(over="ignore"):
+            evals = np.exp((sc.mu_c * self.x - 0.5 * sc.mu_c**2) / sc.sigma**2)
+        return EvidenceVector.e_values(evals)
 
 
 class SignalMeanError(RuntimeError):
@@ -175,14 +192,12 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
     if n_alt:
         mu[theta == 1] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, n_alt)
     x = mu + _equicorrelated_noise(rng, sc.m, sc.sigma, sc.rho)
-    pvals = ndtr(-x / sc.sigma)
-    with np.errstate(over="ignore"):
-        evals = np.exp((sc.mu_c * x - 0.5 * sc.mu_c**2) / sc.sigma**2)
+    x.flags.writeable = False  # the e-values are read from it later
     return SimInstance(
         x=x,
-        pvalues=EvidenceVector.p_values(pvals),
-        evalues=EvidenceVector.e_values(evals),
+        pvalues=EvidenceVector.p_values(ndtr(-x / sc.sigma)),
         truth=GroundTruth(theta),
+        scenario=sc,
     )
 
 

@@ -7,8 +7,11 @@ from kbfdr import (
     external_boundary,
     holm_critical_values,
     holm_k,
+    reject_by_rank,
     run_sample,
+    sort_evidence,
 )
+from kbfdr.baselines import _bh_thresholds, _holm_thresholds
 from kbfdr.simulate import SimScenario, gen_instance
 
 
@@ -83,6 +86,53 @@ class TestHolmK:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             holm_k(EvidenceVector.p_values([0.1]), 0, 0.05)
+
+
+def _uncached_bh(ev, alpha):
+    sv = sort_evidence(ev)
+    thresholds = (np.arange(1, sv.m + 1) * alpha) / sv.m
+    passing = np.flatnonzero(sv.rank_values() <= thresholds)
+    return reject_by_rank(sv, int(passing[-1]) + 1 if passing.size else 0)
+
+
+def _uncached_holm(ev, k, alpha):
+    sv = sort_evidence(ev)
+    failing = np.flatnonzero(sv.rank_values() > holm_critical_values(sv.m, k, alpha))
+    return reject_by_rank(sv, int(failing[0]) if failing.size else sv.m)
+
+
+class TestCachedThresholds:
+    def test_caches_are_read_only_and_shared(self):
+        bh_t = _bh_thresholds(50, 0.05)
+        holm_t = _holm_thresholds(50, 2, 0.05)
+        for cached in (bh_t, holm_t):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+        assert _bh_thresholds(50, 0.05) is bh_t
+        assert _holm_thresholds(50, 2, 0.05) is holm_t
+
+    def test_public_critical_values_stay_a_fresh_writable_array(self):
+        cached = _holm_thresholds(30, 3, 0.1)
+        fresh = holm_critical_values(30, 3, 0.1)
+        assert fresh.flags.writeable and fresh is not cached
+        assert fresh.tobytes() == cached.tobytes()
+        fresh[:] = 1.0
+        assert _holm_thresholds(30, 3, 0.1)[0] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 1000])
+    def test_decisions_equal_the_uncached_formulas(self, m):
+        rng = np.random.default_rng(m)
+        # Each (m, k, alpha) comes round three times, so later rounds read
+        # the cached thresholds.
+        for _ in range(3):
+            p = rng.random(m) ** 4
+            p[rng.random(m) < 0.2] = rng.choice([0.0, 0.01, 1.0])
+            ev = EvidenceVector.p_values(p)
+            for alpha in (0.01, 0.05, 0.2):
+                assert bh(ev, alpha) == _uncached_bh(ev, alpha)
+                for k in {1, 2, min(5, m)}:
+                    assert holm_k(ev, k, alpha) == _uncached_holm(ev, k, alpha)
 
 
 class TestExternalPlugin:

@@ -268,8 +268,12 @@ class TestSimulate:
             ("mu_c = 3.0", "mu_c = 1e200", "mu_c must have a finite square, got 1e+200"),
             ("sigma = 1.0", "sigma = 1e200",
              "sigma must have a finite square, got 1e+200"),
+            # The square underflows to 0, and the e-values divide by it.
+            pytest.param("sigma = 1.0", "sigma = 1e-200",
+                         "sigma must have a nonzero square, got 1e-200",
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
         ],
-        ids=["mu_c-minus-50", "mu_c-1e200", "sigma-1e200"],
+        ids=["mu_c-minus-50", "mu_c-1e200", "sigma-1e200", "sigma-1e-200"],
     )
     def test_extreme_finite_scenario_value_exits_2(self, tmp_path, capsys, old, new,
                                                    message):

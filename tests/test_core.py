@@ -15,7 +15,9 @@ from kbfdr import (
     significance_order,
     sort_evidence,
 )
+from kbfdr.core import _tied_prefix_length
 from kbfdr.simulate import SimScenario, gen_instance
+from kbfdr.validation import _edge_evidence
 
 
 class TestEvidenceVector:
@@ -125,6 +127,40 @@ def test_sort_is_the_stable_argsort(draw, m):
     assert ranked.tobytes() == ev.values[ev.perm].tobytes()
     assert not ranked.flags.writeable
     assert sort_evidence(ev).rank_values() is ranked
+
+
+def _counted_prefix_length(sv, r):
+    """The tied prefix as a count over the unsorted values, O(m) per rank."""
+    vals = sv.ev.values
+    thresh = vals[sv.perm[r - 1]]
+    if sv.ev.kind is EvidenceKind.P_VALUE:
+        return int(np.count_nonzero(vals <= thresh))
+    return int(np.count_nonzero(vals >= thresh))
+
+
+def _tie_corpus():
+    for draw, (kind, values) in _SORT_DRAWS.items():
+        for m in (1, 2, 17, 100):
+            ev = EvidenceVector(kind, values(np.random.default_rng(m), m))
+            yield pytest.param(ev, id=f"{draw}-{m}")
+    rng = np.random.default_rng(7)
+    for kind in EvidenceKind:
+        for m in (1, 3, 12, 40, 200):
+            ev = EvidenceVector(kind, _edge_evidence(rng, m, kind))
+            yield pytest.param(ev, id=f"edge-{kind.value}-{m}")
+    yield pytest.param(EvidenceVector.p_values([0.0, -0.0, 0.0, 0.5, -0.0, 1.0]),
+                       id="p-signed-zeros-adjacent")
+    yield pytest.param(EvidenceVector.e_values([-0.0, 0.0, np.inf, -0.0, 2.0]),
+                       id="e-signed-zeros-adjacent")
+
+
+@pytest.mark.parametrize("ev", list(_tie_corpus()))
+def test_tied_prefix_length_equals_a_count(ev):
+    """Read off the rank values, the tied prefix at every rank equals the
+    count over the unsorted values."""
+    sv = sort_evidence(ev)
+    for r in range(1, ev.m + 1):
+        assert _tied_prefix_length(sv, r) == _counted_prefix_length(sv, r), r
 
 
 def test_sort_orders_a_lone_tied_pair_by_index():

@@ -100,6 +100,24 @@ class TestGenInstance:
         assert inst.evalues.kind is EvidenceKind.E_VALUE
 
 
+class TestLazyEvalues:
+    def test_p_value_procedures_never_build_them(self):
+        sc = scenario(m=200)
+        inst = gen_instance(sc, 0)
+        for token in ("bh", "holm:1", "holm:2", "simes:1", "bonferroni:2"):
+            make_procedure(token).run(inst, sc)
+        assert "evalues" not in vars(inst)
+
+    def test_first_read_is_the_likelihood_ratio(self):
+        sc = scenario(sigma=0.7, mu_c=2.5)
+        inst = gen_instance(sc, 4)
+        expected = np.exp((sc.mu_c * inst.x - 0.5 * sc.mu_c**2) / sc.sigma**2)
+        first = inst.evalues
+        assert first.values.tobytes() == expected.tobytes()
+        assert inst.evalues is first
+        assert not inst.x.flags.writeable
+
+
 class TestTruncatedNormal:
     def test_strictly_positive(self):
         rng = np.random.Generator(np.random.PCG64(1))

@@ -1,8 +1,10 @@
 """Classical comparison procedures: BH step-up and generalized Holm step-down.
 
-Both reject a prefix of the significance ranking.  An external boundary
-procedure can be plugged in as a function mapping (sorted p-values, alpha)
-to a boundary rank; no such procedure is built in.
+Both reject a prefix of the significance ranking, and neither can reject a
+p-value above its last critical value, so both sort only the head of the
+ranking at or below it.  An external boundary procedure can be plugged in
+as a function mapping (sorted p-values, alpha) to a boundary rank; no such
+procedure is built in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     reject_by_rank,
     require_level,
     sort_evidence,
+    sort_head,
 )
 
 RankSelector = Callable[[np.ndarray, float], int]
@@ -32,13 +35,17 @@ def _require_p(p: EvidenceVector, name: str) -> None:
 def bh(p: EvidenceVector, alpha: float) -> RejectionSet:
     """Benjamini-Hochberg step-up: r = max{i : p_(i) <= i*alpha/m}.
 
-    The decision has no boundary order; read the marginal set of any order
-    k off the result with ``marginal_indices(k)``.
+    Only the head of the order at or below the last threshold, m*alpha/m
+    as a float, is sorted: a rank beyond it has p_(i) above every
+    threshold, so r lies in the head.  The decision has no boundary order;
+    read the marginal set of any order k off the result with
+    ``marginal_indices(k)``.
     """
     _require_p(p, "bh")
     require_level(alpha)
-    sv = sort_evidence(p)
-    passing = np.flatnonzero(sv.rank_values() <= _bh_thresholds(sv.m, alpha))
+    thresholds = _bh_thresholds(p.m, alpha)
+    sv = sort_head(p, float(thresholds[-1]))
+    passing = np.flatnonzero(sv.rank_values() <= thresholds[: sv.perm.size])
     r = int(passing[-1]) + 1 if passing.size else 0
     return reject_by_rank(sv, r)
 
@@ -74,15 +81,21 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
 
     Rejects ranks 1..r where r is the longest prefix with p_(i) <= c_i
     throughout.  The critical values are increasing, so ties never straddle
-    the boundary and the prefix equals the threshold set.
+    the boundary and the prefix equals the threshold set.  Only the head of
+    the order at or below the last critical value c_m is sorted (c_m is
+    k*alpha/k for k <= m, and k*alpha/m > alpha for k > m): the first rank
+    beyond the head fails, so a head without a failing rank gives
+    r = |head|.
     """
     _require_p(p, "holm_k")
     require_level(alpha)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    sv = sort_evidence(p)
-    failing = np.flatnonzero(sv.rank_values() > _holm_thresholds(sv.m, k, alpha))
-    r = int(failing[0]) if failing.size else sv.m
+    crit = _holm_thresholds(p.m, k, alpha)
+    sv = sort_head(p, float(crit[-1]))
+    held = sv.perm.size
+    failing = np.flatnonzero(sv.rank_values() > crit[:held])
+    r = int(failing[0]) if failing.size else held
     return reject_by_rank(sv, r)
 
 

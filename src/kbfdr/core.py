@@ -7,8 +7,10 @@ index.  Each evidence vector is sorted once, on first use, by numpy's default
 argsort; only if that left equal values out of index order are the runs of
 equal values put back in index order.  The permutation and the values in
 rank order are cached on it as read-only arrays that every procedure
-shares.  Ranks are 1-based throughout the public API; hypothesis indices
-are 0-based.
+shares.  A procedure that can reject only p-values at or below a cut sorts
+just that head of the order (:func:`sort_head`); a later full sort keeps
+the cached head and sorts only the rest.  Ranks are 1-based throughout the
+public API; hypothesis indices are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -16,8 +18,10 @@ Its k least significant members, which the boundary error reads, are the
 last k entries.
 
 Everything here is immutable after construction and all operations are pure,
-so concurrent use needs no coordination; threads racing on the first use of
-a cached sort at worst sort twice and keep equal permutations.
+so concurrent use needs no coordination.  The sorts are cached by a plain
+check-then-set on the instance dict, without a lock: threads racing on the
+first use of a cached sort at worst sort twice and keep equal arrays, and
+no thread waits for the sort of another vector.
 """
 
 from __future__ import annotations
@@ -71,6 +75,39 @@ def require_rank(m: int, r: int, k: int) -> None:
         raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={m}")
 
 
+def _stable_order(values: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The stable significance order of ``values`` and the values in it.
+
+    numpy's default argsort is not stable, but without a tie the sorted
+    order is unique, so it equals the stable one.  Under ties (-0.0 and 0.0
+    included) it can misorder positions only within a run of equal values.
+    If it did, sorting the (run number, position) pairs, packed into one
+    int64 as run * n + position (exact for n < 3e9), puts every run in
+    ascending position order, which is the stable order.
+    """
+    perm = np.argsort(-values if descending else values)
+    ranked = values[perm]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any() and (tied & (perm[1:] < perm[:-1])).any():
+        run = np.concatenate(([0], np.cumsum(~tied))) * perm.size
+        perm = np.sort(run + perm) - run
+        ranked = values[perm]
+    return perm, ranked
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _cut_at(order: tuple[np.ndarray, np.ndarray], cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix of an ascending (perm, rank values) pair at or below cut."""
+    perm, ranked = order
+    n = int(ranked.searchsorted(cut, side="right"))
+    return perm[:n], ranked[:n]
+
+
 class EvidenceKind(enum.Enum):
     P_VALUE = "p"
     E_VALUE = "e"
@@ -107,28 +144,39 @@ class EvidenceVector:
     def m(self) -> int:
         return int(self.values.size)
 
-    @functools.cached_property
-    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rank_order(self, cut: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The permutation and the values in rank order, both read-only.
 
-        numpy's default argsort is not stable, but without a tie the sorted
-        order is unique, so it equals the stable one.  Under ties (-0.0 and
-        0.0 included) it can misorder indices only within a run of equal
-        values.  If it did, sorting the (run number, index) pairs, packed
-        into one int64 as run * m + index (exact for m < 3e9), puts every
-        run in ascending index order, which is the stable order.
+        With ``cut``, only the head at or below it (see :func:`sort_head`).
+        A full sort after a head sorts only the values beyond the head's
+        cut and appends them, so no value is sorted twice.
         """
-        key = self.values if self.kind is EvidenceKind.P_VALUE else -self.values
-        perm = np.argsort(key)
-        ranked = self.values[perm]
-        tied = ranked[1:] == ranked[:-1]
-        if tied.any() and (tied & (perm[1:] < perm[:-1])).any():
-            run = np.concatenate(([0], np.cumsum(~tied))) * perm.size
-            perm = np.sort(run + perm) - run
-            ranked = self.values[perm]
-        perm.flags.writeable = False
-        ranked.flags.writeable = False
-        return perm, ranked
+        cache = self.__dict__
+        full = cache.get("_full_order")
+        if full is not None:
+            return full if cut is None else _cut_at(full, cut)
+        head = cache.get("_head_order")
+        if cut is None:
+            full = cache["_full_order"] = _read_only(*self._sort_all(head))
+            cache.pop("_head_order", None)
+            return full
+        if head is not None and head[0] >= cut:
+            return head[1:] if head[0] == cut else _cut_at(head[1:], cut)
+        idx = np.flatnonzero(self.values <= cut)
+        local, ranked = _stable_order(self.values[idx], descending=False)
+        head = (float(cut), *_read_only(idx[local], ranked))
+        cache["_head_order"] = head
+        return head[1:]
+
+    def _sort_all(self, head) -> tuple[np.ndarray, np.ndarray]:
+        """The full order, given a cached head (cut, perm, rank values) or None."""
+        if head is None:
+            return _stable_order(self.values, self.kind is EvidenceKind.E_VALUE)
+        cut, head_perm, head_ranked = head
+        rest = np.flatnonzero(self.values > cut)
+        local, ranked = _stable_order(self.values[rest], descending=False)
+        return (np.concatenate((head_perm, rest[local])),
+                np.concatenate((head_ranked, ranked)))
 
     @property
     def perm(self) -> np.ndarray:
@@ -139,7 +187,7 @@ class EvidenceVector:
         numpy's default argsort of the evidence, with any run of equal
         values that sort left out of index order put back in index order.
         """
-        return self._order[0]
+        return self._rank_order()[0]
 
     @classmethod
     def p_values(cls, values) -> "EvidenceVector":
@@ -152,26 +200,33 @@ class EvidenceVector:
 
 @dataclass(frozen=True, eq=False)
 class SortedView:
-    """A significance ordering of an evidence vector.
+    """The most significant ranks of an evidence vector, in significance order.
 
     ``perm[i]`` is the 0-based original index of the hypothesis at 1-based
     rank i+1.  Rank 1 is the most significant hypothesis (smallest p-value or
-    largest e-value); ties are broken by ascending original index.
+    largest e-value); ties are broken by ascending original index.  The view
+    holds every rank (:func:`sort_evidence`) or a head of them
+    (:func:`sort_head`), so ``perm`` can be shorter than ``m``, which stays
+    the number of hypotheses.  ``sorted_values`` are the values at the ranks
+    held; a hand-built view may leave them out.
     """
 
     ev: EvidenceVector
     perm: np.ndarray
+    sorted_values: np.ndarray | None = None
 
     def rank_values(self) -> np.ndarray:
-        """Evidence values in rank order (monotone for the kind).
+        """Evidence values in rank order (monotone for the kind), one per
+        rank held.
 
-        For the view :func:`sort_evidence` builds, this is the read-only
-        array cached with the permutation, shared by every procedure run on
-        the same evidence vector.
+        For the views :func:`sort_evidence` and :func:`sort_head` build,
+        this is the read-only array cached with the permutation, shared by
+        every procedure run on the same evidence vector.  A view without
+        ``sorted_values`` gathers them through ``perm``.
         """
-        if self.perm is self.ev.perm:
-            return self.ev._order[1]
-        return self.ev.values[self.perm]
+        if self.sorted_values is None:
+            return self.ev.values[self.perm]
+        return self.sorted_values
 
     @property
     def m(self) -> int:
@@ -274,14 +329,29 @@ def sort_evidence(ev: EvidenceVector) -> SortedView:
     The permutation is the one cached on ``ev``, so procedures that share an
     evidence vector share one sort.
     """
-    return SortedView(ev, ev.perm)
+    return SortedView(ev, *ev._rank_order())
+
+
+def sort_head(ev: EvidenceVector, cut: float) -> SortedView:
+    """The head of a p-value order: the ranks whose p-value is at most cut.
+
+    It is the :func:`sort_evidence` order cut short, for a procedure that
+    can reject only p-values at or below ``cut``.  Every p-value outside the
+    head exceeds the cut, so no tie straddles the head's end.  The head is
+    cut from the vector's cached full order, or from a cached head of a
+    cut at least as large; otherwise only the head is sorted, and it is
+    cached for later heads and for a later full sort.
+    """
+    return SortedView(ev, *ev._rank_order(cut))
 
 
 def _tied_prefix_length(sv: SortedView, r: int) -> int:
     """Number of ranks at least as significant as the value at rank r.
 
     Read off the rank values: r itself unless rank r+1 ties rank r, which
-    never happens on a tie-free vector.
+    never happens on a tie-free vector.  On a head view, rank r+1 is
+    outside the view when r is its last rank, and it is then strictly less
+    significant, since the head holds every value at or below its cut.
     """
     vals = sv.rank_values()
     if r == vals.size or vals[r] != vals[r - 1]:
@@ -298,13 +368,19 @@ def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
     when that pushes |R|, and so ``boundary_rank``, beyond r.  r = 0 yields
     the empty set.  The tied ranks are found in ``sv.rank_values()``, which
     must be monotone, as on every view :func:`sort_evidence` builds; a
-    boundary without a tie costs O(1).  Among tied boundary values the
-    marginal indices, at any order k, are taken by descending original
-    index, which is what the stable sorted order yields.  The returned
-    ``ranked`` is a view of ``sv.perm``, not a copy.
+    boundary without a tie costs O(1).  r must be a rank the view holds,
+    which on a :func:`sort_head` view can be fewer than m; every value
+    beyond a head's last rank is less significant, so the result is the one
+    the full view gives.  Among tied boundary values the marginal indices,
+    at any order k, are taken by descending original index, which is what
+    the stable sorted order yields.  The returned ``ranked`` is a view of
+    ``sv.perm``, not a copy.
     """
-    if r < 0 or r > sv.m:
-        raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={sv.m}")
+    held = sv.perm.size
+    if r < 0 or r > held:
+        raise OutOfRangeError(
+            f"need 0 <= r <= {held}, the ranks the view holds, got r={r}, m={sv.m}"
+        )
     return RejectionSet(sv.perm[: _tied_prefix_length(sv, r) if r else 0])
 
 

@@ -135,6 +135,64 @@ class TestCachedThresholds:
                     assert holm_k(ev, k, alpha) == _uncached_holm(ev, k, alpha)
 
 
+class TestHeadSort:
+    """bh and holm_k sort only the p-values at or below their last critical
+    value, read as a float."""
+
+    def test_bh_cuts_at_its_last_threshold_not_at_alpha(self):
+        # 0.1 * 3 / 3 rounds to 0.10000000000000002, above alpha.
+        assert _bh_thresholds(3, 0.1)[-1] == 0.10000000000000002
+        rej = bh(EvidenceVector.p_values([0.10000000000000002] * 3), 0.1)
+        assert rej.ranked.tolist() == [0, 1, 2]
+
+    def test_holm_cuts_above_alpha_when_k_exceeds_m(self):
+        # For k > m every critical value is k * alpha / m.
+        rej = holm_k(EvidenceVector.p_values([0.15] * 3), 5, 0.1)
+        assert rej.ranked.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100])
+    def test_decisions_equal_the_full_order_formulas(self, m):
+        """On a tie-heavy corpus: values at, just below and just above every
+        cut and threshold, -0.0 next to 0.0, and p in {0, 1}."""
+        rng = np.random.default_rng(100 + m)
+        for alpha in (0.05, 0.1):
+            cuts = [_bh_thresholds(m, alpha)[-1]]
+            cuts += [_holm_thresholds(m, k, alpha)[-1] for k in range(1, 6)]
+            cuts = np.array(cuts)
+            thresholds = np.concatenate(
+                (_bh_thresholds(m, alpha), _holm_thresholds(m, 2, alpha), cuts)
+            )
+            support = np.concatenate((
+                [-0.0, 0.0, 1.0],
+                thresholds,
+                np.nextafter(cuts, 0.0),
+                np.nextafter(cuts, 1.0),
+            ))
+            for _ in range(20):
+                values = rng.choice(support, m)
+                if rng.random() < 0.5:
+                    values[rng.random(m) < 0.5] = rng.random()
+                stable = np.argsort(values, kind="stable")
+                calls = [("bh", None)] + [("holm", k) for k in range(1, 6)]
+                # One shared vector per call order, so heads are sorted
+                # alone, cut from a larger head and cut from a full order.
+                for order, sort_first in ((calls, False), (calls[::-1], False),
+                                          (calls, True)):
+                    shared = EvidenceVector.p_values(values)
+                    if sort_first:
+                        sort_evidence(shared)
+                    for name, k in order:
+                        full = EvidenceVector.p_values(values)
+                        if name == "bh":
+                            got, want = bh(shared, alpha), _uncached_bh(full, alpha)
+                        else:
+                            got = holm_k(shared, k, alpha)
+                            want = _uncached_holm(full, k, alpha)
+                        assert got == want, (name, k, values.tolist())
+                        assert got.ranked.tobytes() == stable[: got.size].tobytes()
+                    assert shared.perm.tobytes() == stable.tobytes()
+
+
 class TestExternalPlugin:
     def test_rank_selector_contract(self):
         # a selector replicating the BH boundary must reproduce bh()

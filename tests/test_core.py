@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from kbfdr import (
     significance_order,
     sort_evidence,
 )
-from kbfdr.core import _tied_prefix_length
+from kbfdr import core
+from kbfdr.core import _tied_prefix_length, sort_head
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import _edge_evidence
 
@@ -173,6 +176,111 @@ def test_sort_orders_a_lone_tied_pair_by_index():
         values[j] = values[i]
         ev = EvidenceVector.p_values(values)
         assert np.array_equal(ev.perm, np.argsort(values, kind="stable")), seed
+
+
+def _p_corpus():
+    return [param for param in _tie_corpus()
+            if param.values[0].kind is EvidenceKind.P_VALUE]
+
+
+@pytest.mark.parametrize("ev", _p_corpus())
+def test_a_head_is_the_full_order_cut_short(ev):
+    """Every head, whether sorted alone or cut from a cached head or from
+    the full order, is the prefix of the stable order at or below its cut,
+    and a full sort after the heads is the stable order."""
+    values = ev.values
+    stable = np.argsort(values, kind="stable")
+    cuts = sorted({*values.tolist(), *np.nextafter(values, -1.0).tolist(),
+                   -0.0, 0.05, 1.0})
+
+    def check(vec, cut):
+        sv = sort_head(vec, cut)
+        n = int(np.count_nonzero(values <= cut))
+        assert sv.perm.tobytes() == stable[:n].tobytes(), cut
+        # Compared as bits, so -0.0 and 0.0 differ.
+        assert sv.rank_values().tobytes() == values[stable[:n]].tobytes(), cut
+        assert not sv.perm.flags.writeable
+        assert not sv.rank_values().flags.writeable
+        assert sv.m == vec.m
+
+    # Rising cuts sort a larger head each time; falling cuts are served
+    # from the first, largest head.
+    for order in (cuts, cuts[::-1]):
+        vec = EvidenceVector.p_values(values)
+        for cut in order:
+            check(vec, cut)
+        assert vec.perm.tobytes() == stable.tobytes()
+        assert sort_evidence(vec).rank_values().tobytes() == values[stable].tobytes()
+        for cut in order:
+            check(vec, cut)
+
+
+def test_a_full_sort_after_a_head_sorts_only_the_rest(monkeypatch):
+    sizes = []
+    stable_order = core._stable_order
+
+    def counted(values, descending):
+        sizes.append(values.size)
+        return stable_order(values, descending)
+
+    monkeypatch.setattr(core, "_stable_order", counted)
+    values = np.round(np.random.default_rng(3).random(1000) ** 2, 3)
+    ev = EvidenceVector.p_values(values)
+    n = sort_head(ev, 0.05).perm.size
+    sort_head(ev, 0.01)  # cut from the cached head
+    assert sizes == [n]
+    assert ev.perm.tobytes() == np.argsort(values, kind="stable").tobytes()
+    sort_head(ev, 0.5)  # cut from the full order
+    assert sizes == [n, 1000 - n]
+
+
+def test_reject_by_rank_takes_only_the_ranks_a_head_holds():
+    values = [0.3, 0.01, 0.02, 0.02, 0.9]
+    head = sort_head(EvidenceVector.p_values(values), 0.02)
+    full = sort_evidence(EvidenceVector.p_values(values))
+    assert (head.perm.size, head.m) == (3, 5)
+    for r in range(4):
+        assert reject_by_rank(head, r) == reject_by_rank(full, r), r
+    with pytest.raises(OutOfRangeError):
+        reject_by_rank(head, 4)
+
+
+def test_a_sort_in_progress_does_not_hold_up_another_vector(monkeypatch):
+    """While one thread sorts a vector, another vector's first sort and
+    first head still finish: the caches take no lock."""
+    entered, release = threading.Event(), threading.Event()
+    stable_order = core._stable_order
+
+    def blocking(values, descending):
+        if values.size == 5:  # only the slow vector has five values
+            entered.set()
+            release.wait(10)
+        return stable_order(values, descending)
+
+    monkeypatch.setattr(core, "_stable_order", blocking)
+    slow = EvidenceVector.p_values([0.5, 0.4, 0.3, 0.2, 0.1])
+    sorter = threading.Thread(target=lambda: slow.perm, daemon=True)
+    sorter.start()
+    try:
+        assert entered.wait(10)
+        done = []
+        fast = EvidenceVector.p_values([0.2, 0.1])
+        reader = threading.Thread(
+            target=lambda: done.append(
+                (fast.perm.tolist(), sort_head(EvidenceVector.p_values([0.3, 0.1]), 0.2)
+                 .perm.tolist())
+            ),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(5)
+        assert not reader.is_alive()
+        assert done == [([1, 0], [1])]
+    finally:
+        release.set()
+        sorter.join(10)
+    assert not sorter.is_alive()
+    assert slow.perm.tolist() == [4, 3, 2, 1, 0]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -16,6 +19,7 @@ from kbfdr import (
     local_test,
     make_procedure,
     run_grid,
+    run_sample,
     substream_seed,
 )
 from kbfdr.simulate import CSV_HEADER, SimScenario, _truncated_positive_normal
@@ -116,6 +120,30 @@ class TestLazyEvalues:
         assert first.values.tobytes() == expected.tobytes()
         assert inst.evalues is first
         assert not inst.x.flags.writeable
+
+
+def test_no_reference_cycle_through_the_sort_caches():
+    """With the cycle collector off, dropping an instance frees it and both
+    its evidence vectors after every procedure has run on them: no cache
+    refers back to the vector it is kept on."""
+    sc = scenario(m=60, pi1=0.3)
+    tokens = ("bh", "holm:1", "holm:2", "simes:1", "harmonic:1", "eavg:1",
+              "bonferroni:1", "bonferroni:2", "eclosure:1", "eclosure:2")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        inst = gen_instance(sc, 3)
+        for token in tokens:
+            proc = make_procedure(token)
+            p_kind = proc.evidence_kind is EvidenceKind.P_VALUE
+            evidence = inst.pvalues if p_kind else inst.evalues
+            run_sample(proc.run(inst, sc), inst.truth, evidence, proc.order(sc))
+        refs = [weakref.ref(obj) for obj in (inst, inst.pvalues, inst.evalues)]
+        del inst, evidence
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestTruncatedNormal:

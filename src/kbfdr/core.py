@@ -8,9 +8,8 @@ argsort; only if that left equal values out of index order are the runs of
 equal values put back in index order.  The permutation and the values in
 rank order are cached on it as read-only arrays that every procedure
 shares.  A procedure that can reject only p-values at or below a cut sorts
-just that head of the order (:func:`sort_head`); a later full sort keeps
-the cached head and sorts only the rest.  Ranks are 1-based throughout the
-public API; hypothesis indices are 0-based.
+just that head of the order (:func:`sort_head`).  Ranks are 1-based
+throughout the public API; hypothesis indices are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -20,8 +19,8 @@ last k entries.
 Everything here is immutable after construction and all operations are pure,
 so concurrent use needs no coordination.  The sorts are cached by a plain
 check-then-set on the instance dict, without a lock: threads racing on the
-first use of a cached sort at worst sort twice and keep equal arrays, and
-no thread waits for the sort of another vector.
+first use of a cached sort at worst sort twice, each read still returns
+the order it asked for, and no thread waits for the sort of another vector.
 """
 
 from __future__ import annotations
@@ -144,39 +143,25 @@ class EvidenceVector:
     def m(self) -> int:
         return int(self.values.size)
 
-    def _rank_order(self, cut: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _rank_order(self, cut: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """The permutation and the values in rank order, both read-only.
 
-        With ``cut``, only the head at or below it (see :func:`sort_head`).
-        A full sort after a head sorts only the values beyond the head's
-        cut and appends them, so no value is sorted twice.
+        With a finite ``cut``, only the head at or below it (see
+        :func:`sort_head`).  One order is cached with its cut, +inf for the
+        full order: a head at or below that cut is cut from it, and any
+        other request is sorted afresh and replaces it.
         """
-        cache = self.__dict__
-        full = cache.get("_full_order")
-        if full is not None:
-            return full if cut is None else _cut_at(full, cut)
-        head = cache.get("_head_order")
-        if cut is None:
-            full = cache["_full_order"] = _read_only(*self._sort_all(head))
-            cache.pop("_head_order", None)
-            return full
-        if head is not None and head[0] >= cut:
-            return head[1:] if head[0] == cut else _cut_at(head[1:], cut)
-        idx = np.flatnonzero(self.values <= cut)
-        local, ranked = _stable_order(self.values[idx], descending=False)
-        head = (float(cut), *_read_only(idx[local], ranked))
-        cache["_head_order"] = head
-        return head[1:]
-
-    def _sort_all(self, head) -> tuple[np.ndarray, np.ndarray]:
-        """The full order, given a cached head (cut, perm, rank values) or None."""
-        if head is None:
-            return _stable_order(self.values, self.kind is EvidenceKind.E_VALUE)
-        cut, head_perm, head_ranked = head
-        rest = np.flatnonzero(self.values > cut)
-        local, ranked = _stable_order(self.values[rest], descending=False)
-        return (np.concatenate((head_perm, rest[local])),
-                np.concatenate((head_ranked, ranked)))
+        cached = self.__dict__.get("_order")
+        if cached is not None and cut <= cached[0]:
+            return cached[1] if cut == cached[0] else _cut_at(cached[1], cut)
+        if cut == np.inf:
+            perm, ranked = _stable_order(self.values, self.kind is EvidenceKind.E_VALUE)
+        else:
+            idx = np.flatnonzero(self.values <= cut)
+            local, ranked = _stable_order(self.values[idx], descending=False)
+            perm = idx[local]
+        order = self.__dict__["_order"] = (float(cut), _read_only(perm, ranked))
+        return order[1]
 
     @property
     def perm(self) -> np.ndarray:
@@ -338,10 +323,12 @@ def sort_head(ev: EvidenceVector, cut: float) -> SortedView:
     It is the :func:`sort_evidence` order cut short, for a procedure that
     can reject only p-values at or below ``cut``.  Every p-value outside the
     head exceeds the cut, so no tie straddles the head's end.  The head is
-    cut from the vector's cached full order, or from a cached head of a
-    cut at least as large; otherwise only the head is sorted, and it is
-    cached for later heads and for a later full sort.
+    cut from the vector's cached order when that order's cut is at least as
+    large (the full order's is +inf); otherwise only the head is sorted,
+    and it replaces the cached order.
     """
+    if ev.kind is not EvidenceKind.P_VALUE:
+        raise ValueError("sort_head requires p-values")
     return SortedView(ev, *ev._rank_order(cut))
 
 

@@ -215,7 +215,7 @@ def test_a_head_is_the_full_order_cut_short(ev):
             check(vec, cut)
 
 
-def test_a_full_sort_after_a_head_sorts_only_the_rest(monkeypatch):
+def test_a_head_is_cut_from_a_cached_order_with_a_cut_as_large(monkeypatch):
     sizes = []
     stable_order = core._stable_order
 
@@ -227,11 +227,17 @@ def test_a_full_sort_after_a_head_sorts_only_the_rest(monkeypatch):
     values = np.round(np.random.default_rng(3).random(1000) ** 2, 3)
     ev = EvidenceVector.p_values(values)
     n = sort_head(ev, 0.05).perm.size
-    sort_head(ev, 0.01)  # cut from the cached head
+    sort_head(ev, 0.05)
+    sort_head(ev, 0.01)
     assert sizes == [n]
     assert ev.perm.tobytes() == np.argsort(values, kind="stable").tobytes()
-    sort_head(ev, 0.5)  # cut from the full order
-    assert sizes == [n, 1000 - n]
+    sort_head(ev, 0.5)
+    assert sizes == [n, 1000]
+
+
+def test_sort_head_rejects_e_values():
+    with pytest.raises(ValueError, match="requires p-values"):
+        sort_head(EvidenceVector.e_values([1.0, 2.0]), 0.5)
 
 
 def test_reject_by_rank_takes_only_the_ranks_a_head_holds():

@@ -20,6 +20,7 @@ from .core import (
     RejectionSet,
     reject_by_rank,
     require_level,
+    require_order,
     sort_evidence,
     sort_head,
 )
@@ -89,8 +90,7 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     """
     _require_p(p, "holm_k")
     require_level(alpha)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_order(k)
     crit = _holm_thresholds(p.m, k, alpha)
     sv = sort_head(p, float(crit[-1]))
     held = sv.perm.size

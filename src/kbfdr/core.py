@@ -66,10 +66,15 @@ def require_level(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def require_rank(m: int, r: int, k: int) -> None:
-    """Reject an order k < 1, or a rank r outside [k, m]."""
+def require_order(k: int) -> None:
+    """Reject a boundary order k < 1."""
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
+
+
+def require_rank(m: int, r: int, k: int) -> None:
+    """Reject an order k < 1, or a rank r outside [k, m]."""
+    require_order(k)
     if r < k or r > m:
         raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={m}")
 
@@ -193,12 +198,12 @@ class SortedView:
     holds every rank (:func:`sort_evidence`) or a head of them
     (:func:`sort_head`), so ``perm`` can be shorter than ``m``, which stays
     the number of hypotheses.  ``sorted_values`` are the values at the ranks
-    held; a hand-built view may leave them out.
+    held, in the same order.
     """
 
     ev: EvidenceVector
     perm: np.ndarray
-    sorted_values: np.ndarray | None = None
+    sorted_values: np.ndarray
 
     def rank_values(self) -> np.ndarray:
         """Evidence values in rank order (monotone for the kind), one per
@@ -206,11 +211,8 @@ class SortedView:
 
         For the views :func:`sort_evidence` and :func:`sort_head` build,
         this is the read-only array cached with the permutation, shared by
-        every procedure run on the same evidence vector.  A view without
-        ``sorted_values`` gathers them through ``perm``.
+        every procedure run on the same evidence vector.
         """
-        if self.sorted_values is None:
-            return self.ev.values[self.perm]
         return self.sorted_values
 
     @property
@@ -264,8 +266,7 @@ class RejectionSet:
 
     def marginal_indices(self, k: int) -> tuple[int, ...]:
         """The min(k, |R|) least significant rejections, least first."""
-        if k < 1:
-            raise OutOfRangeError(f"k must be >= 1, got {k}")
+        require_order(k)
         tail = self.ranked[max(self.size - k, 0) :]
         return tuple(tail[::-1].tolist())
 
@@ -370,26 +371,3 @@ def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
         )
     return RejectionSet(sv.perm[: _tied_prefix_length(sv, r) if r else 0])
 
-
-def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
-    """Order a set of hypothesis indices from most to least significant.
-
-    Uses the same tie rule as :func:`sort_evidence` (ascending original
-    index), so the least significant member of a tied block is the one with
-    the largest original index.  Procedures keep this order in
-    ``RejectionSet.ranked``; this loop form is the reference the tests check
-    it against.
-    """
-    idx = sorted(int(j) for j in indices)
-    if ev.kind is EvidenceKind.P_VALUE:
-        return tuple(sorted(idx, key=lambda j: (ev.values[j], j)))
-    return tuple(sorted(idx, key=lambda j: (-ev.values[j], j)))
-
-
-def marginal_of(ev: EvidenceVector, indices, k: int) -> tuple[int, ...]:
-    """The min(k, |indices|) least significant members, least first."""
-    if k < 1:
-        raise OutOfRangeError(f"k must be >= 1, got {k}")
-    order = significance_order(ev, indices)
-    kk = min(k, len(order))
-    return tuple(reversed(order[len(order) - kk :]))

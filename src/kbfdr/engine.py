@@ -33,11 +33,6 @@ pads M with the outsiders in ascending value order, the L-shaped family of
 e-value means, and compares each member's mean with 1/alpha.
 :func:`domino_bruteforce` runs the superset check at each rank (capped).
 
-:func:`domino_p_fast_bonferroni` is the Bonferroni chain scan.  It checks
-only rank-contiguous augmentations, so it is more liberal than the closure
-and does not control the boundary error rate (see ``validation`` for the
-documented divergence instance); no Domino path runs it.
-
 A call is fixed by the local test (its id and order k) and alpha;
 ``DominoConfig`` and both condition oracles read k from the test.
 """
@@ -55,7 +50,6 @@ from .core import (
     CapExceededError,
     EvidenceKind,
     EvidenceVector,
-    OutOfRangeError,
     RejectionSet,
     SortedView,
     reject_by_rank,
@@ -246,37 +240,6 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     else:
         n = int(np.count_nonzero(np.isposinf(vals)))
     return RejectionSet(sv.perm[:n], fallback=True)
-
-
-def domino_p_fast_bonferroni(
-    p: EvidenceVector, k: int, alpha: float
-) -> RejectionSet:
-    """O(m^2) Bonferroni chain scan.
-
-    The scan starts at the largest rank whose p-value is at or below alpha
-    and, per candidate r, requires ((k + r - l) / k) * p_(l) <= alpha along
-    the whole chain l = r..1.  Only rank-contiguous augmentations are
-    checked, so the result usually contains the fully closed (brute-force)
-    rejection set strictly; at order k >= 2 the chain's l < k terms can also
-    push it the other way.
-    """
-    if p.kind is not EvidenceKind.P_VALUE:
-        raise ValueError("domino_p_fast_bonferroni requires p-values")
-    require_level(alpha)
-    if not 1 <= k <= p.m:
-        raise OutOfRangeError(f"need 1 <= k <= m, got k={k}, m={p.m}")
-    sv = sort_evidence(p)
-    rank_vals = sv.rank_values()
-    trivial = _trivial_rejection(sv, k)
-    if trivial.size >= k:
-        return trivial
-    r0 = int(np.searchsorted(rank_vals, alpha, side="right"))
-    for r in range(r0, k - 1, -1):
-        ells = np.arange(1, r + 1)
-        stats = ((k + r - ells) / k) * rank_vals[:r]
-        if (stats <= alpha).all():
-            return reject_by_rank(sv, r)
-    return trivial
 
 
 def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:

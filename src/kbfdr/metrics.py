@@ -20,6 +20,7 @@ from .core import (
     EvidenceVector,
     GroundTruth,
     RejectionSet,
+    require_order,
 )
 
 
@@ -69,11 +70,6 @@ class MetricsReport:
     tdr_nonempty_se: float
 
 
-def _require_order(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def _boundary_all_null(alt: np.ndarray, k: int) -> int:
     """The boundary event, given theta over the rejections in rank order."""
     return int(alt.size >= k and not np.count_nonzero(alt[alt.size - k :]))
@@ -84,13 +80,13 @@ def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
 
     They are the last k entries of ``R.ranked``.
     """
-    _require_order(k)
+    require_order(k)
     return _boundary_all_null(truth.theta[R.ranked], k)
 
 
 def kfwer_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
     """1 iff at least k true nulls were rejected."""
-    _require_order(k)
+    require_order(k)
     return int(R.size - np.count_nonzero(truth.theta[R.ranked]) >= k)
 
 
@@ -109,7 +105,7 @@ def run_sample(
         raise DimensionMismatchError(
             f"evidence has m={evidence.m}, truth has m={truth.m}"
         )
-    _require_order(k)
+    require_order(k)
     alt = truth.theta[R.ranked]  # 1 where a rejection is a true discovery
     n_rej = R.size
     n_true = int(np.count_nonzero(alt))

@@ -3,8 +3,7 @@
 These are trimmed-down versions of the test-suite invariants, sized to run
 in seconds: the rectangular family and the e-value mean reduction, rank by
 rank, against brute-force superset enumeration, Domino against brute-force
-Domino, pointwise indicator ordering, and the documented divergence of the
-fast Bonferroni scan from the fully closed procedure.
+Domino, and pointwise indicator ordering.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .engine import (
     domino_e,
     domino_e_mean_reduction_check,
     domino_p,
-    domino_p_fast_bonferroni,
 )
 from .local_tests import RECORDS, TestId, local_test
 from .simulate import SimScenario, iter_run_samples, make_procedure
@@ -179,29 +177,11 @@ def pointwise_indicators(seed: int = 5) -> SuiteResult:
     )
 
 
-def fastpath_divergence() -> SuiteResult:
-    """The fast Bonferroni scan rejects {1, 2} where full closure rejects
-    nothing; divergence here is expected and the suite passes when it
-    reproduces."""
-    ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
-    fast = domino_p_fast_bonferroni(ev, 1, 0.05)
-    test = local_test(TestId.BONFERRONI_K, 1)
-    brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
-    expected = fast.indices == frozenset({0, 1}) and brute.indices == frozenset()
-    detail = (
-        f"fast |R|={fast.size}, brute |R|={brute.size} "
-        "(divergence expected: the fast scan checks only rank-contiguous "
-        "augmentations)"
-    )
-    return SuiteResult("fastpath-divergence", expected, detail)
-
-
 SUITES = {
     "rectangular-vs-brute": rectangular_vs_bruteforce,
     "mean-reduction-equivalence": mean_reduction_equivalence,
     "default-vs-brute": default_vs_bruteforce,
     "pointwise-indicators": pointwise_indicators,
-    "fastpath-divergence": fastpath_divergence,
 }
 
 

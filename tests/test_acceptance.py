@@ -20,7 +20,6 @@ from kbfdr import (
     domino_bruteforce,
     domino_e,
     domino_e_mean_reduction_check,
-    domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     gen_instance,
     holm_k,
@@ -29,6 +28,7 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr.simulate import SimScenario, iter_run_samples, make_procedure
+from reference import domino_p_fast_bonferroni
 
 GRID_RHOS = (-1.0 / 99, 0.0, 0.25, 0.9)
 GRID_ALPHAS = (0.05, 0.1)

@@ -341,9 +341,9 @@ class TestSimulate:
 
 
 class TestValidate:
-    def test_divergence_suite_passes(self, capsys):
-        assert main(["validate", "--suite", "fastpath-divergence"]) == EXIT_OK
-        assert "fastpath-divergence: PASS" in capsys.readouterr().out
+    def test_pointwise_indicators_suite_passes(self, capsys):
+        assert main(["validate", "--suite", "pointwise-indicators"]) == EXIT_OK
+        assert "pointwise-indicators: PASS" in capsys.readouterr().out
 
     def test_default_vs_brute_suite_passes(self, capsys):
         assert main(["validate", "--suite", "default-vs-brute"]) == EXIT_OK
@@ -355,7 +355,7 @@ class TestValidate:
     def test_all_suites_pass(self, capsys):
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 4
         assert "FAIL" not in out
 
 

@@ -11,16 +11,18 @@ from kbfdr import (
     GroundTruth,
     OutOfRangeError,
     RejectionSet,
-    SortedView,
-    marginal_of,
+    holm_k,
+    kbfdr_indicator,
+    kfwer_indicator,
     reject_by_rank,
-    significance_order,
+    run_sample,
     sort_evidence,
 )
 from kbfdr import core
 from kbfdr.core import _tied_prefix_length, sort_head
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import _edge_evidence
+from reference import marginal_of, significance_order
 
 
 class TestEvidenceVector:
@@ -84,12 +86,6 @@ class TestSortEvidence:
         assert first.perm.dtype == np.intp
         with pytest.raises(ValueError):
             first.perm[0] = 0
-
-    def test_rank_values_follow_a_hand_built_view(self):
-        ev = EvidenceVector.p_values([0.3, 0.1, 0.2])
-        sort_evidence(ev).rank_values()  # caches the values in sorted order
-        other = np.array([2, 0, 1])
-        assert SortedView(ev, other).rank_values().tolist() == [0.2, 0.3, 0.1]
 
 
 # Draws for the sort cases, as (kind, values from rng and m).  numpy's
@@ -369,6 +365,24 @@ class TestRejectionSet:
             RejectionSet([0.5])
         with pytest.raises(OutOfRangeError):
             RejectionSet([0]).marginal_indices(0)
+
+
+_P = EvidenceVector.p_values([0.01, 0.2, 0.5])
+_TRUTH = GroundTruth([1, 0, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: holm_k(_P, k, 0.05),
+    lambda k: kbfdr_indicator(RejectionSet([0, 1]), _TRUTH, k),
+    lambda k: kfwer_indicator(RejectionSet([0, 1]), _TRUTH, k),
+    lambda k: run_sample(RejectionSet([0, 1]), _TRUTH, _P, k),
+    lambda k: RejectionSet([0, 1]).marginal_indices(k),
+], ids=["holm_k", "kbfdr_indicator", "kfwer_indicator", "run_sample",
+        "marginal_indices"])
+def test_order_zero_is_out_of_range(call):
+    """Every public function that takes a boundary order checks it alike."""
+    with pytest.raises(OutOfRangeError, match="k must be >= 1, got 0"):
+        call(0)
 
 
 class TestMarginalSet:

@@ -19,16 +19,13 @@ from kbfdr import (
     domino_e,
     domino_e_mean_reduction_check,
     domino_p,
-    domino_p_fast_bonferroni,
     domino_p_fast_harmonic,
     e_closure_k,
     external_boundary,
     holm_k,
     local_test,
-    marginal_of,
     reject_by_rank,
     run_sample,
-    significance_order,
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
@@ -36,6 +33,7 @@ from kbfdr.local_tests import RECORDS, TestId, _e_closure_reduced
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
+from reference import domino_p_fast_bonferroni, marginal_of, significance_order
 
 
 def p_view(values):

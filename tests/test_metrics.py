@@ -19,8 +19,8 @@ from kbfdr import (
     kbfdr_indicator,
     kfwer_indicator,
     run_sample,
-    significance_order,
 )
+from reference import significance_order
 
 
 def rejection(ev: EvidenceVector, indices) -> RejectionSet:

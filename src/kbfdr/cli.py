@@ -17,6 +17,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -56,7 +57,8 @@ def read_evidence_csv(path: str) -> EvidenceVector:
     reads them, so quoted cells, CRLF or CR line ends and blank or
     whitespace-only rows (which are skipped) are accepted. A file of the
     plain shape, a header and then one ``int,float`` line per row, is parsed
-    without ``csv.reader``; every other file goes through it.
+    by one ``np.loadtxt`` call where its guards allow (see ``_read_plain``);
+    every other file goes through ``csv.reader``.
 
     Raises ParseFailure naming the file. A bad row, and an error of
     ``csv.reader`` itself such as a field over ``csv.field_size_limit()``,
@@ -80,39 +82,37 @@ def read_evidence_csv(path: str) -> EvidenceVector:
 def _read_plain(text: str):
     """``(kind, values)`` for a file of the plain shape, else None.
 
-    Only text on which ``csv.reader`` gives the same rows is taken: no
-    quote, no CR, exactly one comma on every line, no field over
-    ``csv.field_size_limit()``, every index and value parsed by ``int``
-    and ``float``, and the indices counting 1, 2, ..., n. The values then
-    equal the fallback's bit for bit, since both call ``float``.
+    Only text on which ``csv.reader`` gives the same rows is taken: no quote,
+    CR, empty field (so no blank line), field over ``csv.field_size_limit()``
+    or ``\x1c``-``\x1f``, which numpy strips as whitespace but ``int`` and
+    ``float`` reject. One ``np.loadtxt`` call parses the rows, and any error or
+    warning refuses the file: older numpy reads an index ``1.0`` through a float
+    with a warning only. The indices must count 1, 2, ..., n; the values equal
+    ``float``'s bit for bit, since both use ``PyOS_string_to_double``.
     """
-    if '"' in text or "\r" in text:
+    if any(char in text for char in '"\r\x1c\x1d\x1e\x1f'):
         return None
     head, _, body = text.partition("\n")
     kind = _HEADER_KINDS.get(tuple(cell.strip().lower() for cell in head.split(",")))
     if kind is None or not body:
         return None
-    body = body.removesuffix("\n")
-    # Exactly one comma a line: the separators alternate ",", "\n", ..., ",".
-    # UTF-8 continuation bytes are never "," or "\n", so bytes suffice here.
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    # A field spans one gap between separators, less one; UTF-8 continuation
+    # bytes are never "," or "\n", and a field is never shorter in bytes.
+    raw = np.frombuffer(body.removesuffix("\n").encode(), dtype=np.uint8)
     seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
-    n = (seps.size + 1) // 2
-    if seps.size % 2 == 0 or (raw[seps[0::2]] != _COMMA).any() \
-            or (raw[seps[1::2]] != _NEWLINE).any():
-        return None
-    # A field spans one gap between separators, less one; in bytes, a
-    # field is never shorter than in characters.
     gaps = np.diff(seps, prepend=-1, append=raw.size)
-    if max(len(head), int(gaps.max()) - 1) > csv.field_size_limit():
+    if gaps.min() < 2 or max(len(head), int(gaps.max()) - 1) > csv.field_size_limit():
         return None
-    cells = body.replace("\n", ",").split(",")
     try:
-        if list(map(int, cells[0::2])) != list(range(1, n + 1)):
-            return None
-        return kind, list(map(float, cells[1::2]))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                              dtype=[("index", np.int64), ("value", np.float64)])
+    except (ValueError, Warning):
         return None
+    if not np.array_equal(rows["index"], np.arange(1, rows.size + 1)):
+        return None
+    return kind, rows["value"]
 
 
 def _read_rows(path: str, text: str):
@@ -188,17 +188,17 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
 
 def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet,
                       marginal: tuple[int, ...]) -> None:
-    # Built column by column: each row is "<index>," + repr(value) + a tail
-    # that holds the rejected flag and the marginal rank.
+    # Built column by column: each row is the index, a comma, repr(value)
+    # and a tail that holds the rejected flag and the marginal rank.
     tails = [",0,\n"] * ev.m
     for j in rejection.ranked.tolist():
         tails[j] = ",1,\n"
     for rank, j in enumerate(marginal, start=1):
         tails[j] = f",1,{rank}\n"
-    parts = [""] * (3 * ev.m)
-    parts[0::3] = map("{},".format, range(1, ev.m + 1))
-    parts[1::3] = map(repr, ev.values.tolist())
-    parts[2::3] = tails
+    parts = [","] * (4 * ev.m)
+    parts[0::4] = map(str, range(1, ev.m + 1))
+    parts[2::4] = map(repr, ev.values.tolist())
+    parts[3::4] = tails
     payload = "index,evidence,rejected,marginal_rank\n" + "".join(parts)
     if path is None:
         sys.stdout.write(payload)

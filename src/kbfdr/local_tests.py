@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (
     EvidenceKind,
+    OutOfRangeError,
     SubsetTooLargeError,
     SubsetTooSmallError,
 )
@@ -81,7 +82,7 @@ class LocalTestDescriptor:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"test order must be >= 1, got {self.k}")
+            raise OutOfRangeError(f"test order must be >= 1, got {self.k}")
         if RECORDS[self.id].order_one_only and self.k != 1:
             raise ValueError(f"{self.id.value} is only defined for k = 1")
 

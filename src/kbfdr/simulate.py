@@ -28,6 +28,7 @@ from .core import (
     EvidenceVector,
     GroundTruth,
     InvalidRhoError,
+    OutOfRangeError,
     RejectionSet,
     require_level,
 )
@@ -99,7 +100,7 @@ class SimScenario:
             )
         require_level(self.alpha)
         if self.k < 1 or self.k > self.m:
-            raise ValueError(f"need 1 <= k <= m, got k={self.k}")
+            raise OutOfRangeError(f"need 1 <= k <= m, got k={self.k}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
 
@@ -232,7 +233,7 @@ def make_procedure(token: str) -> ProcedureSpec:
     name = parts[0].lower()
     k = int(parts[1]) if len(parts) > 1 and parts[1] else None
     if k is not None and k < 1:
-        raise ValueError(f"procedure order must be >= 1, got {k} in {token!r}")
+        raise OutOfRangeError(f"procedure order must be >= 1, got {k} in {token!r}")
 
     if name == "bh":
 

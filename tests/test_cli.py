@@ -1,8 +1,20 @@
 import argparse
 import csv
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kbfdr import (
+    DominoConfig,
+    EvidenceKind,
+    EvidenceVector,
+    bh,
+    domino_e,
+    holm_k,
+    local_test,
+)
 from kbfdr import cli
 from kbfdr.cli import (
     EXIT_CONFLICT,
@@ -389,10 +401,13 @@ EVIDENCE_CORPUS = [
     ("subnormals", b"index,p_value\n1,5e-324\n2,2.2250738585072014e-308\n"
      b"3,1e-310\n4,4.9e-324\n", True),
     ("underscore index", b"index,p_value\n" + "".join(
-        f"{i},0.5\n" for i in range(1, 10)).encode() + b"1_0,0.5\n", True),
+        f"{i},0.5\n" for i in range(1, 10)).encode() + b"1_0,0.5\n", False),
     ("plus index", b"index,p_value\n+1,0.1\n+2,0.2\n", True),
     ("spaced cells", b"index,p_value\n 1,0.1\n 2, 0.2 \n", True),
-    ("non-ascii digit", "index,p_value\n١,0.1\n".encode(), True),
+    ("non-ascii digit", "index,p_value\n١,0.1\n".encode(), False),
+    # numpy strips these as whitespace; int and float reject them.
+    ("separator in index", b"index,p_value\n\x1c1,0.1\n", False),
+    ("separator in value", b"index,p_value\n1,0.1\x1f\n", False),
     ("nul in value", b"index,p_value\n1,0.1\x00\n", False),
     ("nul in header", b"index\x00,p_value\n1,0.1\n", False),
     ("no final newline", b"index,p_value\n1,0.1\n2,0.2", True),
@@ -499,3 +514,97 @@ class TestReadEvidenceCorpus:
         path.write_text(data, encoding="utf-8")
         assert main(["run", str(path), "--proc", "bh", "--alpha", "0.05"]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {path}{where}\n"
+
+
+# Characters on which a fast parser may disagree with int, float and
+# csv.reader: ASCII separators, Unicode spaces and digits, signs,
+# underscores, quotes, CR, NUL and line breaks that only str.splitlines knows.
+_HOSTILE = "\x1c\x1d\x1e\x1f\xa0\u2000\u0661\u0662_+-.\"\r\x00\x0b\x0c\x85\u2028 \t"
+
+
+@st.composite
+def _evidence_texts(draw):
+    """Text close to the plain shape: rows of 0-3 commas whose cells are a
+    valid index or value, a hostile token, or either padded with hostile
+    characters; now and then a blank or whitespace-only row."""
+    header = draw(st.sampled_from(["index,p_value", "index,e_value", " Index , E_VALUE "]))
+    pad = st.text(alphabet=_HOSTILE, max_size=2)
+    lines = [header]
+    for i in range(1, draw(st.integers(1, 5)) + 1):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.text(alphabet=" \t", max_size=2)))
+            continue
+        cores = [str(i), draw(st.sampled_from(["0.5", "1e-3", "5e-324", "inf", "nan", "1"]))]
+        cores += draw(st.lists(st.sampled_from(["", "1_0", "1.0", "\u0661", "0_5"]),
+                               max_size=2))
+        cells = [draw(pad) + core + draw(pad)
+                 for core in cores[:draw(st.integers(1, len(cores)))]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _rows_outcome(text):
+    try:
+        kind, values = cli._read_rows("ev.csv", text)
+    except ParseFailure:
+        return None
+    return kind, np.asarray(values, dtype=float).tobytes()
+
+
+class TestPlainReaderDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_evidence_texts())
+    @example("index,p_value\n\x1c1,0.5\n")
+    @example("index,e_value\n1,50\x1f\n2,0.1\x1d\n")
+    def test_plain_reader_is_none_or_the_csv_reader_result(self, text):
+        plain = cli._read_plain(text)
+        if plain is not None:
+            kind, values = plain
+            assert _rows_outcome(text) == (kind, np.asarray(values, dtype=float).tobytes())
+
+
+def _old_rejection_bytes(ev, rejection, marginal):
+    # The per-row formula the rejection CSV has always followed.
+    ranks = {j: rank for rank, j in enumerate(marginal, start=1)}
+    rejected = set(rejection.ranked.tolist())
+    rows = (f"{j + 1},{v!r},{int(j in rejected)},{ranks.get(j, '')}\n"
+            for j, v in enumerate(ev.values.tolist()))
+    return ("index,evidence,rejected,marginal_rank\n" + "".join(rows)).encode()
+
+
+class TestWriteRejections:
+    @pytest.mark.parametrize("kind", ["p", "e"])
+    def test_matches_the_per_row_formula(self, tmp_path, kind):
+        rng = np.random.default_rng(7)
+        if kind == "p":
+            values = rng.random(10_000) ** 6
+            values[:6] = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310, 0.0]
+            ev = EvidenceVector(EvidenceKind.P_VALUE, values)
+            cases = [(bh(ev, 0.05), 1), (holm_k(ev, 2, 0.05), 2)]
+        else:
+            values = 1.0 / rng.random(10_000)
+            values[:6] = [np.inf, 1e308, 0.0, 1.0, 5e-324, 1e308]
+            ev = EvidenceVector(EvidenceKind.E_VALUE, values)
+            cases = [(domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05)), 2)]
+        for rejection, k in cases:
+            assert rejection.size >= k
+            marginal = rejection.marginal_indices(k)
+            out = tmp_path / "rej.csv"
+            cli._write_rejections(str(out), ev, rejection, marginal)
+            assert out.read_bytes() == _old_rejection_bytes(ev, rejection, marginal)
+
+
+class TestOrderBelowOne:
+    @pytest.mark.parametrize("proc", ["domino", "domino-e"])
+    def test_run_exits_3(self, p_file, e_file, proc, capsys):
+        path = p_file if proc == "domino" else e_file
+        assert main(["run", path, "--proc", proc, "--k", "0", "--alpha", "0.05"]) \
+            == EXIT_CONFLICT
+        assert capsys.readouterr().err == "configuration conflict: k must be >= 1, got 0\n"
+
+    def test_simulate_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(CONFIG.replace("k = 1", "k = 0"), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: need 1 <= k <= m, got k=0\n"

@@ -7,6 +7,7 @@ import pytest
 from kbfdr import (
     CombinedEvidence,
     EvidenceKind,
+    OutOfRangeError,
     SubsetTooLargeError,
     SubsetTooSmallError,
     TestId,
@@ -39,6 +40,12 @@ class TestDescriptor:
         assert local_test(tid, 1).k == 1
         with pytest.raises(ValueError):
             local_test(tid, 2)
+
+    @pytest.mark.parametrize("tid", [t.value for t in TestId])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_is_out_of_range(self, tid, k):
+        with pytest.raises(OutOfRangeError, match=f"test order must be >= 1, got {k}"):
+            local_test(tid, k)
 
 
 class TestBonferroniK:

@@ -11,6 +11,7 @@ from kbfdr import (
     EvidenceKind,
     InvalidRhoError,
     MetricsReport,
+    OutOfRangeError,
     TestId,
     domino_e,
     domino_p,
@@ -50,6 +51,11 @@ class TestScenarioValidation:
             scenario(sigma=0.0)
         with pytest.raises(ValueError):
             scenario(k=0)
+
+    @pytest.mark.parametrize("k", [0, -1, 51])
+    def test_order_out_of_range(self, k):
+        with pytest.raises(OutOfRangeError, match=f"need 1 <= k <= m, got k={k}"):
+            scenario(k=k)
 
     def test_scenario_id_is_stable(self):
         assert scenario().scenario_id == scenario().scenario_id
@@ -217,7 +223,7 @@ class TestMakeProcedure:
 
     @pytest.mark.parametrize("token", ["bh:0", "holm:0", "bonferroni:0", "eavg:-1"])
     def test_order_below_one_rejected(self, token):
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(OutOfRangeError, match="order must be >= 1"):
             make_procedure(token)
 
 

@@ -133,14 +133,12 @@ class EvidenceVector:
         arr = np.array(self.values, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("evidence must be a non-empty 1-d vector")
-        if np.isnan(arr).any():
-            raise ValueError("evidence contains NaN")
-        if self.kind is EvidenceKind.P_VALUE:
-            if (arr < 0.0).any() or (arr > 1.0).any():
-                raise ValueError("p-values must lie in [0, 1]")
-        else:
-            if (arr < 0.0).any():
-                raise ValueError("e-values must be nonnegative")
+        # One pass that NaN fails too; only a failure works out its message.
+        is_p = self.kind is EvidenceKind.P_VALUE
+        if not ((arr >= 0.0) & (arr <= 1.0) if is_p else arr >= 0.0).all():
+            if np.isnan(arr).any():
+                raise ValueError("evidence contains NaN")
+            raise ValueError("p-values must lie in [0, 1]" if is_p else "e-values must be nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

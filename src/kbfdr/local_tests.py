@@ -269,7 +269,27 @@ def _e_closure_reduced(values: Sequence[float], k: int, alpha: float) -> int:
 # so a member passes here exactly when the local test accepts it.  The harmonic
 # and e-value kernels add their sums in another order than the local tests (the
 # e-value one in the order of the engine's mean-reduction check), which can
-# move a member lying within rounding of the threshold.
+# move a member lying within rounding of the threshold.  What depends only on
+# (m, k, alpha) is built once per key as a read-only table: the ranks 1..m,
+# whose slices and views are every index vector, and the constants below.
+
+_EPS = np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=8)
+def _ranks(m: int) -> np.ndarray:
+    """The ranks 1..m as int64, read-only."""
+    ranks = np.arange(1, m + 1)
+    ranks.flags.writeable = False
+    return ranks
+
+
+@functools.lru_cache(maxsize=8)
+def _bonferroni_factors(m: int, k: int) -> np.ndarray:
+    """(m+k-l)/k for l = k..m, read-only."""
+    factors = (m + k - _ranks(m)[k - 1 :]) / k
+    factors.flags.writeable = False
+    return factors
 
 
 def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:
@@ -282,8 +302,7 @@ def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:
     l minus one.
     """
     m = v.size
-    ell = np.arange(k, m + 1)
-    failing = np.flatnonzero(((m + k - ell) / k) * v[k - 1 :] > alpha)
+    failing = (_bonferroni_factors(m, k) * v[k - 1 :] > alpha).nonzero()[0]
     return m if failing.size == 0 else k + int(failing[0]) - 1
 
 
@@ -297,10 +316,10 @@ def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
     finds the threshold.
     """
     m = v.size
-    lo, hi = 2, m + 1
+    lo, hi, ranks = 2, m + 1, _ranks(m)
     while lo < hi:
         n = (lo + hi) // 2
-        if ((n / np.arange(2, n + 1)) * v[m - n + 1 :] <= alpha).any():
+        if ((n / ranks[1:n]) * v[m - n + 1 :] <= alpha).any():
             hi = n
         else:
             lo = n + 1
@@ -317,14 +336,12 @@ def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
     """
     m = v.size
     n_star = _simes_tail_threshold(v, alpha)
-    n = np.arange(1, m + 1)
+    n = _ranks(m)
     top = (n >= n_star) | (n * v[::-1] <= alpha)
-    failing = np.flatnonzero(~top)
+    failing = (~top).nonzero()[0]
     r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
-    ranks = np.arange(1, r_top + 1)
-    passing = np.flatnonzero(
-        np.minimum(m - ranks + 1, n_star - 1) * v[:r_top] <= alpha
-    )
+    # n[::-1][:r_top] is m - r + 1 for the ranks r = 1..r_top.
+    passing = (np.minimum(n[::-1][:r_top], n_star - 1) * v[:r_top] <= alpha).nonzero()[0]
     return int(passing[-1]) + 1 if passing.size else 0
 
 
@@ -339,6 +356,18 @@ def _harmonic_scale(m: int) -> np.ndarray:
     return scale
 
 
+@functools.lru_cache(maxsize=8)
+def _harmonic_bounds(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Harmonic's thresholds scale(b+1) * (b+1)/alpha for 1 <= b <= m-2, the
+    largest b at each rank and the slack of ``_harmonic_rank``, read-only."""
+    scale, n = _harmonic_scale(m), _ranks(m)
+    bounds = scale[2:m] * n[1 : m - 1] / alpha
+    widths = np.maximum(m - 1 - n, 0)
+    slack = 4 * m * _EPS * (scale[m] * m / alpha)
+    bounds.flags.writeable = widths.flags.writeable = False
+    return bounds, widths, slack
+
+
 def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
     """Scaled harmonic mean (k = 1) from one suffix sum of 1/p.
 
@@ -349,28 +378,26 @@ def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
     The preselection and the member check below read the same float tail
     sums, so only the rounding of the member threshold, at most
     scale(m) * m/alpha, needs covering: the bound carries a slack of 4*m*eps
-    times that threshold.  One vector per preselected rank, scanned from
-    the top, decides.
+    times that threshold; both come from ``_harmonic_bounds``.  One vector
+    per preselected rank, scanned from the top, decides.
     """
     m = v.size
-    scale = _harmonic_scale(m)
+    scale, n = _harmonic_scale(m), _ranks(m)
+    bounds, widths, slack = _harmonic_bounds(m, alpha)
     # 1/0 := inf, and a sum that overflows is inf too: either way the
     # harmonic mean is 0 and the local test rejects the member, as it does
     # on Python floats.
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / v
         tail = np.cumsum(inv[::-1])  # tail[n-1]: sum over the top-n set
-        n = np.arange(1, m + 1)
         top = scale[1:] * (n / tail) <= alpha
         top[0] = v[m - 1] <= alpha  # a singleton is tested by its p-value
-        failing = np.flatnonzero(~top)
+        failing = (~top).nonzero()[0]
         r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
         r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
-        need = scale[2:m] * n[1 : m - 1] / alpha - tail[: m - 2]
+        need = bounds - tail[: m - 2]
         hardest = np.concatenate(([-np.inf], np.maximum.accumulate(need)))
-        widths = np.maximum(m - 1 - n[:r_top], 0)  # the largest b at rank r
-        slack = 4 * m * np.finfo(float).eps * (scale[m] * m / alpha)
-        candidates = np.flatnonzero(inv[:r_top] >= hardest[widths] - slack) + 1
+        candidates = (inv[:r_top] >= hardest[widths[:r_top]] - slack).nonzero()[0] + 1
         for r in candidates[::-1]:
             b = max(m - r - 1, 0)  # members {r} ∪ (top b) with 1 <= b < m-r
             sums = inv[r - 1] + tail[:b]
@@ -403,7 +430,7 @@ def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
     """
     m = v.size
     threshold = 1.0 / alpha
-    sizes = k + np.arange(m - k + 1)
+    sizes = _ranks(m)[k - 1 :]
     # A partial sum overflows to +inf only when its exact value exceeds the
     # largest double (~1.8e308).  Its mean over at most m terms then still
     # exceeds 1/alpha for any m and alpha that fit in memory, so the +inf
@@ -417,9 +444,9 @@ def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
             base += v[i : m - k + 1 + i]
             cover += excess[i : m - k + 1 + i]
         clipped_sum = float(np.minimum(v, m * threshold).sum())
-        slack = 4 * m * np.finfo(float).eps * (clipped_sum + m * threshold)
+        slack = 4 * m * _EPS * (clipped_sum + m * threshold)
         candidates = (base / k >= threshold) & (cover - deficit >= -slack)
-        for r in (np.flatnonzero(candidates) + k)[::-1]:
+        for r in (candidates.nonzero()[0] + k)[::-1]:
             outsiders = np.concatenate(
                 (base[r - k : r - k + 1], v[r:][::-1], v[: r - k][::-1])
             )

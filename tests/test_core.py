@@ -34,27 +34,48 @@ class TestEvidenceVector:
         assert p.m == e.m == 2
 
     def test_p_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p-values must lie in \[0, 1\]$"):
             EvidenceVector.p_values([0.1, 1.2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p-values must lie in \[0, 1\]$"):
             EvidenceVector.p_values([-0.1])
 
     def test_e_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^e-values must be nonnegative$"):
             EvidenceVector.e_values([-1.0])
+        with pytest.raises(ValueError, match="^e-values must be nonnegative$"):
+            EvidenceVector.e_values([-np.inf])
         # +inf is legal extreme evidence
         assert np.isinf(EvidenceVector.e_values([np.inf, 1.0]).values[0])
+        assert np.isposinf(EvidenceVector.e_values([np.inf]).values[0])
 
     def test_zero_p_is_legal(self):
         assert EvidenceVector.p_values([0.0, 1.0]).values[0] == 0.0
+        # -0.0 equals 0.0, so it lies in [0, 1]
+        assert EvidenceVector.p_values([-0.0]).values[0] == 0.0
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evidence contains NaN$"):
             EvidenceVector.p_values([0.1, float("nan")])
 
+    # NaN is reported first, also next to a value out of range.
+    @pytest.mark.parametrize(
+        "make, values",
+        [
+            (EvidenceVector.p_values, [float("nan"), 2.0]),
+            (EvidenceVector.p_values, [-1.0, float("nan")]),
+            (EvidenceVector.e_values, [-1.0, float("nan")]),
+            (EvidenceVector.e_values, [float("nan"), np.inf]),
+        ],
+    )
+    def test_nan_reported_before_range(self, make, values):
+        with pytest.raises(ValueError, match="^evidence contains NaN$"):
+            make(values)
+
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evidence must be a non-empty 1-d vector$"):
             EvidenceVector.p_values([])
+        with pytest.raises(ValueError, match="^evidence must be a non-empty 1-d vector$"):
+            EvidenceVector.e_values([[1.0, 2.0]])
 
     def test_values_immutable(self):
         ev = EvidenceVector.p_values([0.1, 0.2])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from kbfdr import (
     CombinedEvidence,
@@ -20,7 +21,14 @@ from kbfdr import (
     scaled_harmonic_mean,
     simes,
 )
-from kbfdr.local_tests import RECORDS, _harmonic_factor
+from kbfdr.local_tests import (
+    RECORDS,
+    _bonferroni_factors,
+    _harmonic_bounds,
+    _harmonic_factor,
+    _harmonic_scale,
+    _ranks,
+)
 
 
 class TestDescriptor:
@@ -233,6 +241,70 @@ class TestRecords:
                 vals = _edge_subset(rng, record.evidence_kind, n)
                 alpha = float(rng.choice([0.05, 0.2]))
                 assert test.evaluate(vals, alpha) == public(vals, k, alpha), vals
+
+
+def _rank_values(m, rng):
+    """(family, ascending p, descending e) rank values at m."""
+    x = 3.0 * (rng.random(m) < 0.3) + rng.standard_normal(m)
+    p = ndtr(-x)
+    e = np.exp(3.0 * x - 4.5)  # the likelihood ratio at mu_c = 3
+    yield "gaussian", np.sort(p), -np.sort(-e)
+    yield "tied", np.sort(np.round(p, 2)), -np.sort(-np.round(e, 2))
+    yield ("extreme", np.sort(rng.choice([0.0, 1.0], m)),
+           -np.sort(-rng.choice([0.0, np.inf, 1e308], m)))
+
+
+class TestKernelTables:
+    """The kernels' read-only (m, k, alpha) tables are keyed by all they read.
+
+    Each kernel runs with every table cache cleared before the call, then
+    again with warm caches while the keys interleave on one m; both runs
+    must return the same rank.
+    """
+
+    TABLES = (_ranks, _bonferroni_factors, _harmonic_scale, _harmonic_bounds)
+
+    def _clear(self):
+        for table in self.TABLES:
+            table.cache_clear()
+
+    def _scans(self, clear_each):
+        rng = np.random.default_rng(18)
+        self._clear()
+        ranks = []
+        for m in (1, 2, 3, 50, 1000):
+            for family, p, e in _rank_values(m, rng):
+                for alpha in (0.05, 0.1):
+                    for tid, record in RECORDS.items():
+                        v = p if record.evidence_kind is EvidenceKind.P_VALUE else e
+                        for k in (1,) if record.order_one_only else (1, 2, 3):
+                            if k > m:
+                                continue
+                            if clear_each:
+                                self._clear()
+                            key = (m, family, alpha, tid.value, k)
+                            ranks.append((key, record.scan(v, k, alpha)))
+        return ranks
+
+    def test_warm_tables_decide_like_fresh_ones(self):
+        fresh = self._scans(clear_each=True)
+        warm = self._scans(clear_each=False)
+        assert [key for key, _ in warm] == [key for key, _ in fresh]
+        for (key, got), (_, want) in zip(warm, fresh):
+            assert got == want, key
+        # The evidence reaches ranks above 0 at every m above 1.
+        assert {key[0] for key, r in fresh if r > 0} >= {2, 3, 50, 1000}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50])
+    def test_tables_are_read_only(self, m):
+        arrays = [_ranks(m), _harmonic_scale(m), *_harmonic_bounds(m, 0.05)[:2]]
+        arrays += [_bonferroni_factors(m, k) for k in range(1, m + 1)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert _ranks(m).tolist() == list(range(1, m + 1))
+        assert _harmonic_bounds(m, 0.05)[0].size == max(m - 2, 0)
 
 
 def test_combined_evidence_validates():

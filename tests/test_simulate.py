@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import ndtr
 
 from kbfdr import (
@@ -326,3 +328,22 @@ class TestEmitTable:
         assert _fmt(1 / 3) == "0.333333"
         assert _fmt(0.05) == "0.05"
         assert _fmt(12345.6789) == "12345.7"
+
+
+# The sha256 of `kbfdr simulate --config table1.cfg`, recorded with numpy 2.4
+# and scipy 1.17.  Other versions may draw or round differently, so the test
+# runs only on those.
+TABLE1_SHA256 = "f24306bcb6afbb063a6131dc520296dd7474dc2300742504d9ed234339a5d129"
+
+
+@pytest.mark.skipif(
+    not (np.__version__.startswith("2.4.") and scipy.__version__.startswith("1.17.")),
+    reason="the table1 digest was recorded with numpy 2.4.x and scipy 1.17.x",
+)
+def test_table1_digest(tmp_path):
+    from kbfdr.cli import _build_scenarios, _load_config
+
+    scenarios, procedures = _build_scenarios(_load_config("table1.cfg"), None)
+    path = tmp_path / "table1.csv"
+    emit_table(run_grid(scenarios, procedures), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLE1_SHA256

@@ -4,12 +4,15 @@ Evidence is either a vector of p-values (small = significant) or e-values
 (large = significant).  All procedures work on a sorted view of the evidence:
 p-values ascending, e-values descending, ties broken by ascending original
 index.  Each evidence vector is sorted once, on first use, by numpy's default
-argsort; only if that left equal values out of index order are the runs of
+argsort, or by the cached order of a vector of the same length if that
+sorts it too (a simulated instance's e-values take its p-values' order);
+only if the order left equal values out of index order are the runs of
 equal values put back in index order.  The permutation and the values in
 rank order are cached on it as read-only arrays that every procedure
-shares.  A procedure that can reject only p-values at or below a cut sorts
-just that head of the order (:func:`sort_head`).  Ranks are 1-based
-throughout the public API; hypothesis indices are 0-based.
+shares, an offered permutation with no reference to its vector.  A
+procedure that can reject only p-values at or below a cut sorts just that
+head of the order (:func:`sort_head`).  Ranks are 1-based throughout the
+public API; hypothesis indices are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -79,7 +82,8 @@ def require_rank(m: int, r: int, k: int) -> None:
         raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={m}")
 
 
-def _stable_order(values: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
+def _stable_order(values: np.ndarray, descending: bool,
+                  candidate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stable significance order of ``values`` and the values in it.
 
     numpy's default argsort is not stable, but without a tie the sorted
@@ -87,10 +91,15 @@ def _stable_order(values: np.ndarray, descending: bool) -> tuple[np.ndarray, np.
     included) it can misorder positions only within a run of equal values.
     If it did, sorting the (run number, position) pairs, packed into one
     int64 as run * n + position (exact for n < 3e9), puts every run in
-    ascending position order, which is the stable order.
+    ascending position order, which is the stable order.  A ``candidate``
+    permutation replaces the argsort if ``values[candidate]`` is monotone in
+    the sort's direction: then it is a sorted order too, and so repaired.
     """
-    perm = np.argsort(-values if descending else values)
-    ranked = values[perm]
+    perm, ranked = candidate, None if candidate is None else values[candidate]
+    if ranked is None or not (ranked[:-1] >= ranked[1:] if descending
+                              else ranked[:-1] <= ranked[1:]).all():
+        perm = np.argsort(-values if descending else values)
+        ranked = values[perm]
     tied = ranked[1:] == ranked[:-1]
     if tied.any() and (tied & (perm[1:] < perm[:-1])).any():
         run = np.concatenate(([0], np.cumsum(~tied))) * perm.size
@@ -165,6 +174,15 @@ class EvidenceVector:
             perm = idx[local]
         order = self.__dict__["_order"] = (float(cut), _read_only(perm, ranked))
         return order[1]
+
+    def _sort_like(self, source: "EvidenceVector") -> None:
+        """Sort fully, offering :func:`_stable_order` ``source``'s cached full
+        permutation, if it has one of this length and this vector has none."""
+        theirs, ours = source.__dict__.get("_order"), self.__dict__.get("_order")
+        if (theirs is not None and theirs[0] == np.inf and theirs[1][0].size == self.m
+                and (ours is None or ours[0] != np.inf)):
+            order = _stable_order(self.values, self.kind is EvidenceKind.E_VALUE, theirs[1][0])
+            self.__dict__["_order"] = (np.inf, _read_only(*order))
 
     @property
     def perm(self) -> np.ndarray:

@@ -120,7 +120,8 @@ class SimInstance:
     The p-values are built with the instance.  The e-values are built from
     ``x`` and the scenario's ``mu_c`` and ``sigma`` on first read and then
     kept, so a replication whose procedures all read p-values never
-    computes them.
+    computes them.  If the p-values' full order is cached by then, the
+    e-values take it when it sorts them too, as it does for mu_c > 0.
     """
 
     x: np.ndarray
@@ -134,7 +135,9 @@ class SimInstance:
         sc = self.scenario
         with np.errstate(over="ignore"):
             evals = np.exp((sc.mu_c * self.x - 0.5 * sc.mu_c**2) / sc.sigma**2)
-        return EvidenceVector.e_values(evals)
+        ev = EvidenceVector.e_values(evals)
+        ev._sort_like(self.pvalues)
+        return ev
 
 
 class SignalMeanError(RuntimeError):
@@ -173,7 +176,10 @@ def _equicorrelated_noise(rng: np.random.Generator, m: int, sigma: float, rho: f
     a = sigma * math.sqrt(1.0 - rho)
     spread = 1.0 - rho + m * rho
     b = sigma * (math.sqrt(max(spread, 0.0)) - math.sqrt(1.0 - rho)) / m
-    return a * z + b * z.sum()
+    shift = b * z.sum()  # a * z + b * z.sum(), operation for operation, in place
+    z *= a
+    z += shift
+    return z
 
 
 def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
@@ -187,17 +193,18 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
     from scipy.special import ndtr
 
     rng = np.random.Generator(np.random.PCG64(substream_seed(sc.seed, rep)))
-    theta = (rng.random(sc.m) < sc.pi1).astype(int)
+    alt = rng.random(sc.m) < sc.pi1
     mu = np.zeros(sc.m)
-    n_alt = int(theta.sum())
+    n_alt = int(np.count_nonzero(alt))
     if n_alt:
-        mu[theta == 1] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, n_alt)
-    x = mu + _equicorrelated_noise(rng, sc.m, sc.sigma, sc.rho)
+        mu[alt] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, n_alt)
+    x = _equicorrelated_noise(rng, sc.m, sc.sigma, sc.rho)
+    x += mu
     x.flags.writeable = False  # the e-values are read from it later
     return SimInstance(
         x=x,
-        pvalues=EvidenceVector.p_values(ndtr(-x / sc.sigma)),
-        truth=GroundTruth(theta),
+        pvalues=EvidenceVector.p_values(ndtr(x / -sc.sigma)),  # = -x / sigma, one pass fewer
+        truth=GroundTruth(alt.astype(int)),
         scenario=sc,
     )
 

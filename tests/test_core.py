@@ -195,6 +195,117 @@ def test_sort_orders_a_lone_tied_pair_by_index():
         assert np.array_equal(ev.perm, np.argsort(values, kind="stable")), seed
 
 
+# Crafted (kind, values, candidate) cases for an offered order: a candidate
+# that sorts the values, one with ties out of index order, one that does
+# not sort them and a reversed one, over signed zeros, p in {0, 1} and
+# e in {0, +inf}.
+_CANDIDATE_CASES = {
+    "sorts": (EvidenceKind.P_VALUE, [0.3, 0.1, 0.2, 0.05], [3, 1, 2, 0]),
+    "ties-out-of-order": (EvidenceKind.P_VALUE, [0.2, 0.1, 0.2, 0.1, 0.2], [3, 1, 4, 2, 0]),
+    "not-monotone": (EvidenceKind.P_VALUE, [0.3, 0.1, 0.2, 0.05], [3, 2, 1, 0]),
+    "reversed": (EvidenceKind.P_VALUE, [0.3, 0.1, 0.2, 0.05], [0, 2, 1, 3]),
+    "e-reversed": (EvidenceKind.E_VALUE, [1.0, 5.0, 2.0], [0, 2, 1]),
+    "signed-zeros": (EvidenceKind.P_VALUE, [0.0, -0.0, 0.5, -0.0, 0.0, 1.0], [4, 3, 1, 0, 2, 5]),
+    "p-zero-one": (EvidenceKind.P_VALUE, [1.0, 0.0, 1.0, 0.0, 0.0], [4, 3, 1, 2, 0]),
+    "p-zero-one-unsorted": (EvidenceKind.P_VALUE, [1.0, 0.0, 1.0, 0.0, 0.0], [0, 1, 2, 3, 4]),
+    "e-zero-inf": (EvidenceKind.E_VALUE, [0.0, np.inf, 3.0, np.inf, 0.0, -0.0], [3, 1, 2, 5, 4, 0]),
+    "e-zero-inf-unsorted": (EvidenceKind.E_VALUE, [0.0, np.inf, 3.0, np.inf, 0.0], [0, 2, 1, 4, 3]),
+}
+
+
+def _offered_candidates(ev):
+    """The stable order, the same with every run of ties reversed, the
+    reversed order and a shuffle."""
+    descending = ev.kind is EvidenceKind.E_VALUE
+    stable = np.argsort(-ev.values if descending else ev.values, kind="stable")
+    ranked = ev.values[stable]
+    run = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    shuffled = np.random.default_rng(ev.m).permutation(ev.m)
+    return stable, stable[np.lexsort((-stable, run))], stable[::-1].copy(), shuffled
+
+
+def _assert_same_order(got, want):
+    # Compared as bits, so -0.0 and 0.0 differ.
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("case", list(_CANDIDATE_CASES))
+def test_an_offered_order_gives_the_order_without_one(case):
+    """Taken or refused, a candidate changes neither the permutation nor
+    the rank values."""
+    kind, values, candidate = _CANDIDATE_CASES[case]
+    values = np.array(values)
+    descending = kind is EvidenceKind.E_VALUE
+    want = core._stable_order(values, descending)
+    _assert_same_order(core._stable_order(values, descending, np.array(candidate)), want)
+    key = -values if descending else values
+    assert want[0].tolist() == np.argsort(key, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("ev", list(_tie_corpus()))
+def test_every_offered_order_gives_the_order_without_one(ev):
+    descending = ev.kind is EvidenceKind.E_VALUE
+    want = core._stable_order(ev.values, descending)
+    for candidate in _offered_candidates(ev):
+        _assert_same_order(core._stable_order(ev.values, descending, candidate), want)
+
+
+def test_a_candidate_that_sorts_the_values_replaces_the_argsort(monkeypatch):
+    values = np.array([0.3, 0.1, 0.2, 0.1])
+    refused = np.array([0, 1, 2, 3])
+    want = core._stable_order(values, False)
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    _assert_same_order(core._stable_order(values, False, np.array([3, 1, 2, 0])), want)
+    with pytest.raises(AssertionError, match="argsort called"):
+        core._stable_order(values, False, refused)
+
+
+class TestSortLike:
+    def test_takes_the_full_order_of_the_source(self):
+        p = EvidenceVector.p_values([0.3, 0.1, 0.2])
+        e = EvidenceVector.e_values([1.0, 9.0, 4.0])
+        p_perm = p.perm
+        e._sort_like(p)
+        assert e.perm is p_perm
+        assert sort_evidence(e).rank_values().tolist() == [9.0, 4.0, 1.0]
+
+    def test_without_a_full_order_at_the_source_nothing_is_cached(self):
+        p = EvidenceVector.p_values([0.3, 0.01, 0.2])
+        e = EvidenceVector.e_values([1.0, 9.0, 4.0])
+        e._sort_like(p)
+        sort_head(p, 0.05)
+        e._sort_like(p)
+        assert "_order" not in vars(e)
+
+    def test_a_source_of_another_length_is_ignored(self):
+        p = EvidenceVector.p_values([0.1, 0.2])
+        e = EvidenceVector.e_values([1.0, 9.0, 4.0])
+        p.perm
+        e._sort_like(p)
+        assert "_order" not in vars(e)
+        assert e.perm.tolist() == [1, 2, 0]
+
+    def test_a_full_order_already_held_is_kept(self):
+        p = EvidenceVector.p_values([0.3, 0.1, 0.2])
+        e = EvidenceVector.e_values([1.0, 9.0, 4.0])
+        own = e.perm
+        p.perm
+        e._sort_like(p)
+        assert e.perm is own
+
+    def test_a_refused_order_is_replaced_by_the_stable_one(self):
+        p = EvidenceVector.p_values([0.3, 0.1, 0.2])
+        e = EvidenceVector.e_values([9.0, 1.0, 4.0])
+        p.perm
+        e._sort_like(p)
+        assert e.perm.tolist() == [0, 2, 1]
+
+
 def _p_corpus():
     return [param for param in _tie_corpus()
             if param.values[0].kind is EvidenceKind.P_VALUE]

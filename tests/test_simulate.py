@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from kbfdr import (
     DominoConfig,
     EmptyInputError,
     EvidenceKind,
+    EvidenceVector,
     InvalidRhoError,
     MetricsReport,
     OutOfRangeError,
@@ -19,10 +21,12 @@ from kbfdr import (
     domino_p,
     emit_table,
     gen_instance,
+    iter_run_samples,
     local_test,
     make_procedure,
     run_grid,
     run_sample,
+    sort_evidence,
     substream_seed,
 )
 from kbfdr.simulate import CSV_HEADER, SimScenario, _truncated_positive_normal
@@ -102,6 +106,28 @@ class TestGenInstance:
             atol=0,
         )
 
+    @pytest.mark.parametrize("rho", [0.0, 0.25, -1.0 / 49])
+    @pytest.mark.parametrize("pi1", [0.0, 0.3, 1.0])
+    def test_the_draws_of_the_plain_expressions(self, pi1, rho):
+        """Truth, observations and p-values are, bit for bit, those of
+        (u < pi1).astype(int), mu + (a z + b sum(z)) and ndtr(-x / sigma)."""
+        sc = scenario(pi1=pi1, rho=rho, sigma=0.7)
+        for rep in range(3):
+            rng = np.random.Generator(np.random.PCG64(substream_seed(sc.seed, rep)))
+            theta = (rng.random(sc.m) < sc.pi1).astype(int)
+            mu = np.zeros(sc.m)
+            if theta.sum():
+                mu[theta == 1] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, theta.sum())
+            z = rng.standard_normal(sc.m)
+            a = sc.sigma * math.sqrt(1.0 - sc.rho)
+            spread = max(1.0 - sc.rho + sc.m * sc.rho, 0.0)
+            b = sc.sigma * (math.sqrt(spread) - math.sqrt(1.0 - sc.rho)) / sc.m
+            x = mu + (a * z + b * z.sum())
+            inst = gen_instance(sc, rep)
+            assert inst.truth.theta.tobytes() == theta.tobytes()
+            assert inst.x.tobytes() == x.tobytes()
+            assert inst.pvalues.values.tobytes() == ndtr(-x / sc.sigma).tobytes()
+
     def test_degenerate_bernoulli(self):
         assert (gen_instance(scenario(pi1=1.0), 0).truth.theta == 1).all()
         assert (gen_instance(scenario(pi1=0.0), 0).truth.theta == 0).all()
@@ -128,6 +154,57 @@ class TestLazyEvalues:
         assert first.values.tobytes() == expected.tobytes()
         assert inst.evalues is first
         assert not inst.x.flags.writeable
+
+
+# Scenarios where the p-values' order sorts the e-values (mu_c > 0), sorts
+# them only up to runs of ties it leaves out of index order (mu_c = 0, where
+# every e-value is 1, and e-values that overflow to +inf or underflow to 0),
+# or does not sort them (mu_c < 0, and p-values tied at 0 or 1 where the
+# e-values differ).
+_ORDER_SCENARIOS = [
+    pytest.param(dict(mu_c=mu_c, sigma=sigma, rho=rho), id=f"mu{mu_c:g}-sd{sigma:g}-rho{rho:g}")
+    for mu_c, sigma in ((-2.0, 1.0), (0.0, 1.0), (3.0, 1.0), (40.0, 1.0),
+                        (1e150, 1.0), (3.0, 1e-150))
+    for rho in (0.0, 0.25, 0.999999)
+]
+
+
+class TestSharedOrder:
+    @pytest.mark.parametrize("params", _ORDER_SCENARIOS)
+    def test_e_values_sorted_after_the_p_values_match_a_fresh_sort(self, params):
+        sc = scenario(m=200, pi1=0.3, **params)
+        for rep in range(3):
+            inst = gen_instance(sc, rep)
+            sort_evidence(inst.pvalues)
+            got = sort_evidence(inst.evalues)
+            fresh = sort_evidence(EvidenceVector.e_values(inst.evalues.values.copy()))
+            # Compared as bits, so -0.0 and 0.0 differ.
+            assert got.perm.tobytes() == fresh.perm.tobytes(), rep
+            assert got.rank_values().tobytes() == fresh.rank_values().tobytes(), rep
+
+    def test_e_values_take_the_p_values_permutation(self):
+        inst = gen_instance(scenario(m=200), 0)
+        p_perm = sort_evidence(inst.pvalues).perm
+        assert sort_evidence(inst.evalues).perm is p_perm
+
+    def test_e_values_read_first_are_sorted_alone(self):
+        inst = gen_instance(scenario(m=200), 0)
+        e_perm = sort_evidence(inst.evalues).perm
+        p_perm = sort_evidence(inst.pvalues).perm
+        assert e_perm is not p_perm
+        assert e_perm.tobytes() == p_perm.tobytes()
+
+    @pytest.mark.parametrize("params", _ORDER_SCENARIOS)
+    def test_samples_do_not_depend_on_which_kind_sorts_first(self, params):
+        sc = scenario(m=200, pi1=0.3, reps=3, **params)
+        p_first = [make_procedure(tok) for tok in ("harmonic:1", "simes:1", "eclosure:2", "eavg:1")]
+        e_first = p_first[2:] + p_first[:2]
+        by_p = [dict(zip((proc.name for proc in p_first), samples))
+                for _, samples in iter_run_samples(sc, p_first)]
+        by_e = [dict(zip((proc.name for proc in e_first), samples))
+                for _, samples in iter_run_samples(sc, e_first)]
+        # repr keeps NaN rates comparable.
+        assert repr(by_p) == repr([{name: rep[name] for name in by_p[0]} for rep in by_e])
 
 
 def test_no_reference_cycle_through_the_sort_caches():
@@ -330,20 +407,56 @@ class TestEmitTable:
         assert _fmt(12345.6789) == "12345.7"
 
 
-# The sha256 of `kbfdr simulate --config table1.cfg`, recorded with numpy 2.4
-# and scipy 1.17.  Other versions may draw or round differently, so the test
-# runs only on those.
+# The sha256 of `kbfdr simulate` on three grids, recorded with numpy 2.4 and
+# scipy 1.17.  Other versions may draw or round differently, so the tests
+# run only on those.
 TABLE1_SHA256 = "f24306bcb6afbb063a6131dc520296dd7474dc2300742504d9ed234339a5d129"
+WIDE_1E3_SHA256 = "fc6b02e1be16e16ea4c0779dce1b11b04f66102a539f82cd521acf8746ed2035"
+BASELINES_1E4_SHA256 = "c12bcc477c5700a1ac26a60b7845ddec91ba7164283a5df13499e34496edc269"
 
-
-@pytest.mark.skipif(
+recorded_versions = pytest.mark.skipif(
     not (np.__version__.startswith("2.4.") and scipy.__version__.startswith("1.17.")),
-    reason="the table1 digest was recorded with numpy 2.4.x and scipy 1.17.x",
+    reason="the digests were recorded with numpy 2.4.x and scipy 1.17.x",
 )
-def test_table1_digest(tmp_path):
-    from kbfdr.cli import _build_scenarios, _load_config
 
-    scenarios, procedures = _build_scenarios(_load_config("table1.cfg"), None)
-    path = tmp_path / "table1.csv"
+
+def _grid_digest(entries, tmp_path):
+    from kbfdr.cli import _build_scenarios
+
+    scenarios, procedures = _build_scenarios(entries, None)
+    path = tmp_path / "grid.csv"
     emit_table(run_grid(scenarios, procedures), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLE1_SHA256
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _inline_config(m, reps, procedures):
+    """A grid shaped like the bench's: pi1 = 0.2, mu_c = 3, sigma = 1,
+    rho in {0, 0.25}, alpha = 0.05, k = 1 and the table1 seed."""
+    from kbfdr.cli import _parse_config_text
+
+    text = (f"m = {m}\npi1 = 0.2\nmu_c = 3.0\nsigma = 1.0\nrho = 0.0, 0.25\n"
+            f"alpha = 0.05\nk = 1\nreps = {reps}\nseed = 20260810\n"
+            f"procedures = {procedures}\n")
+    return _parse_config_text(text, "inline.cfg")
+
+
+@recorded_versions
+def test_table1_digest(tmp_path):
+    from kbfdr.cli import _load_config
+
+    assert _grid_digest(_load_config("table1.cfg"), tmp_path) == TABLE1_SHA256
+
+
+@recorded_versions
+def test_wide_1e3_digest(tmp_path):
+    """The grid the CI writes inline: order-1 harmonic and order-2
+    e-closure Domino at m = 1000, 100 replications."""
+    entries = _inline_config(1000, 100, "harmonic:1, eclosure:2")
+    assert _grid_digest(entries, tmp_path) == WIDE_1E3_SHA256
+
+
+@recorded_versions
+def test_baselines_1e4_digest(tmp_path):
+    """BH and Holm at m = 10^4."""
+    entries = _inline_config(10_000, 5, "bh, holm:1, holm:2")
+    assert _grid_digest(entries, tmp_path) == BASELINES_1E4_SHA256

@@ -2,14 +2,17 @@
 
 Both reject a prefix of the significance ranking, and neither can reject a
 p-value above its last critical value, so both sort only the head of the
-ranking at or below it.  An external boundary procedure can be plugged in
-as a function mapping (sorted p-values, alpha) to a boundary rank; no such
-procedure is built in.
+ranking at or below it.  Generalized Holm is the step-down kernel of
+Bonferroni-Domino (``local_tests._step_down_rank``), so the two decide with
+one float expression and differ only in Domino's fallback.  An external
+boundary procedure can be plugged in as a function mapping (sorted
+p-values, alpha) to a boundary rank; no such procedure is built in.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable
 
 import numpy as np
@@ -24,6 +27,7 @@ from .core import (
     sort_evidence,
     sort_head,
 )
+from .local_tests import _step_down_rank
 
 RankSelector = Callable[[np.ndarray, float], int]
 
@@ -63,40 +67,23 @@ def _bh_thresholds(m: int, alpha: float) -> np.ndarray:
     return thresholds
 
 
-def holm_critical_values(m: int, k: int, alpha: float) -> np.ndarray:
-    """Step-down critical values: k*alpha/m for i <= k, then k*alpha/(m+k-i)."""
-    i = np.arange(1, m + 1)
-    return np.where(i <= k, k * alpha / m, k * alpha / (m + k - i))
-
-
-@functools.lru_cache(maxsize=8)
-def _holm_thresholds(m: int, k: int, alpha: float) -> np.ndarray:
-    """A read-only copy of ``holm_critical_values``, built once per (m, k, alpha)."""
-    crit = holm_critical_values(m, k, alpha)
-    crit.flags.writeable = False
-    return crit
-
-
 def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     """Generalized Holm step-down for k-FWER control.
 
-    Rejects ranks 1..r where r is the longest prefix with p_(i) <= c_i
-    throughout.  The critical values are increasing, so ties never straddle
-    the boundary and the prefix equals the threshold set.  Only the head of
-    the order at or below the last critical value c_m is sorted (c_m is
-    k*alpha/k for k <= m, and k*alpha/m > alpha for k > m): the first rank
-    beyond the head fails, so a head without a failing rank gives
-    r = |head|.
+    Rejects ranks 1..r where r is the longest prefix with
+    ((m+k-max(i, k))/k) * p_(i) <= alpha throughout, the critical values
+    k*alpha/(m+k-max(i, k)) in the form of the ``bonferroni_k`` local test.
+    The factors fall with i, so ties never straddle the boundary and the
+    prefix equals the threshold set.  For k <= m every factor is at least
+    1.0, which the last one is exactly, so only the head p <= alpha is
+    sorted: the first rank beyond it fails.  For k > m every factor is
+    m/k < 1 and the whole order is sorted.
     """
     _require_p(p, "holm_k")
     require_level(alpha)
     require_order(k)
-    crit = _holm_thresholds(p.m, k, alpha)
-    sv = sort_head(p, float(crit[-1]))
-    held = sv.perm.size
-    failing = np.flatnonzero(sv.rank_values() > crit[:held])
-    r = int(failing[0]) if failing.size else held
-    return reject_by_rank(sv, r)
+    sv = sort_head(p, alpha if k <= p.m else np.inf)
+    return reject_by_rank(sv, _step_down_rank(sv.rank_values(), p.m, k, alpha))
 
 
 def external_boundary(
@@ -105,7 +92,7 @@ def external_boundary(
     """Run a user-supplied boundary procedure.
 
     ``select_rank`` receives the ascending sorted p-values and alpha and must
-    return a boundary rank in [0, m]; the rejection set is everything at
+    return an integer boundary rank in [0, m]; the rejection set is everything at
     least as significant as the value at that rank, ties included.  The
     sorted p-values are the read-only array cached on ``p`` and shared with
     every other procedure, so a plugin that needs to modify them must copy
@@ -114,7 +101,11 @@ def external_boundary(
     _require_p(p, "external_boundary")
     require_level(alpha)
     sv = sort_evidence(p)
-    r = int(select_rank(sv.rank_values(), alpha))
+    r = select_rank(sv.rank_values(), alpha)
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(f"plugin returned {r!r}, not an integer rank") from None
     if not 0 <= r <= sv.m:
         raise ValueError(f"plugin returned rank {r}, outside [0, {sv.m}]")
     return reject_by_rank(sv, r)

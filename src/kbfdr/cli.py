@@ -52,7 +52,8 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 def read_evidence_csv(path: str) -> EvidenceVector:
     """Read `index,p_value` or `index,e_value` rows; indices 1-based contiguous.
 
-    The file must be UTF-8 text; the header's cells are matched after
+    The file must be UTF-8 text; a leading byte-order mark, as spreadsheets
+    write, is dropped. The header's cells are matched after
     stripping whitespace and lowering case. Rows are read as ``csv.reader``
     reads them, so quoted cells, CRLF or CR line ends and blank or
     whitespace-only rows (which are skipped) are accepted. A file of the
@@ -66,7 +67,7 @@ def read_evidence_csv(path: str) -> EvidenceVector:
     whose quoted cell spans lines is named by its last line.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
@@ -235,11 +236,11 @@ def _parse_config_text(text: str, path: str) -> dict[str, str]:
 
 def _load_config(path: str) -> dict[str, str]:
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return _parse_config_text(handle.read(), path)
     bundled = resources.files("kbfdr.configs").joinpath(path)
     if bundled.is_file():
-        return _parse_config_text(bundled.read_text(encoding="utf-8"), path)
+        return _parse_config_text(bundled.read_text(encoding="utf-8-sig"), path)
     raise ParseFailure(f"no config file at {path} and no bundled config by that name")
 
 

@@ -13,7 +13,9 @@ Each built-in test is described once, by its :class:`LocalTestRecord` in
 1, its evaluator on one subset of any size, which the brute-force and
 rectangular oracles of ``engine`` call, and its L-shaped scan kernel, which
 every closure-exact Domino path runs.  The kernels live here, next to the
-local tests whose floating-point expressions they reproduce.  The engine,
+local tests whose floating-point expressions they reproduce.  Bonferroni's
+kernel is the generalized Holm step-down, which ``baselines.holm_k`` runs
+too, so the two decide alike wherever Domino does not fall back.  The engine,
 the simulation's procedure tokens, the CLI choices and the ``validate``
 corpus all derive from these records.
 
@@ -285,25 +287,26 @@ def _ranks(m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _bonferroni_factors(m: int, k: int) -> np.ndarray:
-    """(m+k-l)/k for l = k..m, read-only."""
-    factors = (m + k - _ranks(m)[k - 1 :]) / k
+def _step_down_factors(m: int, k: int) -> np.ndarray:
+    """(m+k-max(l, k))/k for l = 1..m, read-only."""
+    factors = (m + k - np.maximum(_ranks(m), k)) / k
     factors.flags.writeable = False
     return factors
 
 
-def _bonferroni_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Generalized Bonferroni: the generalized Holm critical values.
+def _step_down_rank(v: np.ndarray, m: int, k: int, alpha: float) -> int:
+    """Generalized Holm step-down (Lehmann & Romano 2005) at order k.
 
-    The L-shaped member of size m+k-l has its k-th smallest p-value at rank
-    l, and on the a = 0 leg the b = m-r end is the hardest.  So rank r passes
-    iff ((m+k-l)/k) * p_(l) <= alpha for every l in [k, r]; the condition
-    does not depend on r, and the largest passing rank is the first failing
-    l minus one.
+    v holds the ascending p-values at the first v.size of m ranks; the
+    result is the longest prefix with ((m+k-max(l, k))/k) * p_(l) <= alpha.
+    As Bonferroni's kernel (m = v.size): the L-shaped member of size m+k-l
+    has its k-th smallest p-value at rank l, and on the a = 0 leg the
+    b = m-r end is the hardest, so rank r >= k passes iff the prefix reaches
+    it.  A rank l < k fails only if rank k fails too (same factor m/k,
+    larger p-value), so a result below k still means no rank passes.
     """
-    m = v.size
-    failing = (_bonferroni_factors(m, k) * v[k - 1 :] > alpha).nonzero()[0]
-    return m if failing.size == 0 else k + int(failing[0]) - 1
+    failing = (_step_down_factors(m, k)[: v.size] * v > alpha).nonzero()[0]
+    return v.size if failing.size == 0 else int(failing[0])
 
 
 def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
@@ -459,7 +462,7 @@ def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
 # ignore k in their evaluators; their descriptors only ever carry k = 1.
 RECORDS = {
     TestId.BONFERRONI_K: LocalTestRecord(
-        EvidenceKind.P_VALUE, False, bonferroni_k, _bonferroni_rank
+        EvidenceKind.P_VALUE, False, bonferroni_k, lambda v, k, a: _step_down_rank(v, v.size, k, a)
     ),
     TestId.SIMES: LocalTestRecord(
         EvidenceKind.P_VALUE, True, lambda vs, k, a: simes(vs, a), _simes_rank

@@ -2,8 +2,10 @@
 
 pytest does not collect this module (its name does not match ``test_*.py``);
 test modules import it by name.  It holds the loop-form significance order
-the array-native procedures are checked against, and the Bonferroni chain
-scan, whose divergence from the closure the tests document.
+and generalized Holm step-down the array-native procedures are checked
+against, the textbook Holm critical values, the harmonic kernel's scan
+without its preselection, and the Bonferroni chain scan, whose divergence
+from the closure the tests document.
 
 The chain scan keeps its own copy of Domino's k-1 fallback, so a change to
 the engine's fallback does not move the chain's expectations.
@@ -24,6 +26,7 @@ from kbfdr.core import (
     require_order,
     sort_evidence,
 )
+from kbfdr.local_tests import _harmonic_scale
 
 
 def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
@@ -47,6 +50,51 @@ def marginal_of(ev: EvidenceVector, indices, k: int) -> tuple[int, ...]:
     order = significance_order(ev, indices)
     kk = min(k, len(order))
     return tuple(reversed(order[len(order) - kk :]))
+
+
+def holm_critical_values(m: int, k: int, alpha: float) -> np.ndarray:
+    """Step-down critical values: k*alpha/m for i <= k, then k*alpha/(m+k-i)."""
+    i = np.arange(1, m + 1)
+    return np.where(i <= k, k * alpha / m, k * alpha / (m + k - i))
+
+
+def holm_step_down(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
+    """Generalized Holm in loop form, on the full order: step down while
+    ((m+k-max(i, k))/k) * p_(i) <= alpha, the float expression ``holm_k``
+    and Bonferroni-Domino share."""
+    sv = sort_evidence(p)
+    r = 0
+    for i, value in enumerate(sv.rank_values().tolist(), start=1):
+        if ((sv.m + k - max(i, k)) / k) * value > alpha:
+            break
+        r = i
+    return reject_by_rank(sv, r)
+
+
+def harmonic_rank_unpreselected(v: np.ndarray, alpha: float) -> int:
+    """The harmonic kernel's rank without its preselection.
+
+    Every rank up to the top leg's bound is checked, from the top down, by
+    the member expressions of ``local_tests._harmonic_rank``: the same tail
+    sums of 1/p and the same scaled comparison, so only the preselection
+    and its slack are left out.
+    """
+    m = v.size
+    scale, n = _harmonic_scale(m), np.arange(1, m + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / v
+        tail = np.cumsum(inv[::-1])
+        top = scale[1:] * (n / tail) <= alpha
+        top[0] = v[m - 1] <= alpha
+        failing = (~top).nonzero()[0]
+        r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
+        r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
+        for r in range(r_top, 0, -1):
+            b = max(m - r - 1, 0)
+            sums = inv[r - 1] + tail[:b]
+            if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
+                return r
+    return 0
 
 
 def _chain_fallback(sv: SortedView, k: int) -> RejectionSet:

@@ -1,18 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 
 from kbfdr import (
+    DominoConfig,
     EvidenceVector,
     bh,
+    domino_p,
     external_boundary,
-    holm_critical_values,
     holm_k,
+    local_test,
     reject_by_rank,
     run_sample,
     sort_evidence,
 )
-from kbfdr.baselines import _bh_thresholds, _holm_thresholds
+from kbfdr.baselines import _bh_thresholds
+from kbfdr.local_tests import _step_down_factors
 from kbfdr.simulate import SimScenario, gen_instance
+from reference import holm_critical_values, holm_step_down
 
 
 class TestBH:
@@ -95,30 +101,13 @@ def _uncached_bh(ev, alpha):
     return reject_by_rank(sv, int(passing[-1]) + 1 if passing.size else 0)
 
 
-def _uncached_holm(ev, k, alpha):
-    sv = sort_evidence(ev)
-    failing = np.flatnonzero(sv.rank_values() > holm_critical_values(sv.m, k, alpha))
-    return reject_by_rank(sv, int(failing[0]) if failing.size else sv.m)
-
-
 class TestCachedThresholds:
     def test_caches_are_read_only_and_shared(self):
         bh_t = _bh_thresholds(50, 0.05)
-        holm_t = _holm_thresholds(50, 2, 0.05)
-        for cached in (bh_t, holm_t):
-            assert not cached.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = 1.0
+        assert not bh_t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bh_t[0] = 1.0
         assert _bh_thresholds(50, 0.05) is bh_t
-        assert _holm_thresholds(50, 2, 0.05) is holm_t
-
-    def test_public_critical_values_stay_a_fresh_writable_array(self):
-        cached = _holm_thresholds(30, 3, 0.1)
-        fresh = holm_critical_values(30, 3, 0.1)
-        assert fresh.flags.writeable and fresh is not cached
-        assert fresh.tobytes() == cached.tobytes()
-        fresh[:] = 1.0
-        assert _holm_thresholds(30, 3, 0.1)[0] == pytest.approx(0.01)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 100, 1000])
     def test_decisions_equal_the_uncached_formulas(self, m):
@@ -132,7 +121,7 @@ class TestCachedThresholds:
             for alpha in (0.01, 0.05, 0.2):
                 assert bh(ev, alpha) == _uncached_bh(ev, alpha)
                 for k in {1, 2, min(5, m)}:
-                    assert holm_k(ev, k, alpha) == _uncached_holm(ev, k, alpha)
+                    assert holm_k(ev, k, alpha) == holm_step_down(ev, k, alpha)
 
 
 class TestHeadSort:
@@ -153,14 +142,19 @@ class TestHeadSort:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 100])
     def test_decisions_equal_the_full_order_formulas(self, m):
         """On a tie-heavy corpus: values at, just below and just above every
-        cut and threshold, -0.0 next to 0.0, and p in {0, 1}."""
+        cut and critical value, -0.0 next to 0.0, and p in {0, 1}.  Holm's
+        critical values are alpha/f_l for its step-down factors f_l; the
+        textbook ones, k*alpha/(m+k-l), round differently and are kept as
+        near-critical placements."""
         rng = np.random.default_rng(100 + m)
         for alpha in (0.05, 0.1):
-            cuts = [_bh_thresholds(m, alpha)[-1]]
-            cuts += [_holm_thresholds(m, k, alpha)[-1] for k in range(1, 6)]
-            cuts = np.array(cuts)
+            cuts = [_bh_thresholds(m, alpha)[-1], alpha]
+            cuts += [holm_critical_values(m, k, alpha)[-1] for k in range(1, 6)]
+            cuts = np.concatenate(
+                [cuts] + [alpha / _step_down_factors(m, k) for k in range(1, 6)]
+            )
             thresholds = np.concatenate(
-                (_bh_thresholds(m, alpha), _holm_thresholds(m, 2, alpha), cuts)
+                (_bh_thresholds(m, alpha), holm_critical_values(m, 2, alpha), cuts)
             )
             support = np.concatenate((
                 [-0.0, 0.0, 1.0],
@@ -187,10 +181,31 @@ class TestHeadSort:
                             got, want = bh(shared, alpha), _uncached_bh(full, alpha)
                         else:
                             got = holm_k(shared, k, alpha)
-                            want = _uncached_holm(full, k, alpha)
+                            want = holm_step_down(full, k, alpha)
                         assert got == want, (name, k, values.tolist())
                         assert got.ranked.tobytes() == stable[: got.size].tobytes()
                     assert shared.perm.tobytes() == stable.tobytes()
+
+
+class TestExactCriticalValues:
+    """Holm decides with Bonferroni-Domino's float expression,
+    ((m+k-max(i, k))/k) * p_(i) <= alpha, where the textbook critical value
+    k*alpha/(m+k-max(i, k)) can round to either side."""
+
+    def test_last_critical_value_does_not_round_above_alpha(self):
+        # k * alpha / k rounds to 0.10000000000000002 here, and the textbook
+        # critical value would reject all three; 1.0 * p > alpha rejects none.
+        assert holm_critical_values(3, 3, 0.1)[-1] == 0.10000000000000002
+        ev = EvidenceVector.p_values([0.10000000000000002] * 3)
+        assert holm_k(ev, 3, 0.1).size == 0
+        assert domino_p(ev, DominoConfig(local_test("bonferroni", 3), 0.1)).fallback
+
+    def test_exact_critical_value_decides_like_domino(self):
+        ev = EvidenceVector.p_values([0.0, 0.0, 0.0, 0.05000000000000001])
+        assert holm_critical_values(4, 3, 0.05)[-1] == 0.05000000000000001
+        holm = holm_k(ev, 3, 0.05)
+        assert holm.ranked.tolist() == [0, 1, 2]
+        assert holm == domino_p(ev, DominoConfig(local_test("bonferroni", 3), 0.05))
 
 
 class TestExternalPlugin:
@@ -219,6 +234,17 @@ class TestExternalPlugin:
         ev = EvidenceVector.p_values([0.1, 0.2])
         with pytest.raises(ValueError):
             external_boundary(ev, 0.05, lambda sp, a: 5)
+
+    @pytest.mark.parametrize("rank", [2.9, 2.0, "3", None])
+    def test_a_rank_that_is_not_an_integer_is_rejected(self, rank):
+        ev = EvidenceVector.p_values([0.01, 0.02, 0.03, 0.9])
+        with pytest.raises(ValueError, match=re.escape(f"plugin returned {rank!r}")):
+            external_boundary(ev, 0.05, lambda sp, a: rank)
+
+    @pytest.mark.parametrize("rank", [3, np.int64(3), np.uint8(3)])
+    def test_python_and_numpy_integer_ranks_are_taken(self, rank):
+        ev = EvidenceVector.p_values([0.01, 0.02, 0.03, 0.9])
+        assert external_boundary(ev, 0.05, lambda sp, a: rank).ranked.tolist() == [0, 1, 2]
 
 
 class TestBoundaryVsFamilywise:

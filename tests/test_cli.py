@@ -413,7 +413,7 @@ EVIDENCE_CORPUS = [
     ("no final newline", b"index,p_value\n1,0.1\n2,0.2", True),
     ("header case and space", b" Index , P_VALUE \n1,0.1\n", True),
     ("bad header", b"p,q\n1,0.1\n", False),
-    ("byte order mark", "﻿index,p_value\n1,0.1\n".encode(), False),
+    ("byte order mark", "﻿index,p_value\n1,0.1\n".encode(), True),
     ("extra column", b"index,p_value\n1,0.1,x\n", False),
     ("extra header column", b"index,p_value,x\n1,0.1\n", False),
     ("empty value", b"index,p_value\n1,\n", False),
@@ -549,6 +549,47 @@ def _rows_outcome(text):
     except ParseFailure:
         return None
     return kind, np.asarray(values, dtype=float).tobytes()
+
+
+class TestByteOrderMark:
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark; a file
+    with one gives the output bytes of the same file without it."""
+
+    BOM = "\ufeff".encode()
+
+    @pytest.mark.parametrize("body, plain", [
+        ("index,p_value\n1,0.001\n2,0.5\n3,0.02\n", True),
+        ('index,p_value\n1,"0.001"\n2,0.5\n3,0.02\n', False),
+    ], ids=["plain", "quoted"])
+    def test_evidence_file(self, tmp_path, monkeypatch, body, plain):
+        taken = []
+        real_read_plain = cli._read_plain
+
+        def spy(text):
+            parsed = real_read_plain(text)
+            taken.append(parsed is not None)
+            return parsed
+
+        monkeypatch.setattr(cli, "_read_plain", spy)
+        outputs = []
+        for name, prefix in (("no_bom", b""), ("bom", self.BOM)):
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_rej.csv"
+            path.write_bytes(prefix + body.encode())
+            argv = ["run", str(path), "--proc", "holm", "--alpha", "0.05", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert taken == [plain, plain]
+        assert outputs[0] == outputs[1]
+        assert outputs[1].count(b",1,") == 2
+
+    def test_config_file(self, tmp_path):
+        outputs = []
+        for name, prefix in (("no_bom", b""), ("bom", self.BOM)):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_bytes(prefix + CONFIG.encode())
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestPlainReaderDifferential:

@@ -29,11 +29,16 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
-from kbfdr.local_tests import RECORDS, TestId, _e_closure_reduced
+from kbfdr.local_tests import RECORDS, TestId, _e_closure_reduced, _harmonic_factor
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
-from reference import domino_p_fast_bonferroni, marginal_of, significance_order
+from reference import (
+    domino_p_fast_bonferroni,
+    harmonic_rank_unpreselected,
+    marginal_of,
+    significance_order,
+)
 
 
 def p_view(values):
@@ -549,20 +554,42 @@ class TestEValueOverflow:
 class TestLShapedKernels:
     """The closed forms the kernels rely on, at scales brute force cannot reach."""
 
-    def test_exact_bonferroni_is_generalized_holm(self):
+    @staticmethod
+    def _holm_corpus():
+        """Random vectors at m < 300, then simulated and U^4 p-values at
+        m in {10^2, 10^3, 10^4}, each also rounded to a tie-heavy grid, and
+        global-null uniforms, on which Domino mostly falls back."""
         rng = np.random.default_rng(41)
         for _ in range(200):
             m = int(rng.integers(3, 300))
             p = rng.random(m)
             p[rng.random(m) < 0.3] *= 1e-3
+            yield p
+        for m in (100, 1000, 10_000):
+            sc = SimScenario(m=m, pi1=0.2, mu_c=3.0, sigma=1.0, rho=0.25,
+                             alpha=0.05, k=1, reps=3, seed=m)
+            for rep in range(3):
+                for p in (gen_instance(sc, rep).pvalues.values, rng.random(m) ** 4):
+                    yield p
+                    yield np.round(p, 3)
+                yield rng.random(m)
+
+    def test_exact_bonferroni_is_generalized_holm(self):
+        # Both run one step-down, so they differ only where Domino falls
+        # back, and it falls back exactly when Holm's prefix stops below k.
+        fallbacks = 0
+        for p in self._holm_corpus():
             ev = EvidenceVector.p_values(p)
-            for k in (1, 2, 3):
-                holm = holm_k(ev, k, 0.05)
-                rej = domino_p(ev, DominoConfig(local_test("bonferroni", k), 0.05))
-                if holm.size >= k:
-                    assert rej.indices == holm.indices
-                else:
-                    assert rej.boundary_rank == 0
+            for alpha in (0.05, 0.2):
+                for k in (1, 2, 3):
+                    holm = holm_k(ev, k, alpha)
+                    rej = domino_p(ev, DominoConfig(local_test("bonferroni", k), alpha))
+                    if rej.fallback:
+                        assert holm.size < k
+                        fallbacks += 1
+                    else:
+                        assert rej == holm
+        assert fallbacks > 0
 
     @pytest.mark.parametrize("test_id", ["simes", "harmonic", "eclosure"])
     def test_matches_rectangular_scan(self, test_id):
@@ -617,6 +644,47 @@ class TestLShapedKernels:
                 assert rank_at(s) == expected, (base * s).tolist()
                 checked += 1
         assert checked > 50
+
+    def test_harmonic_preselection_keeps_every_passing_rank(self):
+        # Under rank r: tiny p-values.  Above it: c p-values just above its
+        # critical value, then b weak ones on top.  Rank r is then bound by
+        # its a = 0 member {r} with the b weak p-values, which the
+        # preselection screens; the ranks above fail.  Scaled to where the
+        # kernel's result flips, that member sits within rounding of alpha,
+        # where the slack must cover the rounding of its threshold.  (At
+        # m = 3 the top-leg member {1, 2, 3} binds instead.)  The kernel
+        # must return the rank a scan of every rank, from the top down, by
+        # the same member expressions finds.
+        rng = np.random.default_rng(46)
+        scan = RECORDS[TestId.HARMONIC_MEAN].scan
+        checked = 0
+        for _ in range(300):
+            m = int(rng.choice([3, 5, 8, 40]))
+            alpha = float(rng.choice([0.05, 0.2]))
+            b = int(rng.integers(1, m - 1))
+            c = int(rng.integers(1, m - b))
+            r = m - b - c
+            weak = np.sort(rng.uniform(0.5, 1.0, b))
+            bound = _harmonic_factor(b + 1) * (b + 1) / alpha
+            above = np.sort(rng.uniform(1.01, 1.4, c)) / (bound - (1.0 / weak).sum())
+            base = np.concatenate((np.sort(rng.uniform(0.0, 1e-6, r)), above, weak))
+
+            def rank_at(s):
+                v = base.copy()
+                v[r - 1] = base[r] * s
+                return scan(v, 1, alpha), v
+
+            lo, hi = 0.5, 1.0
+            if rank_at(lo)[0] == rank_at(hi)[0]:
+                continue
+            while (lo + hi) / 2 not in (lo, hi):  # bisect down to adjacent doubles
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if rank_at(mid)[0] == rank_at(lo)[0] else (lo, mid)
+            for s in (lo, hi):
+                got, v = rank_at(s)
+                assert got == harmonic_rank_unpreselected(v, alpha), (v.tolist(), alpha)
+                checked += 1
+        assert checked > 400
 
 
 class TestKernelsStayLinear:

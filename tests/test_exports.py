@@ -16,7 +16,12 @@ import kbfdr
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Test-only reference code that lives in tests/reference.py.
-MOVED = ("domino_p_fast_bonferroni", "significance_order", "marginal_of")
+MOVED = (
+    "domino_p_fast_bonferroni",
+    "significance_order",
+    "marginal_of",
+    "holm_critical_values",
+)
 
 
 def _traced_layers():
@@ -40,5 +45,5 @@ def test_all_names_resolve_once():
 @pytest.mark.parametrize("name", MOVED)
 def test_reference_code_is_not_in_the_package(name):
     assert name not in kbfdr.__all__
-    for module in (kbfdr, kbfdr.core, kbfdr.engine):
+    for module in (kbfdr, kbfdr.core, kbfdr.engine, kbfdr.baselines):
         assert not hasattr(module, name)

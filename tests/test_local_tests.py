@@ -23,11 +23,11 @@ from kbfdr import (
 )
 from kbfdr.local_tests import (
     RECORDS,
-    _bonferroni_factors,
     _harmonic_bounds,
     _harmonic_factor,
     _harmonic_scale,
     _ranks,
+    _step_down_factors,
 )
 
 
@@ -262,7 +262,7 @@ class TestKernelTables:
     must return the same rank.
     """
 
-    TABLES = (_ranks, _bonferroni_factors, _harmonic_scale, _harmonic_bounds)
+    TABLES = (_ranks, _step_down_factors, _harmonic_scale, _harmonic_bounds)
 
     def _clear(self):
         for table in self.TABLES:
@@ -298,13 +298,20 @@ class TestKernelTables:
     @pytest.mark.parametrize("m", [1, 2, 3, 50])
     def test_tables_are_read_only(self, m):
         arrays = [_ranks(m), _harmonic_scale(m), *_harmonic_bounds(m, 0.05)[:2]]
-        arrays += [_bonferroni_factors(m, k) for k in range(1, m + 1)]
+        arrays += [_step_down_factors(m, k) for k in range(1, m + 3)]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
         assert _ranks(m).tolist() == list(range(1, m + 1))
         assert _harmonic_bounds(m, 0.05)[0].size == max(m - 2, 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50])
+    def test_step_down_factors_are_the_local_tests_floats(self, m):
+        # (|S|/k) as bonferroni_k computes it, for |S| = m+k-max(l, k).
+        for k in range(1, m + 3):
+            want = [(m + k - max(l, k)) / k for l in range(1, m + 1)]
+            assert _step_down_factors(m, k).tolist() == want
 
 
 def test_combined_evidence_validates():

@@ -19,13 +19,11 @@ from .core import (
     OutOfRangeError,
     RejectionSet,
     SortedView,
-    SubsetTooLargeError,
     SubsetTooSmallError,
     reject_by_rank,
     sort_evidence,
 )
 from .engine import (
-    DEFAULT_BRUTE_FORCE_CAP,
     ConditionTrace,
     DominoConfig,
     check_condition_bruteforce,
@@ -37,16 +35,13 @@ from .engine import (
     domino_p_fast_harmonic,
 )
 from .local_tests import (
-    CombinedEvidence,
     LocalTestDescriptor,
     TestId,
-    arithmetic_e_mean,
     bonferroni_k,
     e_average,
     e_closure_k,
     harmonic_mean_test,
     local_test,
-    scaled_harmonic_mean,
     simes,
 )
 from .metrics import (
@@ -75,9 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CSV_HEADER",
     "CapExceededError",
-    "CombinedEvidence",
     "ConditionTrace",
-    "DEFAULT_BRUTE_FORCE_CAP",
     "DimensionMismatchError",
     "DominoConfig",
     "EmptyInputError",
@@ -94,11 +87,9 @@ __all__ = [
     "SimInstance",
     "SimScenario",
     "SortedView",
-    "SubsetTooLargeError",
     "SubsetTooSmallError",
     "TestId",
     "aggregate",
-    "arithmetic_e_mean",
     "bh",
     "bonferroni_k",
     "check_condition_bruteforce",
@@ -123,7 +114,6 @@ __all__ = [
     "reject_by_rank",
     "run_grid",
     "run_sample",
-    "scaled_harmonic_mean",
     "simes",
     "sort_evidence",
     "substream_seed",

@@ -43,12 +43,8 @@ class SubsetTooSmallError(ValueError):
     """An evidence subset was smaller than the test order requires."""
 
 
-class SubsetTooLargeError(ValueError):
-    """An evidence subset exceeded an enumeration cap."""
-
-
 class CapExceededError(ValueError):
-    """Brute-force enumeration was requested above the configured cap."""
+    """Brute-force enumeration was requested above its cap."""
 
 
 class DimensionMismatchError(ValueError):

@@ -31,7 +31,7 @@ full rectangular family; both decide each member with ``test.evaluate``,
 the evaluator of the test's record.  :func:`domino_e_mean_reduction_check`
 pads M with the outsiders in ascending value order, the L-shaped family of
 e-value means, and compares each member's mean with 1/alpha.
-:func:`domino_bruteforce` runs the superset check at each rank (capped).
+:func:`domino_bruteforce` runs the superset check at each rank, for m <= 20.
 
 A call is fixed by the local test (its id and order k) and alpha;
 ``DominoConfig`` and both condition oracles read k from the test.
@@ -59,8 +59,8 @@ from .core import (
 )
 from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
 
-# Re-exported: ``bench/tracing.py`` wraps the local tests where the engine
-# names them.
+# Re-exported, though no engine path calls them by name: the records hold
+# the evaluators.  ``bench/tracing.py`` wraps these names in the engine.
 from .local_tests import (  # noqa: F401
     bonferroni_k,
     e_average,
@@ -69,7 +69,7 @@ from .local_tests import (  # noqa: F401
     simes,
 )
 
-DEFAULT_BRUTE_FORCE_CAP = 20
+_BRUTE_FORCE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,19 @@ def check_condition_bruteforce(
     r: int,
     test: LocalTestDescriptor,
     alpha: float,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
 ) -> ConditionTrace:
     """Verify the closure condition at rank r by full superset enumeration.
 
     Supersets are visited smallest-added-cardinality first and, within a
     cardinality, lexicographically over the significance ranks of the added
-    indices, so the first failing subset is deterministic.
+    indices, so the first failing subset is deterministic.  Raises
+    ``CapExceededError`` for m > 20.
     """
     m, k = sv.m, test.k
-    if m > cap:
-        raise CapExceededError(f"brute force capped at m <= {cap}, got m={m}")
+    if m > _BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"brute force capped at m <= {_BRUTE_FORCE_CAP}, got m={m}"
+        )
     require_rank(m, r, k)
     _require_kind(sv, test)
     marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
@@ -165,19 +167,17 @@ def check_condition_bruteforce(
     return _first_failing(sv, r, supersets, lambda vs: test.evaluate(vs, alpha))
 
 
-def domino_bruteforce(
-    ev: EvidenceVector, cfg: DominoConfig, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> RejectionSet:
+def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
     """Domino by superset enumeration at every rank, from m down to k.
 
     The reference oracle for :func:`domino_p` and :func:`domino_e`, for
     either evidence kind; it enumerates up to 2^(m-k) supersets per rank
-    and raises ``CapExceededError`` for m > cap.
+    and raises ``CapExceededError`` for m > 20.
     """
     _require_fit(ev, cfg, ev.kind)
     sv = sort_evidence(ev)
     for r in range(sv.m, cfg.k - 1, -1):
-        if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha, cap=cap).passed:
+        if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha).passed:
             return reject_by_rank(sv, r)
     return _trivial_rejection(sv, cfg.k)
 

@@ -12,12 +12,14 @@ Each built-in test is described once, by its :class:`LocalTestRecord` in
 ``RECORDS``: the evidence kind it reads, whether it is defined only at order
 1, its evaluator on one subset of any size, which the brute-force and
 rectangular oracles of ``engine`` call, and its L-shaped scan kernel, which
-every closure-exact Domino path runs.  The kernels live here, next to the
-local tests whose floating-point expressions they reproduce.  Bonferroni's
-kernel is the generalized Holm step-down, which ``baselines.holm_k`` runs
-too, so the two decide alike wherever Domino does not fall back.  The engine,
-the simulation's procedure tokens, the CLI choices and the ``validate``
-corpus all derive from these records.
+every closure-exact Domino path runs.  The evaluators are the public tests
+below, each computing its statistic inline; the closure e-test
+``e_closure_k`` decides a subset of any size in one sorted pass.  The
+kernels live here, next to the local tests whose floating-point expressions
+they reproduce.  Bonferroni's kernel is the generalized Holm step-down,
+which ``baselines.holm_k`` runs too, so the two decide alike wherever
+Domino does not fall back.  The engine, the simulation's procedure tokens,
+the CLI choices and the ``validate`` corpus all derive from these records.
 
 Conventions for extreme evidence: 1/0 := +inf, so a zero p-value drives the
 harmonic mean to 0 and forces rejection; a +inf e-value makes every mean it
@@ -30,19 +32,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    EvidenceKind,
-    OutOfRangeError,
-    SubsetTooLargeError,
-    SubsetTooSmallError,
-)
-
-E_CLOSURE_ENUMERATION_CAP = 12
+from .core import EvidenceKind, OutOfRangeError, SubsetTooSmallError
 
 
 class TestId(enum.Enum):
@@ -102,17 +96,6 @@ def local_test(test_id: TestId | str, k: int = 1) -> LocalTestDescriptor:
     return LocalTestDescriptor(TestId(test_id), k)
 
 
-@dataclass(frozen=True)
-class CombinedEvidence:
-    """A combined statistic for an intersection hypothesis."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.value) or self.value < 0.0:
-            raise ValueError(f"combined evidence must be >= 0, got {self.value}")
-
-
 def _inv(p: float) -> float:
     return math.inf if p == 0.0 else 1.0 / p
 
@@ -146,114 +129,54 @@ def _harmonic_factor(n: int) -> float:
     return 2.0 if n == 2 else math.e * math.log(n)
 
 
-def scaled_harmonic_mean(p_subset: Sequence[float]) -> CombinedEvidence:
-    """The combined p-value c(|S|) * |S| / sum(1/p_j) (|S| >= 2).
-
-    The factor c(n) is 2 at n = 2 and e*ln(n) above.  For a singleton the
-    combination is the p-value itself.
-    """
-    n = len(p_subset)
-    if n < 1:
-        raise SubsetTooSmallError("need at least one p-value")
-    if n == 1:
-        return CombinedEvidence(float(p_subset[0]))
-    inv_sum = sum(_inv(p) for p in p_subset)
-    har = 0.0 if math.isinf(inv_sum) else n / inv_sum
-    return CombinedEvidence(_harmonic_factor(n) * har)
+def _combined(value: float) -> float:
+    """A combined statistic of an intersection hypothesis, which is >= 0."""
+    if math.isnan(value) or value < 0.0:
+        raise ValueError(f"combined evidence must be >= 0, got {value}")
+    return value
 
 
 def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
     """Scaled-harmonic-mean combination test (order 1).
 
-    Singletons are tested directly against alpha; larger subsets via the
-    scaled harmonic mean, where any zero p-value gives a combined value of 0.
+    The combined p-value of |S| >= 2 p-values is c(|S|) * |S| / sum(1/p_j),
+    where c(n) is 2 at n = 2 and e*ln(n) above, and any zero p-value gives
+    0.  A singleton is tested directly against alpha.
     """
-    return int(scaled_harmonic_mean(p_subset).value <= alpha)
-
-
-def arithmetic_e_mean(e_subset: Sequence[float]) -> CombinedEvidence:
-    """The intersection e-value used throughout: the arithmetic mean."""
-    n = len(e_subset)
+    n = len(p_subset)
     if n < 1:
-        raise SubsetTooSmallError("need at least one e-value")
-    return CombinedEvidence(sum(e_subset) / n)
+        raise SubsetTooSmallError("need at least one p-value")
+    if n == 1:
+        return int(_combined(float(p_subset[0])) <= alpha)
+    inv_sum = sum(_inv(p) for p in p_subset)
+    har = 0.0 if math.isinf(inv_sum) else n / inv_sum
+    return int(_combined(_harmonic_factor(n) * har) <= alpha)
 
 
 def e_average(e_subset: Sequence[float], alpha: float) -> int:
     """Reject iff the arithmetic mean of the e-values is >= 1/alpha."""
-    return int(arithmetic_e_mean(e_subset).value >= 1.0 / alpha)
+    n = len(e_subset)
+    if n < 1:
+        raise SubsetTooSmallError("need at least one e-value")
+    return int(_combined(sum(e_subset) / n) >= 1.0 / alpha)
 
 
-def e_closure_k(
-    e_subset: Sequence[float],
-    k: int,
-    alpha: float,
-    cap: int = E_CLOSURE_ENUMERATION_CAP,
-) -> int:
-    """Direct k-local test built from closure over e-value means.
+def e_closure_k(e_subset: Sequence[float], k: int, alpha: float) -> int:
+    """Closure e-test: a k-local test built from closure over e-value means.
 
     Rejects iff there is a witness W subseteq S with |W| >= k such that every
     T subseteq S intersecting W in at least k elements has mean e-value
-    >= 1/alpha.  Only witnesses of size exactly k need enumeration: shrinking
-    W to any k-subset shrinks the constrained family {T : |T ∩ W| >= k}, so a
-    working W implies a working k-subset of it.
-
-    This is the double-enumeration reference form, capped at |S| <= cap;
-    the e-closure record evaluates the uncapped :func:`_e_closure_reduced`.
+    >= 1/alpha.  Only witnesses of size exactly k need checking: shrinking W
+    to any k-subset shrinks the constrained family {T : |T ∩ W| >= k}.  If
+    any k-witness works, the top-k one works (swapping a witness member for
+    a larger e-value preserves every constrained mean), and its binding
+    supersets are the ones padded with the t smallest remaining values, so
+    one sorted pass decides any |S|.
     """
     n = len(e_subset)
     if n < k:
         raise SubsetTooSmallError(f"need at least k={k} e-values, got {n}")
-    if n > cap:
-        raise SubsetTooLargeError(
-            f"direct enumeration capped at {cap} e-values, got {n}"
-        )
-    vals = [float(v) for v in e_subset]
-    threshold = 1.0 / alpha
-
-    n_masks = 1 << n
-    sums = [0.0] * n_masks
-    counts = [0] * n_masks
-    for mask in range(1, n_masks):
-        low = mask & -mask
-        rest = mask ^ low
-        sums[mask] = sums[rest] + vals[low.bit_length() - 1]
-        counts[mask] = counts[rest] + 1
-
-    full = n_masks - 1
-    for witness in combinations(range(n), k):
-        w_mask = 0
-        for i in witness:
-            w_mask |= 1 << i
-        free = full ^ w_mask
-        # T with |T ∩ W| >= k and |W| = k means T ⊇ W.
-        ok = True
-        sub = free
-        while True:
-            t_mask = w_mask | sub
-            if sums[t_mask] / counts[t_mask] < threshold:
-                ok = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        if ok:
-            return 1
-    return 0
-
-
-def _e_closure_reduced(values: Sequence[float], k: int, alpha: float) -> int:
-    """Closure e-test on a single subset of any size.
-
-    Equivalent to the direct double enumeration: if any witness works, the
-    top-k witness works (swapping a witness member for a larger e-value
-    preserves every constrained mean), and for the top-k witness the binding
-    supersets are the ones padded with the t smallest remaining values.
-    """
-    n = len(values)
-    if n < k:
-        raise SubsetTooSmallError(f"need at least k={k} e-values, got {n}")
-    ordered = sorted(values)
+    ordered = sorted(e_subset)
     threshold = 1.0 / alpha
     top_sum = sum(ordered[n - k :])
     if top_sum / k < threshold:
@@ -352,7 +275,7 @@ def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
 def _harmonic_scale(m: int) -> np.ndarray:
     """The harmonic factor for n = 0..m: 2 at n = 2, e * ln(n) elsewhere.
 
-    Each entry is the float ``scaled_harmonic_mean`` multiplies by.
+    Each entry is the float ``harmonic_mean_test`` multiplies by.
     """
     scale = np.array([0.0] + [_harmonic_factor(n) for n in range(1, m + 1)])
     scale.flags.writeable = False
@@ -477,6 +400,6 @@ RECORDS = {
         EvidenceKind.E_VALUE, True, lambda vs, k, a: e_average(vs, a), _e_mean_rank
     ),
     TestId.E_CLOSURE_K: LocalTestRecord(
-        EvidenceKind.E_VALUE, False, _e_closure_reduced, _e_mean_rank
+        EvidenceKind.E_VALUE, False, e_closure_k, _e_mean_rank
     ),
 }

@@ -4,7 +4,8 @@ pytest does not collect this module (its name does not match ``test_*.py``);
 test modules import it by name.  It holds the loop-form significance order
 and generalized Holm step-down the array-native procedures are checked
 against, the textbook Holm critical values, the harmonic kernel's scan
-without its preselection, and the Bonferroni chain scan, whose divergence
+without its preselection, the closure e-test as a double enumeration over
+witnesses and supersets, and the Bonferroni chain scan, whose divergence
 from the closure the tests document.
 
 The chain scan keeps its own copy of Domino's k-1 fallback, so a change to
@@ -12,6 +13,8 @@ the engine's fallback does not move the chain's expectations.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from kbfdr.core import (
     OutOfRangeError,
     RejectionSet,
     SortedView,
+    SubsetTooSmallError,
     reject_by_rank,
     require_level,
     require_order,
@@ -94,6 +98,47 @@ def harmonic_rank_unpreselected(v: np.ndarray, alpha: float) -> int:
             sums = inv[r - 1] + tail[:b]
             if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
                 return r
+    return 0
+
+
+def e_closure_enumeration(e_subset, k: int, alpha: float) -> int:
+    """The closure e-test by direct double enumeration (|S| <= 12 or so).
+
+    Rejects iff some witness W of exactly k members makes every T ⊇ W
+    (the T with |T ∩ W| >= k) reach a mean e-value of 1/alpha.  Subset sums
+    are built incrementally over bitmasks, so they add the members in
+    another order than ``e_closure_k``'s sorted pass, and a mean within
+    rounding of 1/alpha can be decided differently.
+    """
+    n = len(e_subset)
+    if n < k:
+        raise SubsetTooSmallError(f"need at least k={k} e-values, got {n}")
+    vals = [float(v) for v in e_subset]
+    threshold = 1.0 / alpha
+
+    n_masks = 1 << n
+    sums = [0.0] * n_masks
+    counts = [0] * n_masks
+    for mask in range(1, n_masks):
+        low = mask & -mask
+        rest = mask ^ low
+        sums[mask] = sums[rest] + vals[low.bit_length() - 1]
+        counts[mask] = counts[rest] + 1
+
+    full = n_masks - 1
+    for witness in combinations(range(n), k):
+        w_mask = 0
+        for i in witness:
+            w_mask |= 1 << i
+        free = full ^ w_mask
+        sub = free
+        while True:
+            t_mask = w_mask | sub
+            if sums[t_mask] / counts[t_mask] < threshold:
+                break
+            if sub == 0:
+                return 1
+            sub = (sub - 1) & free
     return 0
 
 

@@ -128,7 +128,8 @@ class TestRun:
         assert capsys.readouterr().err.startswith("configuration conflict: ")
 
     def test_brute_eclosure_past_twelve_values(self, tmp_path, capsys):
-        # Brute force rejects all 13; e_closure_k itself stops at 12 values.
+        # Every value reaches 1/alpha = 20, and the closure e-test has no
+        # size cap, so all 13 are rejected.
         path = tmp_path / "e13.csv"
         rows = "".join(f"{i},50\n" for i in range(1, 14))
         path.write_text("index,e_value\n" + rows, encoding="utf-8")

@@ -29,12 +29,13 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
-from kbfdr.local_tests import RECORDS, TestId, _e_closure_reduced, _harmonic_factor
+from kbfdr.local_tests import RECORDS, TestId, _harmonic_factor
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
 from reference import (
     domino_p_fast_bonferroni,
+    e_closure_enumeration,
     harmonic_rank_unpreselected,
     marginal_of,
     significance_order,
@@ -71,13 +72,14 @@ class TestBruteForce:
             assert check_condition_bruteforce(sv, r, BONF1, 0.05).passed
 
     def test_cap(self):
-        sv = p_view([0.5] * 25)
+        # m = 20 is allowed; every first member fails, so the calls are quick.
+        cfg = DominoConfig(BONF1, 0.05)
+        assert not check_condition_bruteforce(p_view([0.5] * 20), 20, BONF1, 0.05).passed
+        assert domino_bruteforce(EvidenceVector.p_values([0.5] * 20), cfg).size == 0
         with pytest.raises(CapExceededError):
-            check_condition_bruteforce(sv, 25, BONF1, 0.05)
-        small = EvidenceVector.p_values([0.002, 0.01, 0.9])
+            check_condition_bruteforce(p_view([0.5] * 21), 21, BONF1, 0.05)
         with pytest.raises(CapExceededError):
-            domino_bruteforce(small, DominoConfig(BONF1, 0.05), cap=2)
-        assert domino_bruteforce(small, DominoConfig(BONF1, 0.05), cap=3).size == 2
+            domino_bruteforce(EvidenceVector.p_values([0.5] * 21), cfg)
 
     def test_rank_validation(self):
         sv = p_view([0.1, 0.2])
@@ -99,8 +101,8 @@ class TestBruteForce:
         assert trace.first_failing_subset == frozenset({2})
 
     def test_eclosure_runs_to_the_brute_cap(self):
-        # Members of more than 12 values are past e_closure_k's own cap; the
-        # brute-force cap (20) is the only limit that applies.
+        # The closure e-test decides members of any size, so the brute-force
+        # cap (20) is the only limit that applies.
         ev = EvidenceVector.e_values([50.0] * 13)
         test = local_test("eclosure", 2)
         brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
@@ -165,6 +167,8 @@ class TestRectangular:
 
 
 class TestEClosureReduced:
+    """``e_closure_k``'s sorted pass against the double enumeration."""
+
     def test_matches_direct_enumeration(self):
         rng = np.random.default_rng(77)
         for _ in range(400):
@@ -175,10 +179,10 @@ class TestEClosureReduced:
             for k in (1, 2, 3):
                 if k > n:
                     continue
-                assert _e_closure_reduced(vals, k, 0.05) == e_closure_k(vals, k, 0.05)
+                assert e_closure_k(vals, k, 0.05) == e_closure_enumeration(vals, k, 0.05)
 
     def test_handles_infinity(self):
-        assert _e_closure_reduced([float("inf"), 0.0], 1, 0.05) == 1
+        assert e_closure_k([float("inf"), 0.0], 1, 0.05) == 1
 
 
 class TestDominoP:
@@ -501,6 +505,22 @@ class TestDefaultMatchesBruteForce:
             pad = rng.random(int(rng.integers(0, 5)))
             ev = EvidenceVector.p_values(np.concatenate(([p1, p2], pad)))
             assert domino_p(ev, cfg) == domino_bruteforce(ev, cfg), ev.values.tolist()
+
+    # ROADMAP item 2: a member whose mean lies within rounding of 1/alpha is
+    # summed in one order by the kernel and in another by the evaluator.
+    # When both compare exact sums these pass, and the strict marker asks
+    # for the marker to go.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="float sums in different orders")
+    @pytest.mark.parametrize("test_id, k, values", [
+        ("eavg", 1, [9.4, 30.7, 19.9]),
+        ("eclosure", 1, [9.7, 37.9, 12.4]),
+        ("eclosure", 2, [19.0, 1.3, 49.6, 24.5, 5.6]),
+    ])
+    def test_mean_on_the_threshold(self, test_id, k, values):
+        ev = EvidenceVector.e_values(values)
+        cfg = DominoConfig(local_test(test_id, k), 0.05)
+        assert domino_e(ev, cfg) == domino_bruteforce(ev, cfg)
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
         import kbfdr.engine as engine

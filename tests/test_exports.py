@@ -15,12 +15,19 @@ import kbfdr
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-# Test-only reference code that lives in tests/reference.py.
+# Names that left the package: test-only reference code that lives in
+# tests/reference.py, then the scalar combined-evidence layer and the
+# enumeration caps, which are deleted.
 MOVED = (
     "domino_p_fast_bonferroni",
     "significance_order",
     "marginal_of",
     "holm_critical_values",
+    "CombinedEvidence",
+    "scaled_harmonic_mean",
+    "arithmetic_e_mean",
+    "SubsetTooLargeError",
+    "DEFAULT_BRUTE_FORCE_CAP",
 )
 
 
@@ -45,5 +52,10 @@ def test_all_names_resolve_once():
 @pytest.mark.parametrize("name", MOVED)
 def test_reference_code_is_not_in_the_package(name):
     assert name not in kbfdr.__all__
-    for module in (kbfdr, kbfdr.core, kbfdr.engine, kbfdr.baselines):
+    for module in (kbfdr, kbfdr.core, kbfdr.engine, kbfdr.baselines,
+                   kbfdr.local_tests):
         assert not hasattr(module, name)
+
+
+def test_no_traced_name_has_left():
+    assert not {attr for _, attr in _traced_layers()} & set(MOVED)

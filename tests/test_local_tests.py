@@ -6,19 +6,15 @@ import pytest
 from scipy.special import ndtr
 
 from kbfdr import (
-    CombinedEvidence,
     EvidenceKind,
     OutOfRangeError,
-    SubsetTooLargeError,
     SubsetTooSmallError,
     TestId,
-    arithmetic_e_mean,
     bonferroni_k,
     e_average,
     e_closure_k,
     harmonic_mean_test,
     local_test,
-    scaled_harmonic_mean,
     simes,
 )
 from kbfdr.local_tests import (
@@ -29,6 +25,7 @@ from kbfdr.local_tests import (
     _ranks,
     _step_down_factors,
 )
+from reference import e_closure_enumeration
 
 
 class TestDescriptor:
@@ -108,23 +105,23 @@ class TestHarmonicMean:
         assert harmonic_mean_test([0.04], 0.05) == 1
         assert harmonic_mean_test([0.06], 0.05) == 0
 
-    def test_combined_values(self):
+    @pytest.mark.parametrize("ps, combined", [
         # Two p-values are scaled by 2, the sharp factor at |S| = 2.
-        assert scaled_harmonic_mean([0.001, 0.001]).value == pytest.approx(
-            2 * 0.001
-        )
+        ([0.001, 0.001], 2 * 0.001),
         # 1/0.05 + 1/0.5 = 22, harmonic mean 1/11
-        assert scaled_harmonic_mean([0.05, 0.5]).value == pytest.approx(
-            2 / 11.0
-        )
+        ([0.05, 0.5], 2 / 11.0),
         # From three p-values on, the factor is e*ln|S|.
-        assert scaled_harmonic_mean([0.001] * 3).value == pytest.approx(
-            math.e * math.log(3) * 0.001
-        )
-        assert scaled_harmonic_mean([0.04]).value == 0.04
+        ([0.001] * 3, math.e * math.log(3) * 0.001),
+        ([0.04], 0.04),
+    ])
+    def test_combined_values(self, ps, combined):
+        # The test rejects at alpha = combined and not one float below it,
+        # so its combined p-value is exactly that float.
+        assert harmonic_mean_test(ps, combined) == 1
+        assert harmonic_mean_test(ps, math.nextafter(combined, 0.0)) == 0
 
     def test_zero_pvalue_gives_zero_combination(self):
-        assert scaled_harmonic_mean([0.0, 0.9]).value == 0.0
+        assert harmonic_mean_test([0.0, 0.9], 0.0) == 1
         assert harmonic_mean_test([0.0, 0.9], 1e-12) == 1
 
 
@@ -142,7 +139,13 @@ class TestEAverage:
         assert e_average([float("inf"), 0.0, 0.0], 0.001) == 1
 
     def test_combined_value(self):
-        assert arithmetic_e_mean([30.0, 10.0]).value == 20.0
+        # 1/alpha is 20.0 at alpha = 0.05 and the next float up at ``above``,
+        # so the mean of [30, 10] is exactly 20.0.
+        above = 1.0 / math.nextafter(20.0, math.inf)
+        assert 1.0 / 0.05 == 20.0
+        assert 1.0 / above == math.nextafter(20.0, math.inf)
+        assert e_average([30.0, 10.0], 0.05) == 1
+        assert e_average([30.0, 10.0], above) == 0
 
 
 def _e_closure_literal(values, k, alpha):
@@ -181,11 +184,25 @@ class TestEClosureK:
     def test_subset_bounds(self):
         with pytest.raises(SubsetTooSmallError):
             e_closure_k([10.0], 2, 0.05)
-        with pytest.raises(SubsetTooLargeError):
-            e_closure_k([1.0] * 13, 1, 0.05)
+        with pytest.raises(SubsetTooSmallError):
+            e_closure_enumeration([10.0], 2, 0.05)
+
+    def test_any_subset_size(self):
+        assert e_closure_k([1.0] * 13, 1, 0.05) == 0
+        assert e_closure_k([50.0] * 1000, 3, 0.05) == 1
+
+    def test_rounding_case_follows_the_record(self):
+        # The sorted pass and the double enumeration add the same members in
+        # different orders; here a superset's mean sits within rounding of
+        # 1/alpha = 20, and only the enumeration rounds it up to 20.
+        vals = [25.1, 14.3, 23.2, 15.7, 3.8, 37.9]
+        record = local_test("eclosure", 3).evaluate(vals, 0.05)
+        assert e_closure_k(vals, 3, 0.05) == record == 0
+        assert e_closure_enumeration(vals, 3, 0.05) == 1
 
     def test_matches_literal_enumeration(self):
-        """The size-k witness restriction must not change any decision."""
+        """The size-k witness restriction and the sorted pass change no
+        decision away from the threshold."""
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 6))
@@ -195,7 +212,9 @@ class TestEClosureK:
             for k in (1, 2):
                 if k > n:
                     continue
-                assert e_closure_k(vals, k, 0.05) == _e_closure_literal(vals, k, 0.05)
+                literal = _e_closure_literal(vals, k, 0.05)
+                assert e_closure_k(vals, k, 0.05) == literal
+                assert e_closure_enumeration(vals, k, 0.05) == literal
 
 
 def _edge_subset(rng, kind, n):
@@ -226,7 +245,7 @@ class TestRecords:
         TestId.SIMES: lambda vs, k, a: simes(vs, a),
         TestId.HARMONIC_MEAN: lambda vs, k, a: harmonic_mean_test(vs, a),
         TestId.E_AVERAGE: lambda vs, k, a: e_average(vs, a),
-        TestId.E_CLOSURE_K: e_closure_k,  # |S| <= 12, its enumeration cap
+        TestId.E_CLOSURE_K: e_closure_enumeration,  # |S| <= 12
     }
 
     @pytest.mark.parametrize("tid", list(TestId))
@@ -314,10 +333,20 @@ class TestKernelTables:
             assert _step_down_factors(m, k).tolist() == want
 
 
-def test_combined_evidence_validates():
-    with pytest.raises(ValueError):
-        CombinedEvidence(-0.5)
-    assert CombinedEvidence(float("inf")).value == float("inf")
+@pytest.mark.parametrize("test, values", [
+    (harmonic_mean_test, [-0.5]),
+    (harmonic_mean_test, [math.nan, 0.5]),
+    (e_average, [-1.0, 0.5]),
+    (e_average, [math.nan]),
+])
+def test_combined_evidence_validates(test, values):
+    with pytest.raises(ValueError, match="combined evidence must be >= 0"):
+        test(values, 0.05)
+
+
+def test_infinite_combined_evidence_is_valid():
+    assert e_average([math.inf, 1.0], 0.05) == 1
+    assert harmonic_mean_test([math.inf], 0.05) == 0
 
 
 class TestElementwiseMonotonicity:

@@ -19,9 +19,9 @@ m-k+1 members: a = 0 for b = 0..m-r, then b = m-r for a = 1..r-k.
 kernel of the test's record in ``local_tests``, sorting once per decision:
 the generalized Holm critical values ((m+k-l)/k) * p_(l) for the
 generalized Bonferroni test, a Hommel-style pass over the top-n sets for
-Simes, suffix sums of 1/p for the harmonic mean, and cumulative sums for
-e-value means.  The last two preselect ranks with a closed-form margin and
-let the member statistics decide.
+Simes, and one sum kernel for the harmonic mean and the e-value means,
+which preselects ranks with a running maximum and decides members by the
+exact sum rule that their local tests apply too.
 
 The oracles stay public for the tests and ``kbfdr validate``; no Domino
 path calls them.  The three condition checks run one member loop and differ
@@ -30,7 +30,7 @@ enumerates every superset of M and :func:`check_condition_rectangular` the
 full rectangular family; both decide each member with ``test.evaluate``,
 the evaluator of the test's record.  :func:`domino_e_mean_reduction_check`
 pads M with the outsiders in ascending value order, the L-shaped family of
-e-value means, and compares each member's mean with 1/alpha.
+e-value means, and decides each member with ``e_average``.
 :func:`domino_bruteforce` runs the superset check at each rank, for m <= 20.
 
 A call is fixed by the local test (its id and order k) and alpha;
@@ -40,9 +40,7 @@ A call is fixed by the local test (its id and order k) and alpha;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import add
 
 import numpy as np
 
@@ -59,8 +57,9 @@ from .core import (
 )
 from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
 
-# Re-exported, though no engine path calls them by name: the records hold
-# the evaluators.  ``bench/tracing.py`` wraps these names in the engine.
+# Re-exported; the records hold the evaluators, and only the mean-reduction
+# check calls one by name.  ``bench/tracing.py`` wraps these names in the
+# engine.
 from .local_tests import (  # noqa: F401
     bonferroni_k,
     e_average,
@@ -207,23 +206,19 @@ def domino_e_mean_reduction_check(
 
     The mean over supersets of M_{r,k} is minimized, at every cardinality, by
     adding the smallest e-values outside M; checking those m - k prefixes is
-    therefore equivalent to checking every superset.  Sums are Python floats
-    added left to right, as the e-value kernel adds them (the built-in
-    ``sum`` compensates on Python 3.12+), and one that overflows becomes
-    +inf without a warning.
+    therefore equivalent to checking every superset.  Each member is decided
+    by ``e_average``, whose exact sum rule makes the decision independent of
+    the order in which any path adds the member's e-values.
     """
     require_rank(sv.m, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
     m = sv.m
-    threshold = 1.0 / alpha
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
     outsiders = [*range(m - 1, r - 1, -1), *range(r - k - 1, -1, -1)]
     padded = ([*range(r - k, r), *outsiders[:t]] for t in range(m - k + 1))
-    return _first_failing(
-        sv, r, padded, lambda vs: reduce(add, vs, 0.0) / len(vs) >= threshold
-    )
+    return _first_failing(sv, r, padded, lambda vs: e_average(vs, alpha))
 
 
 def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
@@ -266,7 +261,7 @@ def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:
     """Harmonic-mean Domino (order 1): :func:`domino_p` with the harmonic test.
 
     Decides like the full closure: one suffix sum of 1/p covers the top-n
-    sets of every rank, and one vector per rank covers {r} with the weak
-    tail.  Any zero p-value makes every set it enters a rejection.
+    sets of every rank, and one vector per candidate rank covers {r} with
+    the weak tail.  Any zero p-value makes every set it enters a rejection.
     """
     return domino_p(p, DominoConfig(local_test(TestId.HARMONIC_MEAN), alpha))

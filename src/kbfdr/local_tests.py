@@ -13,13 +13,14 @@ Each built-in test is described once, by its :class:`LocalTestRecord` in
 1, its evaluator on one subset of any size, which the brute-force and
 rectangular oracles of ``engine`` call, and its L-shaped scan kernel, which
 every closure-exact Domino path runs.  The evaluators are the public tests
-below, each computing its statistic inline; the closure e-test
-``e_closure_k`` decides a subset of any size in one sorted pass.  The
-kernels live here, next to the local tests whose floating-point expressions
-they reproduce.  Bonferroni's kernel is the generalized Holm step-down,
-which ``baselines.holm_k`` runs too, so the two decide alike wherever
-Domino does not fall back.  The engine, the simulation's procedure tokens,
-the CLI choices and the ``validate`` corpus all derive from these records.
+below, each checking its input and computing its statistic inline.  The
+kernels live here, next to the local tests whose decisions they reproduce:
+the generalized Holm step-down for Bonferroni, which ``baselines.holm_k``
+runs too, so the two decide alike wherever Domino does not fall back; a
+Hommel-style pass for Simes; and one sum kernel for the harmonic mean and
+both e-value tests, deciding members by their local tests' exact sum rule.
+The engine, the simulation's procedure tokens, the CLI choices and the
+``validate`` corpus all derive from these records.
 
 Conventions for extreme evidence: 1/0 := +inf, so a zero p-value drives the
 harmonic mean to 0 and forces rejection; a +inf e-value makes every mean it
@@ -32,6 +33,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,69 +99,112 @@ def local_test(test_id: TestId | str, k: int = 1) -> LocalTestDescriptor:
     return LocalTestDescriptor(TestId(test_id), k)
 
 
-def _inv(p: float) -> float:
-    return math.inf if p == 0.0 else 1.0 / p
+def _check(values: Sequence[float], k: int, kind: EvidenceKind) -> int:
+    """The size of an evidence subset of at least k values, none of them NaN
+    or outside the kind's range, [0, 1] for p-values and [0, +inf] for
+    e-values; ``SubsetTooSmallError`` or ``ValueError`` otherwise."""
+    n = len(values)
+    if n < k:
+        raise SubsetTooSmallError(f"need at least k={k} {kind.value}-values, got {n}")
+    high = 1.0 if kind is EvidenceKind.P_VALUE else math.inf
+    for x in values:
+        if not 0.0 <= x <= high:  # NaN fails too
+            raise ValueError(f"{kind.value}-values must lie in [0, {high:g}], got {x}")
+    return n
 
 
 def bonferroni_k(p_subset: Sequence[float], k: int, alpha: float) -> int:
     """Generalized Bonferroni: reject iff (|S|/k) * p_(k:S) <= alpha."""
-    n = len(p_subset)
-    if n < k:
-        raise SubsetTooSmallError(f"need at least k={k} p-values, got {n}")
+    n = _check(p_subset, k, EvidenceKind.P_VALUE)
     kth = sorted(p_subset)[k - 1]
     return int((n / k) * kth <= alpha)
 
 
 def simes(p_subset: Sequence[float], alpha: float) -> int:
     """Simes: reject iff min over j of (|S|/j) * p_(j:S) <= alpha."""
-    n = len(p_subset)
-    if n < 1:
-        raise SubsetTooSmallError("need at least one p-value")
+    n = _check(p_subset, 1, EvidenceKind.P_VALUE)
     ps = sorted(p_subset)
     return int(min((n / j) * ps[j - 1] for j in range(1, n + 1)) <= alpha)
 
 
 def _harmonic_factor(n: int) -> float:
-    """The scale that makes the harmonic mean of n >= 2 p-values valid.
+    """The scale c(n) that makes the harmonic mean of n p-values valid.
 
-    e*ln(n) is valid for n >= 3 under any dependence (Vovk & Wang 2020,
-    "Combining p-values via averaging").  At n = 2 it is 1.884, below the
-    sharp factor 2: two uniforms can have P(1/U1 + 1/U2 >= 2/t) = 2t, so
-    e*ln(2) would reject with probability up to 1.06 alpha.
+    A singleton is its own p-value (c = 1).  e*ln(n) is valid for n >= 3
+    under any dependence (Vovk & Wang 2020, "Combining p-values via
+    averaging").  At n = 2 it is 1.884, below the sharp factor 2: two
+    uniforms can have P(1/U1 + 1/U2 >= 2/t) = 2t, so e*ln(2) would reject
+    with probability up to 1.06 alpha.
     """
-    return 2.0 if n == 2 else math.e * math.log(n)
+    return 1.0 if n == 1 else 2.0 if n == 2 else math.e * math.log(n)
 
 
-def _combined(value: float) -> float:
-    """A combined statistic of an intersection hypothesis, which is >= 0."""
-    if math.isnan(value) or value < 0.0:
-        raise ValueError(f"combined evidence must be >= 0, got {value}")
-    return value
+# The harmonic mean and both e-value tests share one sum rule: a member S of
+# size n passes iff alpha * sum over S of u >= c(n) * n, with u = 1/p (the
+# double 1.0/p, 1/0 := +inf) and c = ``_harmonic_factor``, or u = e and
+# c = 1.  Each caller adds its float sums in its own order, and
+# :func:`_reaches` decides a sum near the threshold on its exact value, so
+# the local tests, the kernel and the oracles decide alike on any Python.
+_EPS = np.finfo(float).eps
+# Relative rounding bounds per term, with room to spare: _ROUNDING * (n + 1)
+# for a member's float sum, _SLACK * (n + 2) for the kernel's preselection.
+_ROUNDING = 2 * _EPS
+_SLACK = 2 * _EPS
+
+
+def _sum_bounds(sizes, factors, alpha):
+    """Bounds around c(n) * n / alpha for a float sum of n values u >= 0,
+    added in any order: above the upper one the member passes, below the
+    lower one it fails, whatever the rounding.  Elementwise on arrays."""
+    threshold = factors * sizes / alpha
+    band = _ROUNDING * (sizes + 1) * threshold
+    return threshold - band, threshold + band
+
+
+def _exact_sum(values) -> Fraction | float:
+    """The exact sum of values >= 0, +inf if one is infinite."""
+    return math.inf if math.inf in values else sum(map(Fraction, values), Fraction(0))
+
+
+def _reaches(sums, sizes, factors, alpha, bounds, exact_sum):
+    """The sum rule for one member given as numbers, or for many as arrays:
+    float sums of u, sizes n, factors c(n) and their :func:`_sum_bounds`.
+    A sum between its bounds is decided on ``exact_sum(i)``, the exact sum
+    of member i (0 for one member).  Returns a bool, or a bool array."""
+    lower, upper = bounds
+    passed = sums > upper
+    exactly = lambda i, n, c: Fraction(alpha) * exact_sum(i) >= Fraction(c) * int(n)
+    if not isinstance(passed, np.ndarray):
+        return passed or (sums >= lower and exactly(0, sizes, factors))
+    if not passed.all():
+        for i in ((sums >= lower) != passed).nonzero()[0]:
+            passed[i] = exactly(i, sizes[i], factors[i])
+    return passed
 
 
 def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
     """Scaled-harmonic-mean combination test (order 1).
 
-    The combined p-value of |S| >= 2 p-values is c(|S|) * |S| / sum(1/p_j),
-    where c(n) is 2 at n = 2 and e*ln(n) above, and any zero p-value gives
-    0.  A singleton is tested directly against alpha.
+    The combined p-value of |S| p-values is c(|S|) * |S| / sum(1/p_j),
+    where c(n) is 1 at n = 1, 2 at n = 2 and e*ln(n) above, and any zero
+    p-value gives 0.  It rejects by the sum rule: alpha * sum(1/p_j) >=
+    c(|S|) * |S| exactly, each 1/p_j rounded to a double.
     """
-    n = len(p_subset)
-    if n < 1:
-        raise SubsetTooSmallError("need at least one p-value")
-    if n == 1:
-        return int(_combined(float(p_subset[0])) <= alpha)
-    inv_sum = sum(_inv(p) for p in p_subset)
-    har = 0.0 if math.isinf(inv_sum) else n / inv_sum
-    return int(_combined(_harmonic_factor(n) * har) <= alpha)
+    n = _check(p_subset, 1, EvidenceKind.P_VALUE)
+    if 0.0 in p_subset:  # 1/0 := +inf, so the combined p-value is 0
+        return 1
+    u = [1.0 / p for p in p_subset]
+    c = _harmonic_factor(n)
+    return int(_reaches(sum(u), n, c, alpha, _sum_bounds(n, c, alpha),
+                        lambda _: _exact_sum(u)))
 
 
 def e_average(e_subset: Sequence[float], alpha: float) -> int:
-    """Reject iff the arithmetic mean of the e-values is >= 1/alpha."""
-    n = len(e_subset)
-    if n < 1:
-        raise SubsetTooSmallError("need at least one e-value")
-    return int(_combined(sum(e_subset) / n) >= 1.0 / alpha)
+    """Reject iff the arithmetic mean of the e-values is >= 1/alpha, that
+    is iff alpha * sum(e_j) >= |S| exactly."""
+    n = _check(e_subset, 1, EvidenceKind.E_VALUE)
+    return int(_reaches(sum(e_subset), n, 1.0, alpha, _sum_bounds(n, 1.0, alpha),
+                        lambda _: _exact_sum(e_subset)))
 
 
 def e_closure_k(e_subset: Sequence[float], k: int, alpha: float) -> int:
@@ -171,35 +217,25 @@ def e_closure_k(e_subset: Sequence[float], k: int, alpha: float) -> int:
     any k-witness works, the top-k one works (swapping a witness member for
     a larger e-value preserves every constrained mean), and its binding
     supersets are the ones padded with the t smallest remaining values, so
-    one sorted pass decides any |S|.
+    one sorted pass decides any |S|, each mean by the exact sum rule.
     """
-    n = len(e_subset)
-    if n < k:
-        raise SubsetTooSmallError(f"need at least k={k} e-values, got {n}")
+    n = _check(e_subset, k, EvidenceKind.E_VALUE)
     ordered = sorted(e_subset)
-    threshold = 1.0 / alpha
-    top_sum = sum(ordered[n - k :])
-    if top_sum / k < threshold:
-        return 0
-    prefix = 0.0
-    for t in range(1, n - k + 1):
-        prefix += ordered[t - 1]
-        if (top_sum + prefix) / (k + t) < threshold:
+    top = ordered[n - k :]
+    for size, total in enumerate(accumulate(ordered[: n - k], initial=sum(top)), start=k):
+        if not _reaches(total, size, 1.0, alpha, _sum_bounds(size, 1.0, alpha),
+                        lambda _: _exact_sum(top + ordered[: size - k])):
             return 0
     return 1
 
 
 # L-shaped scan kernels, the ``scan`` of each record.  The Bonferroni and
 # Simes statistics are the floating-point expressions of the local tests above,
-# so a member passes here exactly when the local test accepts it.  The harmonic
-# and e-value kernels add their sums in another order than the local tests (the
-# e-value one in the order of the engine's mean-reduction check), which can
-# move a member lying within rounding of the threshold.  What depends only on
-# (m, k, alpha) is built once per key as a read-only table: the ranks 1..m,
-# whose slices and views are every index vector, and the constants below.
-
-_EPS = np.finfo(float).eps
-
+# so a member passes here exactly when the local test accepts it; the sum
+# kernel decides its members by the sum rule, as the local tests do.  What
+# depends only on (m, k, alpha) is built once per key as a read-only table:
+# the ranks 1..m, whose slices and views are every index vector, and the
+# constants below.
 
 @functools.lru_cache(maxsize=8)
 def _ranks(m: int) -> np.ndarray:
@@ -272,112 +308,76 @@ def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _harmonic_scale(m: int) -> np.ndarray:
-    """The harmonic factor for n = 0..m: 2 at n = 2, e * ln(n) elsewhere.
+def _sum_tables(m: int, k: int, alpha: float, harmonic: bool):
+    """The sum kernel's read-only constants at (m, k, alpha).
 
-    Each entry is the float ``harmonic_mean_test`` multiplies by.
+    For n = 1..m the factors c(n) and their bounds.  For j = b + 1, the
+    member M_r with the b weakest values can pass only if the float sum of
+    M_r reaches need[j] - weight[j] * (float sum of the b weakest); the
+    slack on both terms covers their rounding and that of the sum of M_r.
+    j = 0 pads rank m, which has no such member.  Last, the cap: a member
+    holding a value u >= cap passes at every n <= m.
     """
-    scale = np.array([0.0] + [_harmonic_factor(n) for n in range(1, m + 1)])
-    scale.flags.writeable = False
-    return scale
+    sizes = _ranks(m)
+    factors = (np.array([_harmonic_factor(n) for n in sizes.tolist()])
+               if harmonic else np.ones(m))
+    lower, upper = _sum_bounds(sizes, factors, alpha)
+    inner = slice(k - 1, m - 1)
+    slack = _SLACK * (sizes[inner] + 2)
+    need = np.concatenate(([-np.inf], factors[inner] * sizes[inner] / alpha * (1.0 - slack)))
+    weight = np.concatenate(([0.0], 1.0 + slack))
+    for table in (factors, lower, upper, need, weight):
+        table.flags.writeable = False
+    return factors, lower, upper, need, weight, 2.0 * factors[-1] * m / alpha
 
 
-@functools.lru_cache(maxsize=8)
-def _harmonic_bounds(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Harmonic's thresholds scale(b+1) * (b+1)/alpha for 1 <= b <= m-2, the
-    largest b at each rank and the slack of ``_harmonic_rank``, read-only."""
-    scale, n = _harmonic_scale(m), _ranks(m)
-    bounds = scale[2:m] * n[1 : m - 1] / alpha
-    widths = np.maximum(m - 1 - n, 0)
-    slack = 4 * m * _EPS * (scale[m] * m / alpha)
-    bounds.flags.writeable = widths.flags.writeable = False
-    return bounds, widths, slack
+def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
+    """The harmonic mean (u = 1/p) and the e-value means (u = e), any k.
 
-
-def _harmonic_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Scaled harmonic mean (k = 1) from one suffix sum of 1/p.
-
-    The b = m-r leg is the top-n sets for n >= m-r+1, checked for all ranks
-    at once.  The a = 0 leg, {r} with the b least significant p-values for
-    1 <= b < m-r, passes iff 1/p_(r) >= scale(b+1) * (b+1)/alpha - tail(b)
-    for each b, so a running maximum of that bound preselects the ranks.
-    The preselection and the member check below read the same float tail
-    sums, so only the rounding of the member threshold, at most
-    scale(m) * m/alpha, needs covering: the bound carries a slack of 4*m*eps
-    times that threshold; both come from ``_harmonic_bounds``.  One vector
-    per preselected rank, scanned from the top, decides.
-    """
-    m = v.size
-    scale, n = _harmonic_scale(m), _ranks(m)
-    bounds, widths, slack = _harmonic_bounds(m, alpha)
-    # 1/0 := inf, and a sum that overflows is inf too: either way the
-    # harmonic mean is 0 and the local test rejects the member, as it does
-    # on Python floats.
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / v
-        tail = np.cumsum(inv[::-1])  # tail[n-1]: sum over the top-n set
-        top = scale[1:] * (n / tail) <= alpha
-        top[0] = v[m - 1] <= alpha  # a singleton is tested by its p-value
-        failing = (~top).nonzero()[0]
-        r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
-        r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
-        need = bounds - tail[: m - 2]
-        hardest = np.concatenate(([-np.inf], np.maximum.accumulate(need)))
-        candidates = (inv[:r_top] >= hardest[widths[:r_top]] - slack).nonzero()[0] + 1
-        for r in candidates[::-1]:
-            b = max(m - r - 1, 0)  # members {r} ∪ (top b) with 1 <= b < m-r
-            sums = inv[r - 1] + tail[:b]
-            if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
-                return int(r)
-    return 0
-
-
-def _e_mean_rank(v: np.ndarray, k: int, alpha: float) -> int:
-    """Mean of e-values (``eavg``, and ``eclosure`` at any k).
-
-    At each rank the L-shaped members are M padded with the outsiders in
-    ascending order, weak tail first, which is the order of the engine's
-    ``domino_e_mean_reduction_check``; one cumulative sum over
-    [sum(M), outsiders...] gives every member sum, bit for bit as that check
-    adds them, and decides the rank.
-
-    Because the padding order is ascending, the smallest member margin
-    sum(v - 1/alpha) pads M with exactly the outsiders below 1/alpha.  So
-    rank r passes iff the excess of M over 1/alpha covers the total
-    deficit: sum over M of max(v - 1/alpha, 0) >= sum over all of
-    max(1/alpha - v, 0).  That margin, found for every rank at once, is
-    rounded differently from the member means, so it only preselects the
-    ranks that the cumulative sum then decides.  Its slack, 4*m*eps times
-    the sum plus m/alpha, exceeds the rounding error of both the margin and
-    the member sums, so no rank that passes is left out.  The sum clips each
-    value at m/alpha: a member holding a larger value has a mean of at least
-    1/alpha anyway, and such a value outside M enters neither the margin nor
-    the member sums that bind it.
+    u falls with rank and is clipped at the cap, so every float sum stays
+    finite and no decision moves.  Rank r's L-shaped family has two legs:
+    the top-n sets for n >= m-r+k, which one suffix sum decides for every
+    rank at once, the largest failing n bounding the ranks; and M_r with
+    the b weakest values for b < m-r.  Those pass only if the sum of M_r
+    reaches the need c(n)*n/alpha less the sum of the b weakest, so a
+    running maximum of the need, lowered by its slack, preselects ranks;
+    candidates are verified from the top, member by member, with exact sums
+    of the weakest values added up once, on first need.
     """
     m = v.size
-    threshold = 1.0 / alpha
-    sizes = _ranks(m)[k - 1 :]
-    # A partial sum overflows to +inf only when its exact value exceeds the
-    # largest double (~1.8e308).  Its mean over at most m terms then still
-    # exceeds 1/alpha for any m and alpha that fit in memory, so the +inf
-    # mean decides the comparison as the exact mean would.
-    with np.errstate(over="ignore"):
-        excess = np.maximum(v - threshold, 0.0)
-        deficit = float(np.maximum(threshold - v, 0.0).sum())
-        base = v[: m - k + 1].copy()  # base[r-k]: sum of M_{r,k}, left fold
-        cover = excess[: m - k + 1].copy()
-        for i in range(1, k):
-            base += v[i : m - k + 1 + i]
-            cover += excess[i : m - k + 1 + i]
-        clipped_sum = float(np.minimum(v, m * threshold).sum())
-        slack = 4 * m * _EPS * (clipped_sum + m * threshold)
-        candidates = (base / k >= threshold) & (cover - deficit >= -slack)
-        for r in (candidates.nonzero()[0] + k)[::-1]:
-            outsiders = np.concatenate(
-                (base[r - k : r - k + 1], v[r:][::-1], v[: r - k][::-1])
-            )
-            if (np.cumsum(outsiders) / sizes >= threshold).all():
-                return int(r)
+    factors, lower, upper, need, weight, cap = _sum_tables(m, k, alpha, harmonic)
+    sizes = _ranks(m)
+    # Two zeros, then u from the weakest value up: tail[j + 1] is the float
+    # sum of the j weakest values.
+    weak = np.zeros(m + 2)
+    if harmonic:  # 1/max(p, 1/cap): a zero p-value gives cap, not 1/0
+        np.divide(1.0, np.maximum(v[::-1], 1.0 / cap), out=weak[2:])
+    else:
+        np.minimum(v[::-1], cap, out=weak[2:])
+    tail = np.cumsum(weak)
+    exact_tails = []
+
+    def exact_tail(j):
+        if not exact_tails:
+            exact_tails.extend(accumulate(map(Fraction, weak[2:].tolist()), initial=Fraction(0)))
+        return exact_tails[j]
+
+    def decide(sums, n, exact_sum):  # members of sizes n, n + 1, ...
+        s = slice(n - 1, n - 1 + sums.size)
+        return _reaches(sums, sizes[s], factors[s], alpha, (lower[s], upper[s]), exact_sum)
+
+    failing = (~decide(tail[k + 1 :], k, lambda i: exact_tail(k + i))).nonzero()[0]
+    # The ranks k..k+count-1 pass every top-n set of their families.
+    count = m - k + 1 if failing.size == 0 else m - k - int(failing[-1])
+    strong = weak[:1:-1]  # u at ranks 1..m
+    base = strong[: m - k + 1]  # base[r-k]: the float sum of M_r
+    for i in range(1, k):
+        base = base + strong[i : m - k + 1 + i]
+    hardest = np.maximum.accumulate(need - weight * tail[: m - k + 1])[::-1]
+    for r in ((base[:count] >= hardest[:count]).nonzero()[0] + k)[::-1]:
+        exact_member = lambda i: _exact_sum(strong[r - k : r].tolist()) + exact_tail(i)
+        if decide(base[r - k] + tail[1 : m - r + 1], k, exact_member).all():
+            return int(r)
     return 0
 
 
@@ -394,12 +394,15 @@ RECORDS = {
         EvidenceKind.P_VALUE,
         True,
         lambda vs, k, a: harmonic_mean_test(vs, a),
-        _harmonic_rank,
+        lambda v, k, a: _sum_rank(v, k, a, True),
     ),
     TestId.E_AVERAGE: LocalTestRecord(
-        EvidenceKind.E_VALUE, True, lambda vs, k, a: e_average(vs, a), _e_mean_rank
+        EvidenceKind.E_VALUE,
+        True,
+        lambda vs, k, a: e_average(vs, a),
+        lambda v, k, a: _sum_rank(v, k, a, False),
     ),
     TestId.E_CLOSURE_K: LocalTestRecord(
-        EvidenceKind.E_VALUE, False, e_closure_k, _e_mean_rank
+        EvidenceKind.E_VALUE, False, e_closure_k, lambda v, k, a: _sum_rank(v, k, a, False)
     ),
 }

@@ -3,10 +3,10 @@
 pytest does not collect this module (its name does not match ``test_*.py``);
 test modules import it by name.  It holds the loop-form significance order
 and generalized Holm step-down the array-native procedures are checked
-against, the textbook Holm critical values, the harmonic kernel's scan
-without its preselection, the closure e-test as a double enumeration over
-witnesses and supersets, and the Bonferroni chain scan, whose divergence
-from the closure the tests document.
+against, the textbook Holm critical values, the sum kernel's rank from its
+whole family under the exact sum rule, the closure e-test as a double
+enumeration over witnesses and supersets, and the Bonferroni chain scan,
+whose divergence from the closure the tests document.
 
 The chain scan keeps its own copy of Domino's k-1 fallback, so a change to
 the engine's fallback does not move the chain's expectations.
@@ -14,7 +14,9 @@ the engine's fallback does not move the chain's expectations.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from fractions import Fraction
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from kbfdr.core import (
     require_order,
     sort_evidence,
 )
-from kbfdr.local_tests import _harmonic_scale
+from kbfdr.local_tests import _harmonic_factor
 
 
 def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
@@ -75,29 +77,32 @@ def holm_step_down(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     return reject_by_rank(sv, r)
 
 
-def harmonic_rank_unpreselected(v: np.ndarray, alpha: float) -> int:
-    """The harmonic kernel's rank without its preselection.
+def sum_rank_unpreselected(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
+    """The sum kernel's rank from the whole L-shaped family, decided exactly.
 
-    Every rank up to the top leg's bound is checked, from the top down, by
-    the member expressions of ``local_tests._harmonic_rank``: the same tail
-    sums of 1/p and the same scaled comparison, so only the preselection
-    and its slack are left out.
+    v holds the rank values (ascending p for the harmonic mean, descending e
+    otherwise), and u = 1/p (1/0 := +inf) or e.  A member S of size n passes
+    iff alpha * sum_S u >= c(n) * n, with c the harmonic factor or 1,
+    compared on exact sums: no float sum, clipping or preselection.  Ranks
+    are visited from m down, and rank r passes iff its top-n sets, n >=
+    m-r+k, and M_r with the b weakest values, b < m-r, all pass; the top-n
+    sets, which every rank shares, are decided once.
     """
     m = v.size
-    scale, n = _harmonic_scale(m), np.arange(1, m + 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / v
-        tail = np.cumsum(inv[::-1])
-        top = scale[1:] * (n / tail) <= alpha
-        top[0] = v[m - 1] <= alpha
-        failing = (~top).nonzero()[0]
-        r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
-        r_top = min(r_top, int(np.searchsorted(v, alpha, side="right")))
-        for r in range(r_top, 0, -1):
-            b = max(m - r - 1, 0)
-            sums = inv[r - 1] + tail[:b]
-            if (scale[2 : b + 2] * (n[1 : b + 1] / sums) <= alpha).all():
-                return r
+    factor = _harmonic_factor if harmonic else (lambda n: 1.0)
+    u = [1.0 / x if x else math.inf for x in v.tolist()] if harmonic else v.tolist()
+    exact = [x if math.isinf(x) else Fraction(x) for x in u]
+    weak = list(accumulate(reversed(exact), initial=Fraction(0)))  # j weakest
+
+    def passes(total, n):
+        return Fraction(alpha) * total >= Fraction(factor(n)) * n
+
+    top = {n: passes(weak[n], n) for n in range(k, m + 1)}
+    for r in range(m, k - 1, -1):
+        base = sum(exact[r - k : r], Fraction(0))
+        if (all(top[n] for n in range(m - r + k, m + 1))
+                and all(passes(base + weak[b], k + b) for b in range(m - r))):
+            return r
     return 0
 
 

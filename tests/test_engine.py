@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kbfdr import (
@@ -29,16 +29,16 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr.engine import _trivial_rejection
-from kbfdr.local_tests import RECORDS, TestId, _harmonic_factor
+from kbfdr.local_tests import RECORDS, TestId, _harmonic_factor, _sum_rank
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import differential_corpus
 from reference import (
     domino_p_fast_bonferroni,
     e_closure_enumeration,
-    harmonic_rank_unpreselected,
     marginal_of,
     significance_order,
+    sum_rank_unpreselected,
 )
 
 
@@ -506,12 +506,8 @@ class TestDefaultMatchesBruteForce:
             ev = EvidenceVector.p_values(np.concatenate(([p1, p2], pad)))
             assert domino_p(ev, cfg) == domino_bruteforce(ev, cfg), ev.values.tolist()
 
-    # ROADMAP item 2: a member whose mean lies within rounding of 1/alpha is
-    # summed in one order by the kernel and in another by the evaluator.
-    # When both compare exact sums these pass, and the strict marker asks
-    # for the marker to go.
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="float sums in different orders")
+    # A member whose mean lies within rounding of 1/alpha, summed in one
+    # order by the kernel and in another by the evaluator.
     @pytest.mark.parametrize("test_id, k, values", [
         ("eavg", 1, [9.4, 30.7, 19.9]),
         ("eclosure", 1, [9.7, 37.9, 12.4]),
@@ -521,6 +517,18 @@ class TestDefaultMatchesBruteForce:
         ev = EvidenceVector.e_values(values)
         cfg = DominoConfig(local_test(test_id, k), 0.05)
         assert domino_e(ev, cfg) == domino_bruteforce(ev, cfg)
+
+    # Decimal e-values whose decimal total is exactly m/alpha = 20 m, so the
+    # full set, a member at every rank, sits within rounding of its threshold
+    # and its float sum depends on the order of the additions.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tenths=st.lists(st.integers(0, 400), min_size=0, max_size=7),
+           data=st.data())
+    def test_decimal_means_on_the_threshold(self, tenths, data):
+        last = 200 * (len(tenths) + 1) - sum(tenths)
+        assume(last >= 0)
+        values = [t / 10 for t in data.draw(st.permutations([*tenths, last]))]
+        _assert_matches_brute(domino_e, EvidenceVector.e_values(values), E_CASES, 0.05)
 
     def test_production_paths_skip_the_oracles(self, monkeypatch):
         import kbfdr.engine as engine
@@ -637,9 +645,8 @@ class TestLShapedKernels:
     def test_e_mean_preselection_keeps_every_passing_rank(self):
         # Scaled to where a decision flips, some member mean sits within
         # rounding of 1/alpha, where the preselection's slack must cover the
-        # margin's rounding.  The kernel must still return the largest rank
-        # whose member check passes; the mean reduction adds every member
-        # sum in the kernel's order.
+        # rounding of its bound.  The kernel must still return the largest
+        # rank whose whole family passes the exact sum rule.
         rng = np.random.default_rng(45)
         scan = RECORDS[TestId.E_CLOSURE_K].scan
         checked = 0
@@ -658,10 +665,8 @@ class TestLShapedKernels:
                     break
                 lo, hi = (mid, hi) if rank_at(mid) == rank_at(lo) else (lo, mid)
             for s in (lo, hi):
-                sv = e_view(base * s)
-                expected = next((r for r in range(m, k - 1, -1)
-                                 if domino_e_mean_reduction_check(sv, r, k, alpha).passed), 0)
-                assert rank_at(s) == expected, (base * s).tolist()
+                v = np.sort(base * s)[::-1]
+                assert rank_at(s) == sum_rank_unpreselected(v, k, alpha, False), v.tolist()
                 checked += 1
         assert checked > 50
 
@@ -670,11 +675,10 @@ class TestLShapedKernels:
         # critical value, then b weak ones on top.  Rank r is then bound by
         # its a = 0 member {r} with the b weak p-values, which the
         # preselection screens; the ranks above fail.  Scaled to where the
-        # kernel's result flips, that member sits within rounding of alpha,
-        # where the slack must cover the rounding of its threshold.  (At
-        # m = 3 the top-leg member {1, 2, 3} binds instead.)  The kernel
-        # must return the rank a scan of every rank, from the top down, by
-        # the same member expressions finds.
+        # kernel's result flips, that member sits within rounding of alpha.
+        # (At m = 3 the top-leg member {1, 2, 3} binds instead.)  The kernel
+        # must return the rank that the whole family, decided exactly,
+        # gives.
         rng = np.random.default_rng(46)
         scan = RECORDS[TestId.HARMONIC_MEAN].scan
         checked = 0
@@ -702,9 +706,68 @@ class TestLShapedKernels:
                 lo, hi = (mid, hi) if rank_at(mid)[0] == rank_at(lo)[0] else (lo, mid)
             for s in (lo, hi):
                 got, v = rank_at(s)
-                assert got == harmonic_rank_unpreselected(v, alpha), (v.tolist(), alpha)
+                assert got == sum_rank_unpreselected(v, 1, alpha, True), (v.tolist(), alpha)
                 checked += 1
         assert checked > 400
+
+
+    def test_sum_kernel_matches_the_exact_family(self):
+        # table1-model evidence at m = 100 and 1000, beyond brute force's
+        # m <= 20: for u = 1/p and u = e at k = 1..3 the sum kernel returns
+        # the rank its whole family gives, decided on exact sums.
+        passing = 0
+        for m in (100, 1000):
+            for rho in (0.0, 0.25):
+                sc = SimScenario(m=m, pi1=0.2, mu_c=3.0, sigma=1.0, rho=rho,
+                                 alpha=0.05, k=1, reps=2, seed=20260810)
+                for rep in range(2):
+                    inst = gen_instance(sc, rep)
+                    for harmonic, ev in ((True, inst.pvalues), (False, inst.evalues)):
+                        v = sort_evidence(ev).rank_values()
+                        for k in (1, 2, 3):
+                            want = sum_rank_unpreselected(v, k, 0.05, harmonic)
+                            assert _sum_rank(v, k, 0.05, harmonic) == want, (m, rho, rep, k)
+                            passing += want >= k
+        assert passing > 40
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    def test_sum_preselection_keeps_boundary_ranks(self, harmonic):
+        # In u = 1/p or e, at k = 1..3, from the strongest down: g strong
+        # values, M_r, c values each short of M_r's share of its need, and b
+        # weak ones on top.  Scaling M_r to where the kernel's result flips
+        # puts M_r with the b weakest values within rounding of its
+        # threshold, where only the preselection's slack keeps rank r among
+        # the candidates.  The kernel must return the rank the whole family,
+        # decided exactly, gives.
+        rng = np.random.default_rng(48)
+        factor = _harmonic_factor if harmonic else (lambda n: 1.0)
+        checked = 0
+        for _ in range(150):
+            k = int(rng.integers(1, 4))
+            alpha = float(rng.choice([0.05, 0.2]))
+            b, c, g = (int(x) for x in rng.integers([1, 1, 0], [30, 4, 3]))
+            weak = np.sort(rng.uniform(1.0, 2.0, b))[::-1]
+            need = factor(k + b) * (k + b) / alpha - weak.sum()
+            above = np.sort(need / k / rng.uniform(1.5, 2.0, c))[::-1]
+            share = np.sort(rng.uniform(0.95, 1.05, k))[::-1]
+            share *= need / share.sum()
+
+            def rank_at(s):
+                u = np.concatenate((np.full(g, 10 * need), share * s, above, weak))
+                v = 1.0 / u if harmonic else u
+                return _sum_rank(v, k, alpha, harmonic), v
+
+            lo, hi = 0.9, 1.1
+            if rank_at(lo)[0] == rank_at(hi)[0]:
+                continue
+            while (lo + hi) / 2 not in (lo, hi):  # bisect down to adjacent doubles
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if rank_at(mid)[0] == rank_at(lo)[0] else (lo, mid)
+            for s in (lo, hi):
+                got, v = rank_at(s)
+                assert got == sum_rank_unpreselected(v, k, alpha, harmonic), (v.tolist(), k, alpha)
+                checked += 1
+        assert checked > 150
 
 
 class TestKernelsStayLinear:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from kbfdr import (
 )
 from kbfdr.local_tests import (
     RECORDS,
-    _harmonic_bounds,
     _harmonic_factor,
-    _harmonic_scale,
     _ranks,
     _step_down_factors,
+    _sum_tables,
 )
 from reference import e_closure_enumeration
 
@@ -192,12 +192,16 @@ class TestEClosureK:
         assert e_closure_k([50.0] * 1000, 3, 0.05) == 1
 
     def test_rounding_case_follows_the_record(self):
-        # The sorted pass and the double enumeration add the same members in
-        # different orders; here a superset's mean sits within rounding of
-        # 1/alpha = 20, and only the enumeration rounds it up to 20.
+        # The full set's mean sits within rounding of 1/alpha = 20: adding the
+        # top three values first, as the sorted pass does, rounds its sum
+        # below 120, other orders reach 120.  alpha times the exact sum of
+        # the doubles reaches 6, so the sum rule rejects it in every order.
         vals = [25.1, 14.3, 23.2, 15.7, 3.8, 37.9]
+        top_first = ((23.2 + 25.1) + 37.9) + 3.8 + 14.3 + 15.7
+        assert top_first < 120.0 == sum(sorted(vals))
+        assert Fraction(0.05) * sum(map(Fraction, vals)) >= 6
         record = local_test("eclosure", 3).evaluate(vals, 0.05)
-        assert e_closure_k(vals, 3, 0.05) == record == 0
+        assert e_closure_k(vals, 3, 0.05) == record == 1
         assert e_closure_enumeration(vals, 3, 0.05) == 1
 
     def test_matches_literal_enumeration(self):
@@ -281,7 +285,7 @@ class TestKernelTables:
     must return the same rank.
     """
 
-    TABLES = (_ranks, _step_down_factors, _harmonic_scale, _harmonic_bounds)
+    TABLES = (_ranks, _step_down_factors, _sum_tables)
 
     def _clear(self):
         for table in self.TABLES:
@@ -316,14 +320,18 @@ class TestKernelTables:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 50])
     def test_tables_are_read_only(self, m):
-        arrays = [_ranks(m), _harmonic_scale(m), *_harmonic_bounds(m, 0.05)[:2]]
+        arrays = [_ranks(m)]
         arrays += [_step_down_factors(m, k) for k in range(1, m + 3)]
+        for k in range(1, m + 1):
+            for harmonic in (True, False):
+                arrays += _sum_tables(m, k, 0.05, harmonic)[:-1]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
         assert _ranks(m).tolist() == list(range(1, m + 1))
-        assert _harmonic_bounds(m, 0.05)[0].size == max(m - 2, 0)
+        assert _sum_tables(m, 1, 0.05, True)[0].tolist() == [
+            _harmonic_factor(n) for n in range(1, m + 1)]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 50])
     def test_step_down_factors_are_the_local_tests_floats(self, m):
@@ -333,20 +341,29 @@ class TestKernelTables:
             assert _step_down_factors(m, k).tolist() == want
 
 
-@pytest.mark.parametrize("test, values", [
-    (harmonic_mean_test, [-0.5]),
-    (harmonic_mean_test, [math.nan, 0.5]),
-    (e_average, [-1.0, 0.5]),
-    (e_average, [math.nan]),
+@pytest.mark.parametrize("test, args", [
+    (bonferroni_k, ([-1.0], 1)),
+    (bonferroni_k, ([0.01, 1.5], 1)),
+    (simes, ([math.nan],)),
+    (simes, ([0.01, -0.1],)),
+    (harmonic_mean_test, ([-0.5],)),
+    (harmonic_mean_test, ([-1.0, 0.5],)),
+    (harmonic_mean_test, ([math.nan, 0.5],)),
+    (harmonic_mean_test, ([math.inf],)),
+    (e_average, ([-1.0, 0.5],)),
+    (e_average, ([math.nan],)),
+    (e_closure_k, ([math.nan, 50.0], 1)),
+    (e_closure_k, ([50.0, -math.inf], 1)),
 ])
-def test_combined_evidence_validates(test, values):
-    with pytest.raises(ValueError, match="combined evidence must be >= 0"):
-        test(values, 0.05)
+def test_local_tests_check_their_input(test, args):
+    with pytest.raises(ValueError, match="must lie in"):
+        test(*args, 0.05)
 
 
 def test_infinite_combined_evidence_is_valid():
     assert e_average([math.inf, 1.0], 0.05) == 1
-    assert harmonic_mean_test([math.inf], 0.05) == 0
+    assert e_closure_k([math.inf, 0.0], 2, 0.05) == 1
+    assert harmonic_mean_test([0.0, 1.0], 0.05) == 1
 
 
 class TestElementwiseMonotonicity:

@@ -348,17 +348,15 @@ def sort_head(ev: EvidenceVector, cut: float) -> SortedView:
 def _tied_prefix_length(sv: SortedView, r: int) -> int:
     """Number of ranks at least as significant as the value at rank r.
 
-    Read off the rank values: r itself unless rank r+1 ties rank r, which
-    never happens on a tie-free vector.  On a head view, rank r+1 is
-    outside the view when r is its last rank, and it is then strictly less
-    significant, since the head holds every value at or below its cut.
+    Read off the rank values: r plus the run of later ranks equal to rank
+    r, which is empty on a tie-free vector.  The rank values are monotone
+    for either kind, so that run is contiguous, and a head view holds all
+    of it, since the head holds every value at or below its cut.
     """
     vals = sv.rank_values()
     if r == vals.size or vals[r] != vals[r - 1]:
         return r
-    if sv.ev.kind is EvidenceKind.P_VALUE:
-        return int(np.searchsorted(vals, vals[r - 1], side="right"))
-    return int(np.count_nonzero(vals >= vals[r - 1]))
+    return r + int(np.count_nonzero(vals[r:] == vals[r - 1]))
 
 
 def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:

@@ -25,13 +25,15 @@ exact sum rule that their local tests apply too.
 
 The oracles stay public for the tests and ``kbfdr validate``; no Domino
 path calls them.  The three condition checks run one member loop and differ
-only in their members and their check.  :func:`check_condition_bruteforce`
-enumerates every superset of M and :func:`check_condition_rectangular` the
-full rectangular family; both decide each member with ``test.evaluate``,
-the evaluator of the test's record.  :func:`domino_e_mean_reduction_check`
-pads M with the outsiders in ascending value order, the L-shaped family of
-e-value means, and decides each member with ``e_average``.
-:func:`domino_bruteforce` runs the superset check at each rank, for m <= 20.
+only in their members and their rule.  A member lists ranks in ascending
+order, so its values are checked and in significance order, as a record's
+``rule`` takes them.  :func:`check_condition_bruteforce` enumerates every
+superset of M and :func:`check_condition_rectangular` the full rectangular
+family, both decided by the test's rule.
+:func:`domino_e_mean_reduction_check` pads M with the outsiders in
+ascending value order, the L-shaped family of e-value means, decided by the
+rule of ``e_average``.  :func:`domino_bruteforce` runs the superset check at
+each rank, for m <= 20.
 
 A call is fixed by the local test (its id and order k) and alpha;
 ``DominoConfig`` and both condition oracles read k from the test.
@@ -41,8 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .core import (
     CapExceededError,
@@ -57,9 +57,8 @@ from .core import (
 )
 from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
 
-# Re-exported; the records hold the evaluators, and only the mean-reduction
-# check calls one by name.  ``bench/tracing.py`` wraps these names in the
-# engine.
+# Re-exported only because ``bench/tracing.py`` wraps these names in the
+# engine; no engine path calls them (ROADMAP items 5 and 6).
 from .local_tests import (  # noqa: F401
     bonferroni_k,
     e_average,
@@ -122,18 +121,21 @@ def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> N
         raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
 
 
-def _first_failing(sv: SortedView, r: int, members, accepts) -> ConditionTrace:
-    """Trace the first member, in the given order, that ``accepts`` refuses.
+def _first_failing(
+    sv: SortedView, r: int, members, rule, k: int, alpha: float
+) -> ConditionTrace:
+    """Trace the first member, in the given order, that a record's rule refuses.
 
-    Each member is a list of 0-based significance ranks; ``accepts`` gets
-    its values in that order, as Python floats.  Every oracle is this loop
-    with its own member order and check.
+    Each member is an ascending list of 0-based significance ranks, so
+    ``rule`` gets its values, as Python floats, in significance order, and
+    already checked by the ``EvidenceVector``.  Every oracle is this loop
+    with its own members and rule.
     """
     rank_vals = sv.rank_values().tolist()
     evaluated = 0
     for ranks in members:
         evaluated += 1
-        if not accepts([rank_vals[i] for i in ranks]):
+        if not rule([rank_vals[i] for i in ranks], k, alpha):
             failing = frozenset(int(sv.perm[i]) for i in ranks)
             return ConditionTrace(r, evaluated, failing, False)
     return ConditionTrace(r, evaluated, None, True)
@@ -163,7 +165,7 @@ def check_condition_bruteforce(
     free = [*range(r - k), *range(r, m)]
     supersets = (sorted(combo + marginal) for extra in range(len(free) + 1)
                  for combo in combinations(free, extra))
-    return _first_failing(sv, r, supersets, lambda vs: test.evaluate(vs, alpha))
+    return _first_failing(sv, r, supersets, RECORDS[test.id].rule, k, alpha)
 
 
 def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
@@ -196,7 +198,7 @@ def check_condition_rectangular(
     _require_kind(sv, test)
     family = ([*range(r - k - a, r), *range(m - b, m)]
               for a in range(r - k + 1) for b in range(m - r + 1))
-    return _first_failing(sv, r, family, lambda vs: test.evaluate(vs, alpha))
+    return _first_failing(sv, r, family, RECORDS[test.id].rule, k, alpha)
 
 
 def domino_e_mean_reduction_check(
@@ -207,8 +209,8 @@ def domino_e_mean_reduction_check(
     The mean over supersets of M_{r,k} is minimized, at every cardinality, by
     adding the smallest e-values outside M; checking those m - k prefixes is
     therefore equivalent to checking every superset.  Each member is decided
-    by ``e_average``, whose exact sum rule makes the decision independent of
-    the order in which any path adds the member's e-values.
+    by the rule of ``e_average``, whose exact sum rule makes the decision
+    independent of the order in which any path adds the member's e-values.
     """
     require_rank(sv.m, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
@@ -217,24 +219,19 @@ def domino_e_mean_reduction_check(
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
     outsiders = [*range(m - 1, r - 1, -1), *range(r - k - 1, -1, -1)]
-    padded = ([*range(r - k, r), *outsiders[:t]] for t in range(m - k + 1))
-    return _first_failing(sv, r, padded, lambda vs: e_average(vs, alpha))
+    padded = (sorted([*range(r - k, r), *outsiders[:t]]) for t in range(m - k + 1))
+    return _first_failing(sv, r, padded, RECORDS[TestId.E_AVERAGE].rule, k, alpha)
 
 
 def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
-    """Fallback set when no rank passes: the k-1 most significant hypotheses.
+    """Fallback set when no rank passes: the k-1 most significant hypotheses,
+    with their boundary ties, marked ``fallback``.
 
-    For k = 1 the threshold convention (p below 0, e above +inf) keeps only
-    perfect evidence.  The set is marked ``fallback``.
+    At k = 1 it is empty, and no perfect evidence (p = 0 or e = +inf) is
+    lost there: every built-in test rejects each member holding such a
+    value, so rank 1 passes whenever one is present.
     """
-    if k >= 2:
-        return RejectionSet(reject_by_rank(sv, k - 1).ranked, fallback=True)
-    vals = sv.ev.values
-    if sv.ev.kind is EvidenceKind.P_VALUE:
-        n = int(np.count_nonzero(vals <= 0.0))
-    else:
-        n = int(np.count_nonzero(np.isposinf(vals)))
-    return RejectionSet(sv.perm[:n], fallback=True)
+    return RejectionSet(reject_by_rank(sv, k - 1).ranked, fallback=True)
 
 
 def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:

@@ -10,17 +10,18 @@ with an exact search over an L-shaped family of m-k+1 subsets per rank.
 
 Each built-in test is described once, by its :class:`LocalTestRecord` in
 ``RECORDS``: the evidence kind it reads, whether it is defined only at order
-1, its evaluator on one subset of any size, which the brute-force and
-rectangular oracles of ``engine`` call, and its L-shaped scan kernel, which
-every closure-exact Domino path runs.  The evaluators are the public tests
-below, each checking its input and computing its statistic inline.  The
-kernels live here, next to the local tests whose decisions they reproduce:
-the generalized Holm step-down for Bonferroni, which ``baselines.holm_k``
-runs too, so the two decide alike wherever Domino does not fall back; a
-Hommel-style pass for Simes; and one sum kernel for the harmonic mean and
-both e-value tests, deciding members by their local tests' exact sum rule.
-The engine, the simulation's procedure tokens, the CLI choices and the
-``validate`` corpus all derive from these records.
+1, its rule on one subset, and its L-shaped scan kernel, which every
+closure-exact Domino path runs.  A rule takes checked values in
+significance order (p ascending, e descending), as the kernels do, so the
+oracles of ``engine`` apply it to members read off a sorted view.  The one
+checked entry, :meth:`LocalTestDescriptor.evaluate`, checks the level and
+the values, sorts them and applies the rule; the public tests call it.  The
+kernels reproduce the rules' decisions: the generalized Holm step-down for
+Bonferroni, which ``baselines.holm_k`` runs too, so the two decide alike
+wherever Domino does not fall back; a Hommel-style pass for Simes; and one
+sum kernel for the harmonic mean and both e-value tests.  The engine, the
+simulation's procedure tokens, the CLI choices and the ``validate`` corpus
+all derive from these records.
 
 Conventions for extreme evidence: 1/0 := +inf, so a zero p-value drives the
 harmonic mean to 0 and forces rejection; a +inf e-value makes every mean it
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EvidenceKind, OutOfRangeError, SubsetTooSmallError
+from .core import EvidenceKind, OutOfRangeError, SubsetTooSmallError, require_level
 
 
 class TestId(enum.Enum):
@@ -56,16 +57,17 @@ class TestId(enum.Enum):
 class LocalTestRecord:
     """Everything the package knows about one built-in test.
 
-    ``evaluate(values, k, alpha)`` decides one evidence subset of any size
-    and returns 1 to reject it.  ``scan(v, k, alpha)`` takes the rank values
-    v (v[i] is the evidence at rank i+1) and returns the largest rank that
-    passes the closure condition over the L-shaped family, or a number below
-    k when none does.
+    ``rule(v, k, alpha)`` decides one subset given as at least k checked
+    values in significance order (v[0] the most significant: p ascending,
+    e descending) and returns 1 to reject it.  ``scan(v, k, alpha)`` takes
+    the rank values in that order (v[i] is the evidence at rank i+1) and
+    returns the largest rank that passes the closure condition over the
+    L-shaped family, or a number below k when none does.
     """
 
     evidence_kind: EvidenceKind
     order_one_only: bool
-    evaluate: Callable[[Sequence[float], int, float], int]
+    rule: Callable[[Sequence[float], int, float], int]
     scan: Callable[[np.ndarray, int, float], int]
 
 
@@ -90,8 +92,13 @@ class LocalTestDescriptor:
         return RECORDS[self.id].evidence_kind
 
     def evaluate(self, values: Sequence[float], alpha: float) -> int:
-        """This test on one evidence subset of any size: 1 rejects it."""
-        return RECORDS[self.id].evaluate(values, self.k, alpha)
+        """This test on one evidence subset of any size and order, checked and
+        sorted for the record's rule: 1 rejects it."""
+        require_level(alpha)
+        record = RECORDS[self.id]
+        _check(values, self.k, record.evidence_kind)
+        descending = record.evidence_kind is EvidenceKind.E_VALUE
+        return record.rule(sorted(values, reverse=descending), self.k, alpha)
 
 
 def local_test(test_id: TestId | str, k: int = 1) -> LocalTestDescriptor:
@@ -99,42 +106,38 @@ def local_test(test_id: TestId | str, k: int = 1) -> LocalTestDescriptor:
     return LocalTestDescriptor(TestId(test_id), k)
 
 
-def _check(values: Sequence[float], k: int, kind: EvidenceKind) -> int:
-    """The size of an evidence subset of at least k values, none of them NaN
+def _check(values: Sequence[float], k: int, kind: EvidenceKind) -> None:
+    """Refuse an evidence subset of fewer than k values, or with a value NaN
     or outside the kind's range, [0, 1] for p-values and [0, +inf] for
-    e-values; ``SubsetTooSmallError`` or ``ValueError`` otherwise."""
-    n = len(values)
-    if n < k:
-        raise SubsetTooSmallError(f"need at least k={k} {kind.value}-values, got {n}")
+    e-values: ``SubsetTooSmallError`` or ``ValueError``."""
+    if len(values) < k:
+        raise SubsetTooSmallError(f"need at least k={k} {kind.value}-values, got {len(values)}")
     high = 1.0 if kind is EvidenceKind.P_VALUE else math.inf
     for x in values:
         if not 0.0 <= x <= high:  # NaN fails too
             raise ValueError(f"{kind.value}-values must lie in [0, {high:g}], got {x}")
-    return n
 
 
 def bonferroni_k(p_subset: Sequence[float], k: int, alpha: float) -> int:
     """Generalized Bonferroni: reject iff (|S|/k) * p_(k:S) <= alpha."""
-    n = _check(p_subset, k, EvidenceKind.P_VALUE)
-    kth = sorted(p_subset)[k - 1]
-    return int((n / k) * kth <= alpha)
+    return LocalTestDescriptor(TestId.BONFERRONI_K, k).evaluate(p_subset, alpha)
 
 
 def simes(p_subset: Sequence[float], alpha: float) -> int:
     """Simes: reject iff min over j of (|S|/j) * p_(j:S) <= alpha."""
-    n = _check(p_subset, 1, EvidenceKind.P_VALUE)
-    ps = sorted(p_subset)
-    return int(min((n / j) * ps[j - 1] for j in range(1, n + 1)) <= alpha)
+    return LocalTestDescriptor(TestId.SIMES, 1).evaluate(p_subset, alpha)
 
 
 def _harmonic_factor(n: int) -> float:
     """The scale c(n) that makes the harmonic mean of n p-values valid.
 
-    A singleton is its own p-value (c = 1).  e*ln(n) is valid for n >= 3
-    under any dependence (Vovk & Wang 2020, "Combining p-values via
-    averaging").  At n = 2 it is 1.884, below the sharp factor 2: two
-    uniforms can have P(1/U1 + 1/U2 >= 2/t) = 2t, so e*ln(2) would reject
-    with probability up to 1.06 alpha.
+    c(1) = 1, so a singleton {p} rejects iff alpha * fl(1/p) >= 1, with
+    1/p rounded to a double; that rounding refuses some p = alpha, such as
+    p = alpha = 0.003.  e*ln(n) is valid for n >= 3 under any dependence
+    (Vovk & Wang 2020, "Combining p-values via averaging").  At n = 2 it is
+    1.884, below the sharp factor 2: two uniforms can have
+    P(1/U1 + 1/U2 >= 2/t) = 2t, so e*ln(2) would reject with probability up
+    to 1.06 alpha.
     """
     return 1.0 if n == 1 else 2.0 if n == 2 else math.e * math.log(n)
 
@@ -144,7 +147,7 @@ def _harmonic_factor(n: int) -> float:
 # double 1.0/p, 1/0 := +inf) and c = ``_harmonic_factor``, or u = e and
 # c = 1.  Each caller adds its float sums in its own order, and
 # :func:`_reaches` decides a sum near the threshold on its exact value, so
-# the local tests, the kernel and the oracles decide alike on any Python.
+# the rules and the kernel decide alike on any Python.
 _EPS = np.finfo(float).eps
 # Relative rounding bounds per term, with room to spare: _ROUNDING * (n + 1)
 # for a member's float sum, _SLACK * (n + 2) for the kernel's preselection.
@@ -190,21 +193,13 @@ def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
     p-value gives 0.  It rejects by the sum rule: alpha * sum(1/p_j) >=
     c(|S|) * |S| exactly, each 1/p_j rounded to a double.
     """
-    n = _check(p_subset, 1, EvidenceKind.P_VALUE)
-    if 0.0 in p_subset:  # 1/0 := +inf, so the combined p-value is 0
-        return 1
-    u = [1.0 / p for p in p_subset]
-    c = _harmonic_factor(n)
-    return int(_reaches(sum(u), n, c, alpha, _sum_bounds(n, c, alpha),
-                        lambda _: _exact_sum(u)))
+    return LocalTestDescriptor(TestId.HARMONIC_MEAN, 1).evaluate(p_subset, alpha)
 
 
 def e_average(e_subset: Sequence[float], alpha: float) -> int:
     """Reject iff the arithmetic mean of the e-values is >= 1/alpha, that
     is iff alpha * sum(e_j) >= |S| exactly."""
-    n = _check(e_subset, 1, EvidenceKind.E_VALUE)
-    return int(_reaches(sum(e_subset), n, 1.0, alpha, _sum_bounds(n, 1.0, alpha),
-                        lambda _: _exact_sum(e_subset)))
+    return LocalTestDescriptor(TestId.E_AVERAGE, 1).evaluate(e_subset, alpha)
 
 
 def e_closure_k(e_subset: Sequence[float], k: int, alpha: float) -> int:
@@ -219,20 +214,26 @@ def e_closure_k(e_subset: Sequence[float], k: int, alpha: float) -> int:
     supersets are the ones padded with the t smallest remaining values, so
     one sorted pass decides any |S|, each mean by the exact sum rule.
     """
-    n = _check(e_subset, k, EvidenceKind.E_VALUE)
-    ordered = sorted(e_subset)
-    top = ordered[n - k :]
-    for size, total in enumerate(accumulate(ordered[: n - k], initial=sum(top)), start=k):
-        if not _reaches(total, size, 1.0, alpha, _sum_bounds(size, 1.0, alpha),
-                        lambda _: _exact_sum(top + ordered[: size - k])):
+    return LocalTestDescriptor(TestId.E_CLOSURE_K, k).evaluate(e_subset, alpha)
+
+
+def _sum_rule(u, k: int, alpha: float, c: float = 1.0) -> int:
+    """The closure e-test's rule on values u in descending order: 1 iff the
+    top k values pass the sum rule at factor c, alone and padded with each
+    count of the weakest others.  At k = |u| it is the sum rule on u alone,
+    the rule of the harmonic mean (u = 1/p) and of ``e_average``."""
+    top, rest = u[:k], u[k:][::-1]
+    for size, total in enumerate(accumulate(rest, initial=sum(top)), start=k):
+        if not _reaches(total, size, c, alpha, _sum_bounds(size, c, alpha),
+                        lambda _: _exact_sum(top + rest[: size - k])):
             return 0
     return 1
 
 
 # L-shaped scan kernels, the ``scan`` of each record.  The Bonferroni and
-# Simes statistics are the floating-point expressions of the local tests above,
-# so a member passes here exactly when the local test accepts it; the sum
-# kernel decides its members by the sum rule, as the local tests do.  What
+# Simes statistics are the floating-point expressions of the rules above, so
+# a member passes here exactly when its rule accepts it; the sum kernel
+# decides its members by the sum rule, as the rules do.  What
 # depends only on (m, k, alpha) is built once per key as a read-only table:
 # the ranks 1..m, whose slices and views are every index vector, and the
 # constants below.
@@ -381,28 +382,31 @@ def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
     return 0
 
 
-# One record per built-in test, in ``TestId`` order.  The order-one tests
-# ignore k in their evaluators; their descriptors only ever carry k = 1.
+# One record per built-in test, in ``TestId`` order, each with its rule.
+# The order-one tests' rules ignore k; their descriptors only carry k = 1.
 RECORDS = {
     TestId.BONFERRONI_K: LocalTestRecord(
-        EvidenceKind.P_VALUE, False, bonferroni_k, lambda v, k, a: _step_down_rank(v, v.size, k, a)
+        EvidenceKind.P_VALUE, False,
+        lambda v, k, a: int((len(v) / k) * v[k - 1] <= a),
+        lambda v, k, a: _step_down_rank(v, v.size, k, a),
     ),
     TestId.SIMES: LocalTestRecord(
-        EvidenceKind.P_VALUE, True, lambda vs, k, a: simes(vs, a), _simes_rank
+        EvidenceKind.P_VALUE, True,
+        lambda v, k, a: int(min((len(v) / j) * v[j - 1] for j in range(1, len(v) + 1)) <= a),
+        _simes_rank,
     ),
     TestId.HARMONIC_MEAN: LocalTestRecord(
-        EvidenceKind.P_VALUE,
-        True,
-        lambda vs, k, a: harmonic_mean_test(vs, a),
+        EvidenceKind.P_VALUE, True,  # u = 1/p as a double, 1/0 := +inf
+        lambda v, k, a: _sum_rule([1.0 / p if p else math.inf for p in v], len(v), a,
+                                  _harmonic_factor(len(v))),
         lambda v, k, a: _sum_rank(v, k, a, True),
     ),
     TestId.E_AVERAGE: LocalTestRecord(
-        EvidenceKind.E_VALUE,
-        True,
-        lambda vs, k, a: e_average(vs, a),
+        EvidenceKind.E_VALUE, True,
+        lambda v, k, a: _sum_rule(v, len(v), a),
         lambda v, k, a: _sum_rank(v, k, a, False),
     ),
     TestId.E_CLOSURE_K: LocalTestRecord(
-        EvidenceKind.E_VALUE, False, e_closure_k, lambda v, k, a: _sum_rank(v, k, a, False)
+        EvidenceKind.E_VALUE, False, _sum_rule, lambda v, k, a: _sum_rank(v, k, a, False)
     ),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -32,7 +33,7 @@ from kbfdr.engine import _trivial_rejection
 from kbfdr.local_tests import RECORDS, TestId, _harmonic_factor, _sum_rank
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
-from kbfdr.validation import differential_corpus
+from kbfdr.validation import _edge_evidence, differential_corpus
 from reference import (
     domino_p_fast_bonferroni,
     e_closure_enumeration,
@@ -492,7 +493,7 @@ class TestDefaultMatchesBruteForce:
     def test_harmonic_pair_in_the_factor_band(self):
         # A pair whose harmonic mean h lies in (alpha/2, alpha/1.884]: the
         # factor 2 refuses it and e*ln(2) = 1.884 would reject it, so a kernel
-        # whose n = 2 factor strays from the evaluator's decides differently.
+        # whose n = 2 factor strays from the rule's decides differently.
         # Random vectors rarely land here, so the pair is built, then padded
         # with 0-4 uniform p-values.
         rng = np.random.default_rng(1884)
@@ -507,7 +508,7 @@ class TestDefaultMatchesBruteForce:
             assert domino_p(ev, cfg) == domino_bruteforce(ev, cfg), ev.values.tolist()
 
     # A member whose mean lies within rounding of 1/alpha, summed in one
-    # order by the kernel and in another by the evaluator.
+    # order by the kernel and in another by the rule.
     @pytest.mark.parametrize("test_id, k, values", [
         ("eavg", 1, [9.4, 30.7, 19.9]),
         ("eclosure", 1, [9.7, 37.9, 12.4]),
@@ -552,6 +553,93 @@ class TestDefaultMatchesBruteForce:
             for test_id, k in cases:
                 got = decide(ev, DominoConfig(local_test(test_id, k), 0.05))
                 assert _outcome(got) == expected[test_id, k], (test_id, k)
+
+
+def _condition_traces(ev, test, alpha):
+    """The three condition checks' traces at every rank of ev."""
+    sv = sort_evidence(ev)
+    traces = []
+    for r in range(test.k, ev.m + 1):
+        traces.append(check_condition_bruteforce(sv, r, test, alpha))
+        traces.append(check_condition_rectangular(sv, r, test, alpha))
+        if ev.kind is EvidenceKind.E_VALUE:
+            traces.append(domino_e_mean_reduction_check(sv, r, test.k, alpha))
+    return traces
+
+
+class TestOraclesApplyTheRules:
+    """The condition checks decide members read off a sorted view with the
+    records' rules: their values were checked once, by the
+    ``EvidenceVector``, and come in significance order."""
+
+    def test_members_are_not_checked_again(self, monkeypatch):
+        import kbfdr.local_tests as local_tests
+
+        p = EvidenceVector.p_values([0.0004, 0.001, 0.004, 0.01, 0.04, 0.3, 0.7, 0.0, 0.01])
+        e = EvidenceVector.e_values([200.0, 90.0, 40.0, 3.0, 0.5, math.inf, 25.0, 3.0])
+        plan = [(local_test(*case), p) for case in P_CASES]
+        plan += [(local_test(*case), e) for case in E_CASES]
+
+        def decide_all():
+            return [(_condition_traces(ev, test, 0.05),
+                     _outcome(domino_bruteforce(ev, DominoConfig(test, 0.05))))
+                    for test, ev in plan]
+
+        expected = decide_all()
+        passed = {t.passed for traces, _ in expected for t in traces}
+        assert passed == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle checked a member again")
+
+        monkeypatch.setattr(local_tests, "_check", refuse)
+        assert decide_all() == expected
+
+    def test_rules_get_k_values_in_significance_order(self, monkeypatch):
+        calls = {tid: 0 for tid in TestId}
+
+        def asserting(tid, record):
+            def rule(v, k, alpha):
+                assert len(v) >= k, (tid, v, k)
+                descending = record.evidence_kind is EvidenceKind.E_VALUE
+                assert v == sorted(v, reverse=descending), (tid, v)
+                calls[tid] += 1
+                return record.rule(v, k, alpha)
+            return dataclasses.replace(record, rule=rule)
+
+        for tid, record in list(RECORDS.items()):
+            monkeypatch.setitem(RECORDS, tid, asserting(tid, record))
+        for test, alpha, ev in differential_corpus():
+            _condition_traces(ev, test, alpha)
+        assert min(calls.values()) > 1000, calls
+
+
+class TestOrderOneFallback:
+    """At k = 1 the fallback set is empty, and no perfect evidence (p = 0 or
+    e = +inf) is lost there: such a value makes rank 1 pass."""
+
+    def test_every_order_one_fallback_is_empty(self):
+        rng = np.random.default_rng(2026)
+        fallbacks = 0
+        for _ in range(1000):
+            m = int(rng.integers(1, 30))
+            alpha = float(rng.choice([0.001, 0.05, 0.2, 0.9]))
+            for tid in TestId:
+                kind = RECORDS[tid].evidence_kind
+                if rng.random() < 0.5:
+                    values = _edge_evidence(rng, m, kind)
+                else:  # tie-heavy: at most three distinct values
+                    values = rng.choice(_edge_evidence(rng, 3, kind), m)
+                ev = EvidenceVector(kind, values)
+                cfg = DominoConfig(local_test(tid, 1), alpha)
+                decide = domino_p if kind is EvidenceKind.P_VALUE else domino_e
+                sets = [decide(ev, cfg)] + ([domino_bruteforce(ev, cfg)] if m <= 8 else [])
+                perfect = 0.0 if kind is EvidenceKind.P_VALUE else math.inf
+                for rej in sets:
+                    if rej.fallback:
+                        fallbacks += 1
+                        assert rej.size == 0 and perfect not in ev.values, ev.values.tolist()
+        assert fallbacks > 2000, fallbacks
 
 
 class TestEValueOverflow:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +122,8 @@ class TestHarmonicMean:
         assert harmonic_mean_test(ps, math.nextafter(combined, 0.0)) == 0
 
     def test_zero_pvalue_gives_zero_combination(self):
-        assert harmonic_mean_test([0.0, 0.9], 0.0) == 1
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            harmonic_mean_test([0.0, 0.9], 0.0)  # a level of 0 is refused
         assert harmonic_mean_test([0.0, 0.9], 1e-12) == 1
 
 
@@ -238,10 +240,13 @@ def _edge_subset(rng, kind, n):
 
 
 class TestRecords:
-    """Each record's evaluator is its public local test.
+    """Each public test, on its input in any order, is its record's rule on
+    the values in significance order.
 
-    Both engine oracles decide members with ``test.evaluate``, so comparing
-    them with each other cannot catch a mis-wired record; this does.
+    The oracles of ``engine`` apply the rules to members read off a sorted
+    view, so this pins the order they rely on; the unit tests above pin
+    each rule's values, and ``e_closure_enumeration`` is an independent
+    reference for the closure e-test.
     """
 
     PUBLIC = {
@@ -249,21 +254,27 @@ class TestRecords:
         TestId.SIMES: lambda vs, k, a: simes(vs, a),
         TestId.HARMONIC_MEAN: lambda vs, k, a: harmonic_mean_test(vs, a),
         TestId.E_AVERAGE: lambda vs, k, a: e_average(vs, a),
-        TestId.E_CLOSURE_K: e_closure_enumeration,  # |S| <= 12
+        TestId.E_CLOSURE_K: e_closure_k,
     }
 
     @pytest.mark.parametrize("tid", list(TestId))
     def test_evaluate_is_the_public_test(self, tid):
         rng = np.random.default_rng(list(TestId).index(tid))
+        shuffle = random.Random(list(TestId).index(tid)).shuffle
         record = RECORDS[tid]
         public = self.PUBLIC[tid]
+        descending = record.evidence_kind is EvidenceKind.E_VALUE
         for k in (1,) if record.order_one_only else (1, 2, 3):
             test = local_test(tid, k)
             for _ in range(300):
                 n = int(rng.integers(k, 13))
                 vals = _edge_subset(rng, record.evidence_kind, n)
                 alpha = float(rng.choice([0.05, 0.2]))
-                assert test.evaluate(vals, alpha) == public(vals, k, alpha), vals
+                want = record.rule(sorted(vals, reverse=descending), k, alpha)
+                shuffle(vals)
+                assert public(vals, k, alpha) == test.evaluate(vals, alpha) == want, vals
+                if tid is TestId.E_CLOSURE_K:  # |S| <= 12
+                    assert e_closure_enumeration(vals, k, alpha) == want, vals
 
 
 def _rank_values(m, rng):
@@ -358,6 +369,23 @@ class TestKernelTables:
 def test_local_tests_check_their_input(test, args):
     with pytest.raises(ValueError, match="must lie in"):
         test(*args, 0.05)
+
+
+@pytest.mark.parametrize("test, args, error", [
+    (bonferroni_k, ([0.1], 0, 0.05), OutOfRangeError),
+    (bonferroni_k, ([0.01, 0.5], -1, 0.05), OutOfRangeError),
+    (e_closure_k, ([100.0], 0, 0.05), OutOfRangeError),
+    (harmonic_mean_test, ([0.5], 0.0), ValueError),
+    (e_average, ([1.0], 0.0), ValueError),
+    (e_closure_k, ([1.0], 1, 0.0), ValueError),
+    (simes, ([0.5], -1.0), ValueError),
+    (bonferroni_k, ([0.5], 1, math.nan), ValueError),
+    (e_average, ([1.0], 2.0), ValueError),
+])
+def test_local_tests_refuse_an_invalid_order_or_level(test, args, error):
+    match = "test order must be >= 1" if error is OutOfRangeError else "alpha must lie in"
+    with pytest.raises(error, match=match):
+        test(*args)
 
 
 def test_infinite_combined_evidence_is_valid():

@@ -250,7 +250,11 @@ class RejectionSet:
     fallback: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.ranked)
+        arr = self.ranked
+        if (type(arr) is np.ndarray and arr.ndim == 1 and arr.dtype == np.intp
+                and not arr.flags.writeable):
+            return  # the view every built-in procedure passes
+        arr = np.asarray(arr)
         # An empty sequence arrives as float64; any other non-integer dtype
         # would be truncated by the cast to indices.
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):

@@ -19,9 +19,10 @@ m-k+1 members: a = 0 for b = 0..m-r, then b = m-r for a = 1..r-k.
 kernel of the test's record in ``local_tests``, sorting once per decision:
 the generalized Holm critical values ((m+k-l)/k) * p_(l) for the
 generalized Bonferroni test, a Hommel-style pass over the top-n sets for
-Simes, and one sum kernel for the harmonic mean and the e-value means,
-which preselects ranks with a running maximum and decides members by the
-exact sum rule that their local tests apply too.
+Simes, its bisection seeded with a closed-form guess, and one sum kernel for
+the harmonic mean and the e-value means, which preselects ranks with a
+running maximum and decides each leg in one vector compare, near the
+threshold by the exact sum rule that their local tests apply too.
 
 The oracles stay public for the tests and ``kbfdr validate``; no Domino
 path calls them.  The three condition checks run one member loop and differ
@@ -159,6 +160,7 @@ def check_condition_bruteforce(
         raise CapExceededError(
             f"brute force capped at m <= {_BRUTE_FORCE_CAP}, got m={m}"
         )
+    require_level(alpha)
     require_rank(m, r, k)
     _require_kind(sv, test)
     marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
@@ -194,6 +196,7 @@ def check_condition_rectangular(
     instance by instance.
     """
     k, m = test.k, sv.m
+    require_level(alpha)
     require_rank(m, r, k)
     _require_kind(sv, test)
     family = ([*range(r - k - a, r), *range(m - b, m)]
@@ -212,6 +215,7 @@ def domino_e_mean_reduction_check(
     by the rule of ``e_average``, whose exact sum rule makes the decision
     independent of the order in which any path adds the member's e-values.
     """
+    require_level(alpha)
     require_rank(sv.m, r, k)
     if sv.ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")

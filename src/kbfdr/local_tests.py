@@ -18,10 +18,11 @@ checked entry, :meth:`LocalTestDescriptor.evaluate`, checks the level and
 the values, sorts them and applies the rule; the public tests call it.  The
 kernels reproduce the rules' decisions: the generalized Holm step-down for
 Bonferroni, which ``baselines.holm_k`` runs too, so the two decide alike
-wherever Domino does not fall back; a Hommel-style pass for Simes; and one
-sum kernel for the harmonic mean and both e-value tests.  The engine, the
-simulation's procedure tokens, the CLI choices and the ``validate`` corpus
-all derive from these records.
+wherever Domino does not fall back; a Hommel-style pass for Simes, with a
+seeded bisection; and one sum kernel for the harmonic mean and both e-value
+tests, which adds up exactly only the sums within rounding of their
+threshold.  The engine, the simulation's procedure tokens, the CLI choices
+and the ``validate`` corpus all derive from these records.
 
 Conventions for extreme evidence: 1/0 := +inf, so a zero p-value drives the
 harmonic mean to 0 and forces rejection; a +inf e-value makes every mean it
@@ -145,9 +146,9 @@ def _harmonic_factor(n: int) -> float:
 # The harmonic mean and both e-value tests share one sum rule: a member S of
 # size n passes iff alpha * sum over S of u >= c(n) * n, with u = 1/p (the
 # double 1.0/p, 1/0 := +inf) and c = ``_harmonic_factor``, or u = e and
-# c = 1.  Each caller adds its float sums in its own order, and
-# :func:`_reaches` decides a sum near the threshold on its exact value, so
-# the rules and the kernel decide alike on any Python.
+# c = 1.  Each caller adds its float sums in its own order and decides a
+# sum within its :func:`_sum_bounds` on the exact value, by :func:`_exactly`,
+# so the rules and the kernel decide alike on any Python.
 _EPS = np.finfo(float).eps
 # Relative rounding bounds per term, with room to spare: _ROUNDING * (n + 1)
 # for a member's float sum, _SLACK * (n + 2) for the kernel's preselection.
@@ -164,25 +165,11 @@ def _sum_bounds(sizes, factors, alpha):
     return threshold - band, threshold + band
 
 
-def _exact_sum(values) -> Fraction | float:
-    """The exact sum of values >= 0, +inf if one is infinite."""
-    return math.inf if math.inf in values else sum(map(Fraction, values), Fraction(0))
-
-
-def _reaches(sums, sizes, factors, alpha, bounds, exact_sum):
-    """The sum rule for one member given as numbers, or for many as arrays:
-    float sums of u, sizes n, factors c(n) and their :func:`_sum_bounds`.
-    A sum between its bounds is decided on ``exact_sum(i)``, the exact sum
-    of member i (0 for one member).  Returns a bool, or a bool array."""
-    lower, upper = bounds
-    passed = sums > upper
-    exactly = lambda i, n, c: Fraction(alpha) * exact_sum(i) >= Fraction(c) * int(n)
-    if not isinstance(passed, np.ndarray):
-        return passed or (sums >= lower and exactly(0, sizes, factors))
-    if not passed.all():
-        for i in ((sums >= lower) != passed).nonzero()[0]:
-            passed[i] = exactly(i, sizes[i], factors[i])
-    return passed
+def _exactly(values, n: int, c: float, alpha: float, start=Fraction(0)) -> bool:
+    """The sum rule for a member of size n at factor c on the exact sum of
+    ``start`` and ``values``, all finite: a float sum holding +inf passes
+    before this is asked."""
+    return Fraction(alpha) * sum(map(Fraction, values), start) >= Fraction(c) * n
 
 
 def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
@@ -224,8 +211,9 @@ def _sum_rule(u, k: int, alpha: float, c: float = 1.0) -> int:
     the rule of the harmonic mean (u = 1/p) and of ``e_average``."""
     top, rest = u[:k], u[k:][::-1]
     for size, total in enumerate(accumulate(rest, initial=sum(top)), start=k):
-        if not _reaches(total, size, c, alpha, _sum_bounds(size, c, alpha),
-                        lambda _: _exact_sum(top + rest[: size - k])):
+        lower, upper = _sum_bounds(size, c, alpha)
+        if total <= upper and (total < lower
+                               or not _exactly(top + rest[: size - k], size, c, alpha)):
             return 0
     return 1
 
@@ -276,12 +264,21 @@ def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
     Simes terms of {r} ∪ (top n-1) that do not involve p_(r).  Each term
     only shrinks as n grows (n/j with j = n - (m - i) falls towards 1, and
     rounding keeps that order), so V_n is monotone in n and a bisection
-    finds the threshold.
+    finds the threshold.  It first probes g and g - 1, g the least n at
+    which, in exact arithmetic, a rank i with p_(i) < alpha passes:
+    n >= d + 2 and n >= alpha*d/(alpha - p_(i)), d = m - i.  A wrong guess
+    (rounding, p = alpha) only costs probes; one outside [lo, hi) is skipped.
     """
     m = v.size
     lo, hi, ranks = 2, m + 1, _ranks(m)
+    below = v[: v.searchsorted(alpha)]  # p_(i) < alpha for i = 1..below.size
+    d = m - ranks[: below.size]
+    g = math.ceil(np.maximum(d + 2, alpha * d / (alpha - below)).min(initial=m + 1))
+    probes = [g - 1, g]  # popped from the end
     while lo < hi:
-        n = (lo + hi) // 2
+        n = probes.pop() if probes else (lo + hi) // 2
+        if not lo <= n < hi:
+            continue
         if ((n / ranks[1:n]) * v[m - n + 1 :] <= alpha).any():
             hi = n
         else:
@@ -332,6 +329,29 @@ def _sum_tables(m: int, k: int, alpha: float, harmonic: bool):
     return factors, lower, upper, need, weight, 2.0 * factors[-1] * m / alpha
 
 
+def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
+    """The last i whose member fails the sum rule, -1 if none: member i, of
+    size k + i and float sum sums[i], holds ``head`` and the first offset + i
+    values of u, the weakest first.  The walk starts at the last sum not
+    above its upper bound and steps back past sums in the rounding band whose
+    exact sum passes; ``exact_tails`` (of the j weakest) is filled on need."""
+    factors, lower, upper = tables[:3]
+    unsure = sums <= upper[k - 1 : k - 1 + sums.size]
+    end = sums.size if unsure.any() else 0
+    while end:
+        i = end - 1 - int(unsure[end - 1 :: -1].argmax())
+        if not unsure[i]:
+            break
+        if sums[i] < lower[k - 1 + i]:
+            return i
+        if not exact_tails:
+            exact_tails.extend(accumulate(map(Fraction, u.tolist()), initial=Fraction(0)))
+        if not _exactly(head, k + i, factors[k - 1 + i], alpha, exact_tails[offset + i]):
+            return i
+        end = i
+    return -1
+
+
 def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
     """The harmonic mean (u = 1/p) and the e-value means (u = e), any k.
 
@@ -342,12 +362,12 @@ def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
     the b weakest values for b < m-r.  Those pass only if the sum of M_r
     reaches the need c(n)*n/alpha less the sum of the b weakest, so a
     running maximum of the need, lowered by its slack, preselects ranks;
-    candidates are verified from the top, member by member, with exact sums
-    of the weakest values added up once, on first need.
+    candidates are verified from the top.  :func:`_last_failing` decides a
+    leg in one vector compare, adding up exactly only sums near threshold.
     """
     m = v.size
-    factors, lower, upper, need, weight, cap = _sum_tables(m, k, alpha, harmonic)
-    sizes = _ranks(m)
+    tables = _sum_tables(m, k, alpha, harmonic)
+    need, weight, cap = tables[3:]
     # Two zeros, then u from the weakest value up: tail[j + 1] is the float
     # sum of the j weakest values.
     weak = np.zeros(m + 2)
@@ -355,30 +375,19 @@ def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
         np.divide(1.0, np.maximum(v[::-1], 1.0 / cap), out=weak[2:])
     else:
         np.minimum(v[::-1], cap, out=weak[2:])
-    tail = np.cumsum(weak)
+    tail = np.add.accumulate(weak)
     exact_tails = []
-
-    def exact_tail(j):
-        if not exact_tails:
-            exact_tails.extend(accumulate(map(Fraction, weak[2:].tolist()), initial=Fraction(0)))
-        return exact_tails[j]
-
-    def decide(sums, n, exact_sum):  # members of sizes n, n + 1, ...
-        s = slice(n - 1, n - 1 + sums.size)
-        return _reaches(sums, sizes[s], factors[s], alpha, (lower[s], upper[s]), exact_sum)
-
-    failing = (~decide(tail[k + 1 :], k, lambda i: exact_tail(k + i))).nonzero()[0]
     # The ranks k..k+count-1 pass every top-n set of their families.
-    count = m - k + 1 if failing.size == 0 else m - k - int(failing[-1])
+    count = m - k - _last_failing(tail[k + 1 :], k, alpha, tables, (), k, weak[2:], exact_tails)
     strong = weak[:1:-1]  # u at ranks 1..m
     base = strong[: m - k + 1]  # base[r-k]: the float sum of M_r
     for i in range(1, k):
         base = base + strong[i : m - k + 1 + i]
     hardest = np.maximum.accumulate(need - weight * tail[: m - k + 1])[::-1]
-    for r in ((base[:count] >= hardest[:count]).nonzero()[0] + k)[::-1]:
-        exact_member = lambda i: _exact_sum(strong[r - k : r].tolist()) + exact_tail(i)
-        if decide(base[r - k] + tail[1 : m - r + 1], k, exact_member).all():
-            return int(r)
+    for r in ((base[:count] >= hardest[:count]).nonzero()[0] + k)[::-1].tolist():
+        if _last_failing(base[r - k] + tail[1 : m - r + 1], k, alpha, tables,
+                         strong[r - k : r], 0, weak[2:], exact_tails) < 0:
+            return r
     return 0
 
 

@@ -261,9 +261,10 @@ def make_procedure(token: str) -> ProcedureSpec:
         raise ValueError(f"unknown procedure {name!r}") from None
     test = local_test(test_id, kk)
     kind = test.evidence_kind
+    config = functools.cache(functools.partial(DominoConfig, test))  # one per alpha
 
     def run_domino(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-        cfg = DominoConfig(test, sc.alpha)
+        cfg = config(sc.alpha)
         if kind is EvidenceKind.P_VALUE:
             return domino_p(inst.pvalues, cfg)
         return domino_e(inst.evalues, cfg)

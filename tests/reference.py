@@ -3,10 +3,11 @@
 pytest does not collect this module (its name does not match ``test_*.py``);
 test modules import it by name.  It holds the loop-form significance order
 and generalized Holm step-down the array-native procedures are checked
-against, the textbook Holm critical values, the sum kernel's rank from its
-whole family under the exact sum rule, the closure e-test as a double
-enumeration over witnesses and supersets, and the Bonferroni chain scan,
-whose divergence from the closure the tests document.
+against, the textbook Holm critical values, the plain bisection for the
+Simes kernel's tail threshold, Hommel's procedure in its textbook form, the
+sum kernel's rank from its whole family under the exact sum rule, the
+closure e-test as a double enumeration over witnesses and supersets, and the
+Bonferroni chain scan, whose divergence from the closure the tests document.
 
 The chain scan keeps its own copy of Domino's k-1 fallback, so a change to
 the engine's fallback does not move the chain's expectations.
@@ -75,6 +76,44 @@ def holm_step_down(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
             break
         r = i
     return reject_by_rank(sv, r)
+
+
+def simes_tail_threshold_bisection(v: np.ndarray, alpha: float) -> int:
+    """The Simes kernel's tail threshold by plain bisection over [2, m+1].
+
+    v holds ascending p-values; the result is the smallest n in [2, m] for
+    which some (n/j) * p_(m-n+j) <= alpha with j in [2, n], the float test
+    the kernel makes, or m + 1 if there is none.  The kernel seeds its
+    search with a closed-form guess and must return the same n.
+    """
+    m = v.size
+    ranks = np.arange(1, m + 1)
+    lo, hi = 2, m + 1
+    while lo < hi:
+        n = (lo + hi) // 2
+        if ((n / ranks[1:n]) * v[m - n + 1 :] <= alpha).any():
+            hi = n
+        else:
+            lo = n + 1
+    return lo
+
+
+def hommel(p: EvidenceVector, alpha: float) -> frozenset[int]:
+    """Hommel's (1988) procedure as textbooks state it.
+
+    j* is the largest j for which Simes does not reject the j largest
+    p-values, (j/i) * p_(m-j+i) > alpha for every i = 1..j, and every
+    p-value with j* * p <= alpha (p <= alpha/j*) is rejected.  Without such
+    a j Simes rejects every top-j set, p_(m) <= alpha included, and
+    everything is rejected, as with j* = 1.  Each j is one vector over i,
+    visited from m down.
+    """
+    values = p.values
+    v = np.sort(values)
+    m = v.size
+    j_star = next((j for j in range(m, 0, -1)
+                   if ((j / np.arange(1, j + 1)) * v[m - j :] > alpha).all()), 1)
+    return frozenset(np.flatnonzero(j_star * values <= alpha).tolist())
 
 
 def sum_rank_unpreselected(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:

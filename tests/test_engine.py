@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from kbfdr.validation import _edge_evidence, differential_corpus
 from reference import (
     domino_p_fast_bonferroni,
     e_closure_enumeration,
+    hommel,
     marginal_of,
     significance_order,
     sum_rank_unpreselected,
@@ -404,6 +406,28 @@ def test_entry_points_reject_a_level_outside_0_1(call, alpha):
         call(EvidenceVector.p_values([0.01, 0.02, 0.5]), alpha)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("check, test_id", [
+    (check_condition_bruteforce, "simes"),
+    (check_condition_bruteforce, "harmonic"),
+    (check_condition_rectangular, "bonferroni"),
+    (check_condition_rectangular, "harmonic"),
+    (check_condition_rectangular, "eavg"),
+    (lambda sv, r, test, alpha: domino_e_mean_reduction_check(sv, r, test.k, alpha), "eavg"),
+], ids=["brute-simes", "brute-harmonic", "rect-bonferroni", "rect-harmonic", "rect-eavg",
+        "mean-reduction"])
+def test_condition_checks_reject_a_level_outside_0_1(check, test_id, alpha):
+    # Each passed at alpha = 1.5, and the harmonic and mean-reduction checks
+    # divided by zero at alpha = 0.
+    test = local_test(test_id)
+    if test.evidence_kind is EvidenceKind.P_VALUE:
+        sv = p_view([0.5, 0.01])
+    else:
+        sv = e_view([50.0, 1.0])
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        check(sv, 1, test, alpha)
+
+
 class TestLevelControlSmallScale:
     """Monte Carlo level check for Domino and its oracle at brute-force scale."""
 
@@ -667,6 +691,39 @@ class TestEValueOverflow:
         assert rej.indices == frozenset({0, 1, 2})
 
 
+def _edge_vectors(kind, alpha):
+    """Edge evidence at m = 1, 2, 3, 10 and 100: every value one edge value
+    (all tied), and the edge values mixed with ties."""
+    edges = [0.0, alpha, 1.0] if kind is EvidenceKind.P_VALUE else [0.0, math.inf, 1.0 / alpha]
+    rng = np.random.default_rng(49)
+    for m in (1, 2, 3, 10, 100):
+        for value in edges:
+            yield [value] * m
+        for _ in range(5):
+            yield rng.choice(edges, m).tolist()
+
+
+@pytest.mark.parametrize("test_id, k", [
+    ("simes", 1), ("harmonic", 1), ("eavg", 1), ("eclosure", 1), ("eclosure", 2), ("eclosure", 3),
+])
+def test_kernels_raise_no_warning_on_edge_evidence(test_id, k):
+    # p = 0, p = alpha, p = 1, e = 0, e = +inf and all-tied vectors: no
+    # kernel may divide by zero or overflow on its way to a decision.
+    test = local_test(test_id, k)
+    kind = test.evidence_kind
+    make = EvidenceVector.p_values if kind is EvidenceKind.P_VALUE else EvidenceVector.e_values
+    decide = domino_p if kind is EvidenceKind.P_VALUE else domino_e
+    decisions = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.05, 0.2):
+            for values in _edge_vectors(kind, alpha):
+                if len(values) >= k:
+                    decide(make(values), DominoConfig(test, alpha))
+                    decisions += 1
+    assert decisions >= 48
+
+
 class TestLShapedKernels:
     """The closed forms the kernels rely on, at scales brute force cannot reach."""
 
@@ -729,6 +786,34 @@ class TestLShapedKernels:
                 assert _outcome(rej) == _outcome(reject_by_rank(sv, expected))
             else:
                 assert rej.boundary_rank == 0
+
+    def test_simes_is_hommel(self):
+        # Simes-Domino at k = 1 is Hommel's procedure: table1-model evidence
+        # at m = 10^2 and 10^3 over several signal shares and correlations,
+        # also rounded to 2 and 3 decimals, then a few cases at m = 10^4.
+        rng = np.random.default_rng(47)
+        configs = {a: DominoConfig(local_test("simes"), a) for a in (0.05, 0.1, 0.2)}
+        cases = []
+        for m in (100, 1000):
+            for seed in range(40):
+                sc = SimScenario(m=m, pi1=float(rng.choice([0.0, 0.05, 0.2, 0.5])),
+                                 mu_c=3.0, sigma=1.0, rho=float(rng.choice([0.0, 0.25, 0.9])),
+                                 alpha=0.05, k=1, reps=1, seed=seed)
+                p = gen_instance(sc, 0).pvalues.values
+                cases += [(p, a) for p in (p, np.round(p, 2), np.round(p, 3))
+                          for a in (0.05, 0.1, 0.2)]
+        for seed in range(2):
+            sc = SimScenario(m=10_000, pi1=0.2, mu_c=3.0, sigma=1.0, rho=0.25,
+                             alpha=0.05, k=1, reps=1, seed=seed)
+            p = gen_instance(sc, 0).pvalues.values
+            cases += [(p, 0.05), (np.round(p, 3), 0.05)]
+        rejected = 0
+        for p, alpha in cases:
+            ev = EvidenceVector.p_values(p)
+            rej = domino_p(ev, configs[alpha])
+            assert rej.indices == hommel(ev, alpha), (p.size, alpha)
+            rejected += rej.size > 0
+        assert rejected > len(cases) // 2
 
     def test_e_mean_preselection_keeps_every_passing_rank(self):
         # Scaled to where a decision flips, some member mean sits within

@@ -23,10 +23,11 @@ from kbfdr.local_tests import (
     RECORDS,
     _harmonic_factor,
     _ranks,
+    _simes_tail_threshold,
     _step_down_factors,
     _sum_tables,
 )
-from reference import e_closure_enumeration
+from reference import e_closure_enumeration, simes_tail_threshold_bisection
 
 
 class TestDescriptor:
@@ -350,6 +351,45 @@ class TestKernelTables:
         for k in range(1, m + 3):
             want = [(m + k - max(l, k)) / k for l in range(1, m + 1)]
             assert _step_down_factors(m, k).tolist() == want
+
+
+def _simes_guess(v, alpha):
+    """The Simes kernel's closed-form guess, in loop form: over the ranks i
+    with p_(i) < alpha, d = m - i, the least max(d + 2, ceil(alpha * d /
+    (alpha - p_(i)))), capped at m + 1."""
+    m = len(v)
+    return min([max(d + 2, math.ceil(alpha * d / (alpha - x)))
+                for d, x in zip(range(m - 1, -1, -1), v) if x < alpha], default=m + 1)
+
+
+def test_seeded_simes_search_is_the_bisection():
+    # 12,000 ascending vectors at m = 1, 2, 3, 100 and 1000: Gaussian-model
+    # p-values, the same rounded to 2 decimals, the edge values 0, alpha and
+    # 1 mixed in, and all-tied vectors.  The seeded search must return the
+    # threshold plain bisection finds, also where its guess is skipped (the
+    # first probe g = m + 1 or the second g - 1 = 1 lies outside [2, m + 1))
+    # or misses the threshold by more than one.
+    rng = np.random.default_rng(50)
+    outside = missed = 0
+    for it in range(12_000):
+        m = (1, 2, 3, 100, 1000)[it % 5]
+        alpha = (0.05, 0.1, 0.2)[it // 5 % 3]
+        shape = it // 15 % 4
+        x = 3.0 * (rng.random(m) < rng.choice([0.05, 0.2, 0.5])) + rng.standard_normal(m)
+        p = ndtr(-x)
+        if shape == 1:
+            p = np.round(p, 2)
+        elif shape == 2:
+            p = np.where(rng.random(m) < 0.5, rng.choice([0.0, alpha, 1.0], m), p)
+        elif shape == 3:
+            p = np.full(m, rng.choice([0.0, alpha, 1.0, p[0]]))
+        v = np.sort(p)
+        want = simes_tail_threshold_bisection(v, alpha)
+        assert _simes_tail_threshold(v, alpha) == want, (v.tolist(), alpha)
+        g = _simes_guess(v.tolist(), alpha)
+        outside += g in (2, m + 1)
+        missed += want not in (g - 1, g)
+    assert outside > 1000 and missed > 100, (outside, missed)
 
 
 @pytest.mark.parametrize("test, args", [

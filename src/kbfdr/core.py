@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,12 +92,12 @@ def _stable_order(values: np.ndarray, descending: bool,
     the sort's direction: then it is a sorted order too, and so repaired.
     """
     perm, ranked = candidate, None if candidate is None else values[candidate]
-    if ranked is None or not (ranked[:-1] >= ranked[1:] if descending
-                              else ranked[:-1] <= ranked[1:]).all():
+    if ranked is None or np.count_nonzero(ranked[:-1] < ranked[1:] if descending
+                                          else ranked[:-1] > ranked[1:]):
         perm = np.argsort(-values if descending else values)
         ranked = values[perm]
     tied = ranked[1:] == ranked[:-1]
-    if tied.any() and (tied & (perm[1:] < perm[:-1])).any():
+    if np.count_nonzero(tied) and np.count_nonzero(tied & (perm[1:] < perm[:-1])):
         run = np.concatenate(([0], np.cumsum(~tied))) * perm.size
         perm = np.sort(run + perm) - run
         ranked = values[perm]
@@ -140,7 +140,7 @@ class EvidenceVector:
             raise ValueError("evidence must be a non-empty 1-d vector")
         # One pass that NaN fails too; only a failure works out its message.
         is_p = self.kind is EvidenceKind.P_VALUE
-        if not ((arr >= 0.0) & (arr <= 1.0) if is_p else arr >= 0.0).all():
+        if np.count_nonzero((arr >= 0.0) & (arr <= 1.0) if is_p else arr >= 0.0) != arr.size:
             if np.isnan(arr).any():
                 raise ValueError("evidence contains NaN")
             raise ValueError("p-values must lie in [0, 1]" if is_p else "e-values must be nonnegative")
@@ -300,29 +300,28 @@ class RejectionSet:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Per-hypothesis truth: theta[j] = 0 when hypothesis j is a true null."""
+    """Per-hypothesis truth: theta[j] = 0 when hypothesis j is a true null.
+    ``alternatives``, the number of false nulls, is counted at construction."""
 
     theta: np.ndarray
+    alternatives: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.theta)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("theta must be a non-empty 1-d vector")
-        # Compare before casting: a cast would truncate 0.5 to 0 unnoticed.
-        if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all():
+        # Compare before casting (it would truncate 0.5 to 0); a bool is 0/1 by type.
+        if raw.dtype.kind != "b" and (raw.dtype.kind not in "iuf"
+                                      or np.count_nonzero((raw == 0) | (raw == 1)) != raw.size):
             raise ValueError("theta entries must be 0 or 1")
         arr = raw.astype(int)
         arr.flags.writeable = False
         object.__setattr__(self, "theta", arr)
+        object.__setattr__(self, "alternatives", int(np.count_nonzero(arr)))
 
     @property
     def m(self) -> int:
         return int(self.theta.size)
-
-    @functools.cached_property
-    def alternatives(self) -> int:
-        """The number of false nulls (theta = 1), counted on first use."""
-        return int(np.count_nonzero(self.theta))
 
 
 def sort_evidence(ev: EvidenceVector) -> SortedView:

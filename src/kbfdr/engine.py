@@ -56,7 +56,7 @@ from .core import (
     require_rank,
     sort_evidence,
 )
-from .local_tests import RECORDS, LocalTestDescriptor, TestId, local_test
+from .local_tests import RECORDS, LocalTestDescriptor, LocalTestRecord, TestId, local_test
 
 # Re-exported only because ``bench/tracing.py`` wraps these names in the
 # engine; no engine path calls them (ROADMAP items 5 and 6).
@@ -111,15 +111,16 @@ def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
         )
 
 
-def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> None:
-    """Check that the evidence and the test are of ``kind`` and that k <= m."""
+def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> LocalTestRecord:
+    """Check that the evidence and the test are of ``kind`` and k <= m; return its record."""
     if ev.kind is not kind:
         raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
     test = cfg.test
-    if test.evidence_kind is not kind:
+    if (record := RECORDS[test.id]).evidence_kind is not kind:
         raise ValueError(f"{test.id.value} is not a {kind.value}-value test")
-    if cfg.k > ev.m:
-        raise ValueError(f"k={cfg.k} exceeds m={ev.m}")
+    if test.k > ev.values.size:
+        raise ValueError(f"k={test.k} exceeds m={ev.m}")
+    return record
 
 
 def _first_failing(
@@ -240,12 +241,13 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
 
 def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:
     """Domino over the L-shaped family: the largest passing rank wins."""
-    _require_fit(ev, cfg, kind)
+    scan = _require_fit(ev, cfg, kind).scan
     sv = sort_evidence(ev)
-    r = RECORDS[cfg.test.id].scan(sv.rank_values(), cfg.k, cfg.alpha)
-    if r >= cfg.k:
+    k = cfg.test.k
+    r = scan(sv.sorted_values, k, cfg.alpha)
+    if r >= k:
         return reject_by_rank(sv, r)
-    return _trivial_rejection(sv, cfg.k)
+    return _trivial_rejection(sv, k)
 
 
 def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:

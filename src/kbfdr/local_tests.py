@@ -46,6 +46,7 @@ from .core import EvidenceKind, OutOfRangeError, SubsetTooSmallError, require_le
 
 class TestId(enum.Enum):
     __test__ = False  # keep pytest from collecting the enum by name
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
 
     BONFERRONI_K = "bonferroni"
     SIMES = "simes"
@@ -149,7 +150,7 @@ def _harmonic_factor(n: int) -> float:
 # c = 1.  Each caller adds its float sums in its own order and decides a
 # sum within its :func:`_sum_bounds` on the exact value, by :func:`_exactly`,
 # so the rules and the kernel decide alike on any Python.
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a rule's threshold then overflows without a warning
 # Relative rounding bounds per term, with room to spare: _ROUNDING * (n + 1)
 # for a member's float sum, _SLACK * (n + 2) for the kernel's preselection.
 _ROUNDING = 2 * _EPS
@@ -167,8 +168,10 @@ def _sum_bounds(sizes, factors, alpha):
 
 def _exactly(values, n: int, c: float, alpha: float, start=Fraction(0)) -> bool:
     """The sum rule for a member of size n at factor c on the exact sum of
-    ``start`` and ``values``, all finite: a float sum holding +inf passes
-    before this is asked."""
+    ``start`` and ``values``; a member holding +inf passes, whatever its
+    bounds, before any exact sum."""
+    if start == math.inf or math.inf in values:
+        return True
     return Fraction(alpha) * sum(map(Fraction, values), start) >= Fraction(c) * n
 
 
@@ -273,13 +276,13 @@ def _simes_tail_threshold(v: np.ndarray, alpha: float) -> int:
     lo, hi, ranks = 2, m + 1, _ranks(m)
     below = v[: v.searchsorted(alpha)]  # p_(i) < alpha for i = 1..below.size
     d = m - ranks[: below.size]
-    g = math.ceil(np.maximum(d + 2, alpha * d / (alpha - below)).min(initial=m + 1))
+    g = math.ceil(np.minimum.reduce(np.maximum(d + 2, alpha * d / (alpha - below)), initial=m + 1))
     probes = [g - 1, g]  # popped from the end
     while lo < hi:
         n = probes.pop() if probes else (lo + hi) // 2
         if not lo <= n < hi:
             continue
-        if ((n / ranks[1:n]) * v[m - n + 1 :] <= alpha).any():
+        if np.count_nonzero((n / ranks[1:n]) * v[m - n + 1 :] <= alpha):
             hi = n
         else:
             lo = n + 1
@@ -297,8 +300,8 @@ def _simes_rank(v: np.ndarray, k: int, alpha: float) -> int:
     m = v.size
     n_star = _simes_tail_threshold(v, alpha)
     n = _ranks(m)
-    top = (n >= n_star) | (n * v[::-1] <= alpha)
-    failing = (~top).nonzero()[0]
+    # The top-n sets that fail: n < n_star and n * p_(m-n+1) > alpha.
+    failing = (n[: n_star - 1] * v[::-1][: n_star - 1] > alpha).nonzero()[0]
     r_top = m if failing.size == 0 else m - int(failing[-1]) - 1
     # n[::-1][:r_top] is m - r + 1 for the ranks r = 1..r_top.
     passing = (np.minimum(n[::-1][:r_top], n_star - 1) * v[:r_top] <= alpha).nonzero()[0]
@@ -313,20 +316,25 @@ def _sum_tables(m: int, k: int, alpha: float, harmonic: bool):
     member M_r with the b weakest values can pass only if the float sum of
     M_r reaches need[j] - weight[j] * (float sum of the b weakest); the
     slack on both terms covers their rounding and that of the sum of M_r.
-    j = 0 pads rank m, which has no such member.  Last, the cap: a member
-    holding a value u >= cap passes at every n <= m.
+    j = 0 pads rank m, which has no such member.  Then the cap: a member
+    holding a value u >= cap passes at every n <= m.  Where c(n)*n/alpha
+    overflows, the bounds are +inf and NaN (decide exactly) and the need is
+    the largest double.
     """
     sizes = _ranks(m)
     factors = (np.array([_harmonic_factor(n) for n in sizes.tolist()])
                if harmonic else np.ones(m))
-    lower, upper = _sum_bounds(sizes, factors, alpha)
-    inner = slice(k - 1, m - 1)
-    slack = _SLACK * (sizes[inner] + 2)
-    need = np.concatenate(([-np.inf], factors[inner] * sizes[inner] / alpha * (1.0 - slack)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _sum_bounds(sizes, factors, alpha)
+        inner = slice(k - 1, m - 1)
+        slack = _SLACK * (sizes[inner] + 2)
+        need = np.minimum(factors[inner] * sizes[inner] / alpha, np.finfo(float).max)
+        cap = float(2.0 * factors[-1] * m / alpha)
+    need = np.concatenate(([-np.inf], need * (1.0 - slack)))
     weight = np.concatenate(([0.0], 1.0 + slack))
     for table in (factors, lower, upper, need, weight):
         table.flags.writeable = False
-    return factors, lower, upper, need, weight, 2.0 * factors[-1] * m / alpha
+    return factors, lower, upper, need, weight, cap
 
 
 def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
@@ -337,22 +345,23 @@ def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
     exact sum passes; ``exact_tails`` (of the j weakest) is filled on need."""
     factors, lower, upper = tables[:3]
     unsure = sums <= upper[k - 1 : k - 1 + sums.size]
-    end = sums.size if unsure.any() else 0
+    end = sums.size if np.count_nonzero(unsure) else 0
     while end:
         i = end - 1 - int(unsure[end - 1 :: -1].argmax())
         if not unsure[i]:
             break
         if sums[i] < lower[k - 1 + i]:
             return i
-        if not exact_tails:
-            exact_tails.extend(accumulate(map(Fraction, u.tolist()), initial=Fraction(0)))
+        if not exact_tails:  # +inf from the first +inf on, which no Fraction holds
+            exact_tails.extend(accumulate(
+                u.tolist(), lambda s, x: s + Fraction(x) if x < math.inf else x, initial=Fraction(0)))
         if not _exactly(head, k + i, factors[k - 1 + i], alpha, exact_tails[offset + i]):
             return i
         end = i
     return -1
 
 
-def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
+def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool, quiet: bool = False) -> int:
     """The harmonic mean (u = 1/p) and the e-value means (u = e), any k.
 
     u falls with rank and is clipped at the cap, so every float sum stays
@@ -364,10 +373,15 @@ def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool) -> int:
     running maximum of the need, lowered by its slack, preselects ranks;
     candidates are verified from the top.  :func:`_last_failing` decides a
     leg in one vector compare, adding up exactly only sums near threshold.
+    Where a sum can overflow, the same scan runs ``quiet``, with numpy's
+    warnings off: the cap may be +inf, and so u (1/0 := +inf).
     """
     m = v.size
     tables = _sum_tables(m, k, alpha, harmonic)
     need, weight, cap = tables[3:]
+    if 2.0 * m * cap == math.inf and not quiet:
+        with np.errstate(all="ignore"):
+            return _sum_rank(v, k, alpha, harmonic, True)
     # Two zeros, then u from the weakest value up: tail[j + 1] is the float
     # sum of the j weakest values.
     weak = np.zeros(m + 2)

@@ -96,18 +96,18 @@ def run_sample(
     """Realized indicators and rates for one run.
 
     ``R.ranked`` lists the rejections in the significance order of
-    ``evidence``.  One gather of theta over it gives the true discoveries,
-    and the boundary indicator counts over its last k entries.  The number
-    of alternatives is the one cached on ``truth``, so a run costs
-    O(|R|), not O(m).
+    ``evidence``.  One gather of theta over it gives |R| and the true
+    discoveries, and the boundary indicator counts over its last k entries.
+    The number of alternatives is the one counted with ``truth``, so a run
+    costs O(|R|), not O(m).
     """
-    if evidence.m != truth.m:
+    if evidence.values.size != truth.theta.size:
         raise DimensionMismatchError(
             f"evidence has m={evidence.m}, truth has m={truth.m}"
         )
     require_order(k)
     alt = truth.theta[R.ranked]  # 1 where a rejection is a true discovery
-    n_rej = R.size
+    n_rej = alt.size
     n_true = int(np.count_nonzero(alt))
     n_false = n_rej - n_true
     fdp = n_false / max(n_rej, 1)

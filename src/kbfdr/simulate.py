@@ -133,8 +133,11 @@ class SimInstance:
     def evalues(self) -> EvidenceVector:
         """The likelihood ratios exp((mu_c x - mu_c^2 / 2) / sigma^2)."""
         sc = self.scenario
-        with np.errstate(over="ignore"):
-            evals = np.exp((sc.mu_c * self.x - 0.5 * sc.mu_c**2) / sc.sigma**2)
+        with np.errstate(over="ignore"):  # the same steps, in place in one buffer
+            evals = sc.mu_c * self.x
+            evals -= 0.5 * sc.mu_c**2
+            evals /= sc.sigma**2
+            np.exp(evals, out=evals)
         ev = EvidenceVector.e_values(evals)
         ev._sort_like(self.pvalues)
         return ev
@@ -204,7 +207,7 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
     return SimInstance(
         x=x,
         pvalues=EvidenceVector.p_values(ndtr(x / -sc.sigma)),  # = -x / sigma, one pass fewer
-        truth=GroundTruth(alt.astype(int)),
+        truth=GroundTruth(alt),
         scenario=sc,
     )
 

@@ -76,6 +76,18 @@ class TestRun:
                     out.read_text().splitlines()[1:]]
         assert rejected == ["1", "0", "0"]
 
+    def test_domino_e_at_a_tiny_level(self, tmp_path):
+        # At alpha = 1e-310 no finite e-value passes alone, and 1/alpha
+        # overflows: the +inf e-value is rejected, and the call exits 0.
+        path = tmp_path / "e.csv"
+        path.write_text("index,e_value\n1,inf\n2,1.0\n3,2.0\n", encoding="utf-8")
+        out = tmp_path / "rej.csv"
+        code = main(["run", str(path), "--proc", "domino-e", "--alpha", "1e-310",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rejected = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert rejected == ["1", "0", "0"]
+
     def test_byte_identical_outputs(self, p_file, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 import time
 import warnings
@@ -722,6 +723,52 @@ def test_kernels_raise_no_warning_on_edge_evidence(test_id, k):
                     decide(make(values), DominoConfig(test, alpha))
                     decisions += 1
     assert decisions >= 48
+
+
+def test_descriptors_and_configs_pickle_after_use():
+    # A decision leaves nothing on the descriptor or its config but their
+    # fields: both pickle, and the copy equals, hashes and reads alike.
+    for tid in TestId:
+        for k in (1,) if RECORDS[tid].order_one_only else (1, 2):
+            test = local_test(tid, k)
+            cfg = DominoConfig(test, 0.05)
+            if test.evidence_kind is EvidenceKind.P_VALUE:
+                domino_p(EvidenceVector.p_values([0.001, 0.02, 0.5]), cfg)
+            else:
+                domino_e(EvidenceVector.e_values([90.0, 30.0, 0.5]), cfg)
+            for obj in (test, cfg):
+                assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+                copy = pickle.loads(pickle.dumps(obj))
+                assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
+            assert copy.test.id is tid
+
+
+@pytest.mark.parametrize("test_id, k", [
+    ("simes", 1), ("bonferroni", 2), ("harmonic", 1), ("eavg", 1),
+    ("eclosure", 1), ("eclosure", 2), ("eclosure", 3),
+])
+def test_a_tiny_level_decides_like_brute_force(test_id, k):
+    # At these levels c(n) * n / alpha overflows for some n (at the last two
+    # already 1/alpha does), so thresholds and float sums reach +inf, and the
+    # sum kernel's u may be +inf itself.  Every decision is the closure's,
+    # and none warns on its way.
+    test = local_test(test_id, k)
+    kind = test.evidence_kind
+    make = EvidenceVector.p_values if kind is EvidenceKind.P_VALUE else EvidenceVector.e_values
+    decide = domino_p if kind is EvidenceKind.P_VALUE else domino_e
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (3e-308, 1e-308, 1e-310, 5e-324):
+            for values in _edge_vectors(kind, alpha):
+                if len(values) < k:
+                    continue
+                cfg = DominoConfig(test, alpha)
+                got = decide(make(values), cfg)
+                if len(values) <= 10:
+                    assert got == domino_bruteforce(make(values), cfg), (alpha, values)
+                    compared += 1
+    assert compared >= 64
 
 
 class TestLShapedKernels:

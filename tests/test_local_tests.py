@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -432,6 +433,23 @@ def test_infinite_combined_evidence_is_valid():
     assert e_average([math.inf, 1.0], 0.05) == 1
     assert e_closure_k([math.inf, 0.0], 2, 0.05) == 1
     assert harmonic_mean_test([0.0, 1.0], 0.05) == 1
+
+
+@pytest.mark.parametrize("alpha", [3e-308, 1e-308, 1e-310, 5e-324])
+def test_sum_rules_decide_at_a_tiny_level(alpha):
+    # c(n) * n / alpha overflows here, so the rules' bounds are +inf and NaN:
+    # a member holding +inf passes, a finite one is decided on its exact sum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert e_average([math.inf, 1.0], alpha) == 1
+        assert e_closure_k([math.inf, 1.0, 0.0], 2, alpha) == 1
+        assert e_closure_k([1.0, 1.0, 0.0], 2, alpha) == 0
+        assert harmonic_mean_test([0.0, 0.5], alpha) == 1
+        assert harmonic_mean_test([5e-324, 0.5], alpha) == 1  # 1/p rounds to +inf
+        # alpha * sum(e) >= n exactly, though the float sum overflows.
+        e = 1.0 / alpha  # +inf at the last two levels
+        assert e_average([e, e, e], alpha) == int(e == math.inf or Fraction(alpha) * Fraction(e) >= 1)
+        assert e_average([1e308, 1e308], alpha) == int(Fraction(alpha) * Fraction(1e308) >= 1)
 
 
 class TestElementwiseMonotonicity:

@@ -231,6 +231,32 @@ def test_no_reference_cycle_through_the_sort_caches():
             gc.enable()
 
 
+def test_a_table1_replication_is_freed_without_the_cycle_collector():
+    """With the cycle collector off, one replication of each scenario of
+    the bundled table1 grid, run through its seven procedures and
+    ``run_sample``, frees both its evidence vectors once it is dropped."""
+    from kbfdr.cli import _build_scenarios, _load_config
+
+    scenarios, procedures = _build_scenarios(_load_config("table1.cfg"), None)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for sc in scenarios:
+            inst = gen_instance(sc, 0)
+            samples = []
+            for proc in procedures:
+                p_kind = proc.evidence_kind is EvidenceKind.P_VALUE
+                evidence = inst.pvalues if p_kind else inst.evalues
+                samples.append(run_sample(proc.run(inst, sc), inst.truth, evidence, proc.order(sc)))
+            refs = [weakref.ref(inst.pvalues), weakref.ref(inst.evalues)]
+            del inst, evidence
+            assert [ref() for ref in refs] == [None, None]
+            assert len(samples) == 7
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestTruncatedNormal:
     def test_strictly_positive(self):
         rng = np.random.Generator(np.random.PCG64(1))

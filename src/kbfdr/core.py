@@ -232,16 +232,16 @@ class SortedView:
         return self.ev.m
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RejectionSet:
     """A rejection decision: a prefix of the significance order.
 
     ``ranked`` holds the rejected 0-based indices, most significant first,
-    as a read-only array; every built-in procedure returns a view of the
-    sorted permutation.  ``fallback`` marks Domino's trivial outcome, when
-    no candidate rank passed.  The boundary order k is not stored: it
-    belongs to the question asked of the set, so ``marginal_indices(k)``
-    takes it.
+    as a read-only array: the view of a cached permutation that every
+    built-in procedure passes is kept as is, any other integer sequence is
+    copied.  ``fallback`` marks Domino's trivial outcome, when no candidate
+    rank passed.  The boundary order k is not stored: it belongs to the
+    question asked of the set, so ``marginal_indices(k)`` takes it.
 
     Equality and hashing compare the two fields by value.
     """
@@ -249,21 +249,19 @@ class RejectionSet:
     ranked: np.ndarray
     fallback: bool = False
 
-    def __post_init__(self) -> None:
-        arr = self.ranked
-        if (type(arr) is np.ndarray and arr.ndim == 1 and arr.dtype == np.intp
-                and not arr.flags.writeable):
-            return  # the view every built-in procedure passes
-        arr = np.asarray(arr)
-        # An empty sequence arrives as float64; any other non-integer dtype
-        # would be truncated by the cast to indices.
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise ValueError("ranked must be a 1-d array of integer indices")
-        arr = arr.astype(np.intp, copy=False)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "ranked", arr)
+    def __init__(self, ranked, fallback: bool = False) -> None:
+        if not (type(ranked) is np.ndarray and ranked.ndim == 1 and ranked.dtype == np.intp
+                and not ranked.flags.writeable):
+            ranked = np.asarray(ranked)
+            # An empty sequence arrives as float64; any other non-integer
+            # dtype would be truncated by the cast to indices.
+            if ranked.ndim != 1 or (ranked.size and ranked.dtype.kind not in "iu"):
+                raise ValueError("ranked must be a 1-d array of integer indices")
+            ranked = ranked.astype(np.intp, copy=False)
+            if ranked.flags.writeable:
+                ranked = ranked.copy()
+                ranked.flags.writeable = False
+        self.__dict__.update(ranked=ranked, fallback=fallback)
 
     @property
     def size(self) -> int:
@@ -348,18 +346,21 @@ def sort_head(ev: EvidenceVector, cut: float) -> SortedView:
     return SortedView(ev, *ev._rank_order(cut))
 
 
-def _tied_prefix_length(sv: SortedView, r: int) -> int:
-    """Number of ranks at least as significant as the value at rank r.
+def _threshold_set(perm, ranked, r: int, fallback: bool = False) -> RejectionSet:
+    """Everything at least as significant as the value at rank r, as a view
+    of ``perm``; r = 0 yields the empty set.
 
-    Read off the rank values: r plus the run of later ranks equal to rank
-    r, which is empty on a tie-free vector.  The rank values are monotone
-    for either kind, so that run is contiguous, and a head view holds all
-    of it, since the head holds every value at or below its cut.
+    ``perm`` and ``ranked`` are a cached (permutation, rank values) pair, or
+    a head of it, holding rank r.  The set takes r ranks plus the run of
+    later ranks equal to rank r, which is empty on a tie-free vector.  The
+    rank values are monotone for either kind, so that run is contiguous,
+    and a head holds all of it, since it holds every value at or below its
+    cut.  This is the one place where a boundary absorbs its ties.
     """
-    vals = sv.rank_values()
-    if r == vals.size or vals[r] != vals[r - 1]:
-        return r
-    return r + int(np.count_nonzero(vals[r:] == vals[r - 1]))
+    n = r
+    if 0 < r < ranked.size and ranked[r] == ranked[r - 1]:
+        n += int(np.count_nonzero(ranked[r:] == ranked[r - 1]))
+    return RejectionSet(perm[:n], fallback)
 
 
 def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
@@ -375,12 +376,12 @@ def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
     the full view gives.  Among tied boundary values the marginal indices,
     at any order k, are taken by descending original index, which is what
     the stable sorted order yields.  The returned ``ranked`` is a view of
-    ``sv.perm``, not a copy.
+    ``sv.perm``, not a copy.  The built-in procedures cut the same set from
+    the evidence vector's cached order without building a view.
     """
     held = sv.perm.size
     if r < 0 or r > held:
         raise OutOfRangeError(
             f"need 0 <= r <= {held}, the ranks the view holds, got r={r}, m={sv.m}"
         )
-    return RejectionSet(sv.perm[: _tied_prefix_length(sv, r) if r else 0])
-
+    return _threshold_set(sv.perm, sv.rank_values(), r)

@@ -51,6 +51,7 @@ from .core import (
     EvidenceVector,
     RejectionSet,
     SortedView,
+    _threshold_set,
     reject_by_rank,
     require_level,
     require_rank,
@@ -183,7 +184,7 @@ def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
     for r in range(sv.m, cfg.k - 1, -1):
         if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha).passed:
             return reject_by_rank(sv, r)
-    return _trivial_rejection(sv, cfg.k)
+    return _trivial_rejection(sv.perm, sv.rank_values(), cfg.k)
 
 
 def check_condition_rectangular(
@@ -228,7 +229,7 @@ def domino_e_mean_reduction_check(
     return _first_failing(sv, r, padded, RECORDS[TestId.E_AVERAGE].rule, k, alpha)
 
 
-def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
+def _trivial_rejection(perm, ranked, k: int) -> RejectionSet:
     """Fallback set when no rank passes: the k-1 most significant hypotheses,
     with their boundary ties, marked ``fallback``.
 
@@ -236,18 +237,19 @@ def _trivial_rejection(sv: SortedView, k: int) -> RejectionSet:
     lost there: every built-in test rejects each member holding such a
     value, so rank 1 passes whenever one is present.
     """
-    return RejectionSet(reject_by_rank(sv, k - 1).ranked, fallback=True)
+    return _threshold_set(perm, ranked, k - 1, fallback=True)
 
 
 def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:
-    """Domino over the L-shaped family: the largest passing rank wins."""
+    """Domino over the L-shaped family: the largest passing rank wins.  The
+    kernel reads, and the set is cut from, the order cached on ``ev``."""
     scan = _require_fit(ev, cfg, kind).scan
-    sv = sort_evidence(ev)
+    perm, ranked = ev._rank_order()
     k = cfg.test.k
-    r = scan(sv.sorted_values, k, cfg.alpha)
+    r = scan(ranked, k, cfg.alpha)
     if r >= k:
-        return reject_by_rank(sv, r)
-    return _trivial_rejection(sv, k)
+        return _threshold_set(perm, ranked, r)
+    return _trivial_rejection(perm, ranked, k)
 
 
 def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -342,7 +343,8 @@ def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
     size k + i and float sum sums[i], holds ``head`` and the first offset + i
     values of u, the weakest first.  The walk starts at the last sum not
     above its upper bound and steps back past sums in the rounding band whose
-    exact sum passes; ``exact_tails`` (of the j weakest) is filled on need."""
+    exact sum passes; ``exact_tails`` (of the j weakest) is filled on need.
+    Every member from the first one holding +inf on passes; the walk skips them at once."""
     factors, lower, upper = tables[:3]
     unsure = sums <= upper[k - 1 : k - 1 + sums.size]
     end = sums.size if np.count_nonzero(unsure) else 0
@@ -355,9 +357,11 @@ def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
         if not exact_tails:  # +inf from the first +inf on, which no Fraction holds
             exact_tails.extend(accumulate(
                 u.tolist(), lambda s, x: s + Fraction(x) if x < math.inf else x, initial=Fraction(0)))
-        if not _exactly(head, k + i, factors[k - 1 + i], alpha, exact_tails[offset + i]):
+        held = 0 if math.inf in head else max(bisect_left(exact_tails, math.inf) - offset, 0)
+        if i < held and not _exactly(head, k + i, factors[k - 1 + i], alpha,
+                                     exact_tails[offset + i]):
             return i
-        end = i
+        end = min(i, held)
     return -1
 
 

@@ -24,7 +24,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunSample:
     """Error indicators and rates realized by a single run."""
 
@@ -34,6 +34,10 @@ class RunSample:
     tdr: float
     power: float
     rejections: int
+
+    def __init__(self, kbfdr_ind, kfwer_ind, fdp, tdr, power, rejections) -> None:
+        self.__dict__.update(kbfdr_ind=kbfdr_ind, kfwer_ind=kfwer_ind, fdp=fdp, tdr=tdr,
+                             power=power, rejections=rejections)
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,13 @@ def run_sample(
     n_rej = alt.size
     n_true = int(np.count_nonzero(alt))
     n_false = n_rej - n_true
-    fdp = n_false / max(n_rej, 1)
-    tdr = n_true / n_rej if n_rej >= 1 else 1.0
-    power = n_true / max(truth.alternatives, 1)
     return RunSample(
-        kbfdr_ind=_boundary_all_null(alt, k),
-        kfwer_ind=int(n_false >= k),
-        fdp=fdp,
-        tdr=tdr,
-        power=power,
-        rejections=n_rej,
+        int(n_rej >= k and not np.count_nonzero(alt[n_rej - k :])),  # _boundary_all_null
+        int(n_false >= k),
+        n_false / max(n_rej, 1),
+        n_true / n_rej if n_rej else 1.0,
+        n_true / max(truth.alternatives, 1),
+        n_rej,
     )
 
 

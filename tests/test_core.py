@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import threading
 
 import numpy as np
@@ -19,7 +21,7 @@ from kbfdr import (
     sort_evidence,
 )
 from kbfdr import core
-from kbfdr.core import _tied_prefix_length, sort_head
+from kbfdr.core import _threshold_set, sort_head
 from kbfdr.simulate import SimScenario, gen_instance
 from kbfdr.validation import _edge_evidence
 from reference import marginal_of, significance_order
@@ -180,7 +182,8 @@ def test_tied_prefix_length_equals_a_count(ev):
     count over the unsorted values."""
     sv = sort_evidence(ev)
     for r in range(1, ev.m + 1):
-        assert _tied_prefix_length(sv, r) == _counted_prefix_length(sv, r), r
+        rej = _threshold_set(sv.perm, sv.rank_values(), r)
+        assert rej.size == _counted_prefix_length(sv, r), r
 
 
 def test_sort_orders_a_lone_tied_pair_by_index():
@@ -497,6 +500,44 @@ class TestRejectionSet:
             RejectionSet([0.5])
         with pytest.raises(OutOfRangeError):
             RejectionSet([0]).marginal_indices(0)
+
+    def test_inputs_are_validated_or_copied(self):
+        # A read-only 1-d intp view is taken as is; anything else is checked
+        # and, unless already a read-only intp array, copied into one.
+        view = np.arange(5)[1:3]
+        view.flags.writeable = False
+        assert RejectionSet(view).ranked is view
+        for source, want in (([2, 0], [2, 0]), (np.array([3, 1]), [3, 1]),
+                             (np.array([3, 1], dtype=np.int32), [3, 1]), ([], []), ((), [])):
+            ranked = RejectionSet(source).ranked
+            assert ranked.dtype == np.intp and not ranked.flags.writeable
+            assert ranked.tolist() == want and ranked is not source
+        writable = np.array([4, 2])
+        rej = RejectionSet(writable)
+        writable[0] = 0
+        assert rej.ranked.tolist() == [4, 2]
+        assert RejectionSet(np.array([], dtype=float)).size == 0
+        for bad in (np.array([1.0, 2.0]), [0.5], np.zeros((1, 2), dtype=np.intp)):
+            with pytest.raises(ValueError, match="1-d array of integer indices"):
+                RejectionSet(bad)
+
+    def test_a_frozen_dataclass_record(self):
+        sv = sort_evidence(EvidenceVector.p_values([0.3, 0.01, 0.02, 0.5]))
+        for rej in (reject_by_rank(sv, 2), RejectionSet([1, 2], fallback=True), RejectionSet(())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rej.fallback = True
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rej.ranked = np.arange(2)
+            assert set(vars(rej)) == {"ranked", "fallback"}
+            copy = RejectionSet(ranked=rej.ranked.tolist(), fallback=rej.fallback)
+            assert copy == rej and hash(copy) == hash(rej) and repr(copy) == repr(rej)
+            loaded = pickle.loads(pickle.dumps(rej))
+            assert loaded == rej and hash(loaded) == hash(rej) and repr(loaded) == repr(rej)
+            flipped = dataclasses.replace(rej, fallback=not rej.fallback)
+            assert flipped.ranked.tolist() == rej.ranked.tolist() and flipped != rej
+            ranked, fallback = dataclasses.astuple(rej)
+            assert ranked.tolist() == rej.ranked.tolist() and fallback is rej.fallback
+        assert [f.name for f in dataclasses.fields(RejectionSet)] == ["ranked", "fallback"]
 
 
 _P = EvidenceVector.p_values([0.01, 0.2, 0.5])

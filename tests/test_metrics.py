@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestRunSample:
         s = run_sample(rej, TRUTH, EV, 2)
         assert s.kbfdr_ind == 0  # marginal pair {1, 2} contains theta=1
 
+    def test_a_frozen_dataclass_record(self):
+        names = ["kbfdr_ind", "kfwer_ind", "fdp", "tdr", "power", "rejections"]
+        assert [f.name for f in dataclasses.fields(RunSample)] == names
+        truth = GroundTruth([0, 1, 0])
+        for indices, k in (({0, 1, 2}, 1), ({0}, 1), (set(), 2), ({0, 1, 2}, 2)):
+            s = run_sample(rejection(EV, indices), truth, EV, k)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.fdp = 0.0
+            assert set(vars(s)) == set(names)
+            copy = RunSample(**{name: getattr(s, name) for name in names})
+            assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+            loaded = pickle.loads(pickle.dumps(s))
+            assert loaded == s and hash(loaded) == hash(s) and repr(loaded) == repr(s)
+            assert dataclasses.replace(s, rejections=7).rejections == 7
+            assert dataclasses.astuple(s) == tuple(getattr(s, name) for name in names)
+        assert RunSample(1, 1, 1.0, 0.0, 0.0, 3) == RunSample(
+            kbfdr_ind=1, kfwer_ind=1, fdp=1.0, tdr=0.0, power=0.0, rejections=3)
+
 
 class TestPointwiseOrdering:
     def test_boundary_never_exceeds_familywise(self):
@@ -194,7 +213,10 @@ class TestMatchesSetReference:
         k = data.draw(st.integers(1, 4))
         rej = RejectionSet(order)
         expected = reference_sample(ev, indices, theta, k)
-        assert run_sample(rej, truth, ev, k) == expected
+        got = run_sample(rej, truth, ev, k)
+        assert got == expected
+        # Python ints and floats, as the reference builds them, not numpy scalars.
+        assert list(map(type, dataclasses.astuple(got))) == [int, int, float, float, float, int]
         assert kbfdr_indicator(rej, truth, k) == expected.kbfdr_ind
         assert kfwer_indicator(rej, truth, k) == expected.kfwer_ind
 

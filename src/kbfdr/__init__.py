@@ -18,7 +18,6 @@ from .core import (
     InvalidRhoError,
     OutOfRangeError,
     RejectionSet,
-    SortedView,
     SubsetTooSmallError,
     reject_by_rank,
     sort_evidence,
@@ -86,7 +85,6 @@ __all__ = [
     "RunSample",
     "SimInstance",
     "SimScenario",
-    "SortedView",
     "SubsetTooSmallError",
     "TestId",
     "aggregate",

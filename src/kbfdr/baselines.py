@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-# No procedure calls reject_by_rank, sort_evidence or sort_head: bench/tracing.py wraps them here.
+# No procedure calls reject_by_rank or sort_evidence: bench/tracing.py wraps them here.
 from .core import (  # noqa: F401
     EvidenceKind,
     EvidenceVector,
@@ -27,7 +27,6 @@ from .core import (  # noqa: F401
     require_level,
     require_order,
     sort_evidence,
-    sort_head,
 )
 from .local_tests import _step_down_rank
 

@@ -1,7 +1,7 @@
 """Shared domain types for boundary-FDR procedures.
 
 Evidence is either a vector of p-values (small = significant) or e-values
-(large = significant).  All procedures work on a sorted view of the evidence:
+(large = significant).  All procedures work on the rank order of the evidence:
 p-values ascending, e-values descending, ties broken by ascending original
 index.  Each evidence vector is sorted once, on first use, by numpy's default
 argsort, or by the cached order of a vector of the same length if that
@@ -11,8 +11,8 @@ equal values put back in index order.  The permutation and the values in
 rank order are cached on it as read-only arrays that every procedure
 shares, an offered permutation with no reference to its vector.  A
 procedure that can reject only p-values at or below a cut sorts just that
-head of the order (:func:`sort_head`).  Ranks are 1-based throughout the
-public API; hypothesis indices are 0-based.
+head of the order.  Ranks are 1-based throughout the public API; hypothesis
+indices are 0-based.
 
 Every procedure rejects a prefix of the significance order, so a rejection
 set is stored as that prefix: an array of indices, most significant first.
@@ -151,13 +151,21 @@ class EvidenceVector:
     def m(self) -> int:
         return int(self.values.size)
 
+    def __reduce__(self):
+        # numpy arrays unpickle writable: rebuild through the checks, which
+        # make the values read-only again, and leave the cached order behind.
+        return type(self), (self.kind, self.values)
+
     def _rank_order(self, cut: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """The permutation and the values in rank order, both read-only.
 
-        With a finite ``cut``, only the head at or below it (see
-        :func:`sort_head`).  One order is cached with its cut, +inf for the
-        full order: a head at or below that cut is cut from it, and any
-        other request is sorted afresh and replaces it.
+        With a finite ``cut``, p-values only, just the head at or below it:
+        the full order cut short, for a procedure that can reject only
+        p-values at or below ``cut``.  Every p-value outside the head
+        exceeds the cut, so no tie straddles the head's end.  One order is
+        cached with its cut, +inf for the full order: a head at or below
+        that cut is cut from it, and any other request is sorted afresh and
+        replaces it.
         """
         cached = self.__dict__.get("_order")
         if cached is not None and cut <= cached[0]:
@@ -184,9 +192,10 @@ class EvidenceVector:
     def perm(self) -> np.ndarray:
         """The significance permutation, computed on first use and kept.
 
-        ``perm[i]`` is the original index of the hypothesis at rank i+1;
-        see :class:`SortedView` for the order and its tie rule.  It is
-        numpy's default argsort of the evidence, with any run of equal
+        ``perm[i]`` is the original index of the hypothesis at rank i+1.
+        Rank 1 is the most significant hypothesis (smallest p-value or
+        largest e-value); ties are broken by ascending original index.  It
+        is numpy's default argsort of the evidence, with any run of equal
         values that sort left out of index order put back in index order.
         """
         return self._rank_order()[0]
@@ -198,38 +207,6 @@ class EvidenceVector:
     @classmethod
     def e_values(cls, values) -> "EvidenceVector":
         return cls(EvidenceKind.E_VALUE, np.asarray(values, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class SortedView:
-    """The most significant ranks of an evidence vector, in significance order.
-
-    ``perm[i]`` is the 0-based original index of the hypothesis at 1-based
-    rank i+1.  Rank 1 is the most significant hypothesis (smallest p-value or
-    largest e-value); ties are broken by ascending original index.  The view
-    holds every rank (:func:`sort_evidence`) or a head of them
-    (:func:`sort_head`), so ``perm`` can be shorter than ``m``, which stays
-    the number of hypotheses.  ``sorted_values`` are the values at the ranks
-    held, in the same order.
-    """
-
-    ev: EvidenceVector
-    perm: np.ndarray
-    sorted_values: np.ndarray
-
-    def rank_values(self) -> np.ndarray:
-        """Evidence values in rank order (monotone for the kind), one per
-        rank held.
-
-        For the views :func:`sort_evidence` and :func:`sort_head` build,
-        this is the read-only array cached with the permutation, shared by
-        every procedure run on the same evidence vector.
-        """
-        return self.sorted_values
-
-    @property
-    def m(self) -> int:
-        return self.ev.m
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -262,6 +239,9 @@ class RejectionSet:
                 ranked = ranked.copy()
                 ranked.flags.writeable = False
         self.__dict__.update(ranked=ranked, fallback=fallback)
+
+    def __reduce__(self):
+        return type(self), (self.ranked, self.fallback)  # rebuilt read-only, as EvidenceVector
 
     @property
     def size(self) -> int:
@@ -317,33 +297,19 @@ class GroundTruth:
         object.__setattr__(self, "theta", arr)
         object.__setattr__(self, "alternatives", int(np.count_nonzero(arr)))
 
+    def __reduce__(self):
+        return type(self), (self.theta,)  # rebuilt read-only, as EvidenceVector
+
     @property
     def m(self) -> int:
         return int(self.theta.size)
 
 
-def sort_evidence(ev: EvidenceVector) -> SortedView:
-    """Sort evidence by significance; stable under ties by original index.
-
-    The permutation is the one cached on ``ev``, so procedures that share an
-    evidence vector share one sort.
-    """
-    return SortedView(ev, *ev._rank_order())
-
-
-def sort_head(ev: EvidenceVector, cut: float) -> SortedView:
-    """The head of a p-value order: the ranks whose p-value is at most cut.
-
-    It is the :func:`sort_evidence` order cut short, for a procedure that
-    can reject only p-values at or below ``cut``.  Every p-value outside the
-    head exceeds the cut, so no tie straddles the head's end.  The head is
-    cut from the vector's cached order when that order's cut is at least as
-    large (the full order's is +inf); otherwise only the head is sorted,
-    and it replaces the cached order.
-    """
-    if ev.kind is not EvidenceKind.P_VALUE:
-        raise ValueError("sort_head requires p-values")
-    return SortedView(ev, *ev._rank_order(cut))
+def sort_evidence(ev: EvidenceVector) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, ranked)``: the order of :attr:`EvidenceVector.perm` and the
+    values in it, the read-only pair cached on ``ev`` that every procedure
+    run on it shares."""
+    return ev._rank_order()
 
 
 def _threshold_set(perm, ranked, r: int, fallback: bool = False) -> RejectionSet:
@@ -363,25 +329,19 @@ def _threshold_set(perm, ranked, r: int, fallback: bool = False) -> RejectionSet
     return RejectionSet(perm[:n], fallback)
 
 
-def reject_by_rank(sv: SortedView, r: int) -> RejectionSet:
+def reject_by_rank(ev: EvidenceVector, r: int) -> RejectionSet:
     """Reject everything at least as significant as the value at rank r.
 
     Rejection is threshold-based, so ties at the boundary are absorbed even
-    when that pushes |R|, and so ``boundary_rank``, beyond r.  r = 0 yields
-    the empty set.  The tied ranks are found in ``sv.rank_values()``, which
-    must be monotone, as on every view :func:`sort_evidence` builds; a
-    boundary without a tie costs O(1).  r must be a rank the view holds,
-    which on a :func:`sort_head` view can be fewer than m; every value
-    beyond a head's last rank is less significant, so the result is the one
-    the full view gives.  Among tied boundary values the marginal indices,
-    at any order k, are taken by descending original index, which is what
-    the stable sorted order yields.  The returned ``ranked`` is a view of
-    ``sv.perm``, not a copy.  The built-in procedures cut the same set from
-    the evidence vector's cached order without building a view.
+    when that pushes |R|, and so ``boundary_rank``, beyond r; r = 0 yields
+    the empty set.  At k >= 2 that is not yet tie-safe (ROADMAP item 1):
+    bonferroni:2 Domino on p = [0.7, 0.7] falls back to rank 1 and rejects
+    {0, 1}, and so does brute force, as the strict xfail
+    ``test_the_boundary_is_certified_under_ties`` records.  Among tied
+    boundary values the marginal indices, at any order k, are taken by
+    descending original index, as the stable order yields.  ``ranked`` is
+    a view of the order cached on ``ev``, not a copy.
     """
-    held = sv.perm.size
-    if r < 0 or r > held:
-        raise OutOfRangeError(
-            f"need 0 <= r <= {held}, the ranks the view holds, got r={r}, m={sv.m}"
-        )
-    return _threshold_set(sv.perm, sv.rank_values(), r)
+    if r < 0 or r > ev.m:
+        raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={ev.m}")
+    return _threshold_set(*ev._rank_order(), r)

@@ -50,17 +50,16 @@ from .core import (
     EvidenceKind,
     EvidenceVector,
     RejectionSet,
-    SortedView,
     _threshold_set,
     reject_by_rank,
     require_level,
     require_rank,
-    sort_evidence,
 )
 from .local_tests import RECORDS, LocalTestDescriptor, LocalTestRecord, TestId, local_test
 
 # Re-exported only because ``bench/tracing.py`` wraps these names in the
 # engine; no engine path calls them (ROADMAP items 5 and 6).
+from .core import sort_evidence  # noqa: F401
 from .local_tests import (  # noqa: F401
     bonferroni_k,
     e_average,
@@ -104,11 +103,11 @@ class ConditionTrace:
             raise ValueError("passed must match the absence of a failing subset")
 
 
-def _require_kind(sv: SortedView, test: LocalTestDescriptor) -> None:
-    if test.evidence_kind is not sv.ev.kind:
+def _require_kind(ev: EvidenceVector, test: LocalTestDescriptor) -> None:
+    if test.evidence_kind is not ev.kind:
         raise ValueError(
             f"{test.id.value} expects {test.evidence_kind.value}-values, "
-            f"got {sv.ev.kind.value}-values"
+            f"got {ev.kind.value}-values"
         )
 
 
@@ -118,37 +117,36 @@ def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> L
         raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
     test = cfg.test
     if (record := RECORDS[test.id]).evidence_kind is not kind:
-        raise ValueError(f"{test.id.value} is not a {kind.value}-value test")
+        raise ValueError(f"{test.id.value} is not {'an e' if kind is EvidenceKind.E_VALUE else 'a p'}"
+                         "-value test")
     if test.k > ev.values.size:
         raise ValueError(f"k={test.k} exceeds m={ev.m}")
     return record
 
 
 def _first_failing(
-    sv: SortedView, r: int, members, rule, k: int, alpha: float
+    ev: EvidenceVector, r: int, members, rule, k: int, alpha: float
 ) -> ConditionTrace:
     """Trace the first member, in the given order, that a record's rule refuses.
 
     Each member is an ascending list of 0-based significance ranks, so
-    ``rule`` gets its values, as Python floats, in significance order, and
-    already checked by the ``EvidenceVector``.  Every oracle is this loop
-    with its own members and rule.
+    ``rule`` gets its values, as Python floats, in significance order, read
+    off the order cached on ``ev`` and already checked by it.  Every oracle
+    is this loop with its own members and rule.
     """
-    rank_vals = sv.rank_values().tolist()
+    perm, ranked = ev._rank_order()
+    rank_vals = ranked.tolist()
     evaluated = 0
     for ranks in members:
         evaluated += 1
         if not rule([rank_vals[i] for i in ranks], k, alpha):
-            failing = frozenset(int(sv.perm[i]) for i in ranks)
+            failing = frozenset(int(perm[i]) for i in ranks)
             return ConditionTrace(r, evaluated, failing, False)
     return ConditionTrace(r, evaluated, None, True)
 
 
 def check_condition_bruteforce(
-    sv: SortedView,
-    r: int,
-    test: LocalTestDescriptor,
-    alpha: float,
+    ev: EvidenceVector, r: int, test: LocalTestDescriptor, alpha: float
 ) -> ConditionTrace:
     """Verify the closure condition at rank r by full superset enumeration.
 
@@ -157,19 +155,19 @@ def check_condition_bruteforce(
     indices, so the first failing subset is deterministic.  Raises
     ``CapExceededError`` for m > 20.
     """
-    m, k = sv.m, test.k
+    m, k = ev.m, test.k
     if m > _BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"brute force capped at m <= {_BRUTE_FORCE_CAP}, got m={m}"
         )
     require_level(alpha)
     require_rank(m, r, k)
-    _require_kind(sv, test)
+    _require_kind(ev, test)
     marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
     free = [*range(r - k), *range(r, m)]
     supersets = (sorted(combo + marginal) for extra in range(len(free) + 1)
                  for combo in combinations(free, extra))
-    return _first_failing(sv, r, supersets, RECORDS[test.id].rule, k, alpha)
+    return _first_failing(ev, r, supersets, RECORDS[test.id].rule, k, alpha)
 
 
 def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
@@ -180,15 +178,14 @@ def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
     and raises ``CapExceededError`` for m > 20.
     """
     _require_fit(ev, cfg, ev.kind)
-    sv = sort_evidence(ev)
-    for r in range(sv.m, cfg.k - 1, -1):
-        if check_condition_bruteforce(sv, r, cfg.test, cfg.alpha).passed:
-            return reject_by_rank(sv, r)
-    return _trivial_rejection(sv.perm, sv.rank_values(), cfg.k)
+    for r in range(ev.m, cfg.k - 1, -1):
+        if check_condition_bruteforce(ev, r, cfg.test, cfg.alpha).passed:
+            return reject_by_rank(ev, r)
+    return _trivial_rejection(*ev._rank_order(), cfg.k)
 
 
 def check_condition_rectangular(
-    sv: SortedView, r: int, test: LocalTestDescriptor, alpha: float
+    ev: EvidenceVector, r: int, test: LocalTestDescriptor, alpha: float
 ) -> ConditionTrace:
     """Verify the closure condition via the exact rectangular family.
 
@@ -197,17 +194,17 @@ def check_condition_rectangular(
     :func:`check_condition_bruteforce`, which the test suite asserts
     instance by instance.
     """
-    k, m = test.k, sv.m
+    k, m = test.k, ev.m
     require_level(alpha)
     require_rank(m, r, k)
-    _require_kind(sv, test)
+    _require_kind(ev, test)
     family = ([*range(r - k - a, r), *range(m - b, m)]
               for a in range(r - k + 1) for b in range(m - r + 1))
-    return _first_failing(sv, r, family, RECORDS[test.id].rule, k, alpha)
+    return _first_failing(ev, r, family, RECORDS[test.id].rule, k, alpha)
 
 
 def domino_e_mean_reduction_check(
-    sv: SortedView, r: int, k: int, alpha: float
+    ev: EvidenceVector, r: int, k: int, alpha: float
 ) -> ConditionTrace:
     """Closure condition over e-value means, reduced to a linear scan.
 
@@ -218,15 +215,15 @@ def domino_e_mean_reduction_check(
     independent of the order in which any path adds the member's e-values.
     """
     require_level(alpha)
-    require_rank(sv.m, r, k)
-    if sv.ev.kind is not EvidenceKind.E_VALUE:
+    m = ev.m
+    require_rank(m, r, k)
+    if ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
-    m = sv.m
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
     outsiders = [*range(m - 1, r - 1, -1), *range(r - k - 1, -1, -1)]
     padded = (sorted([*range(r - k, r), *outsiders[:t]]) for t in range(m - k + 1))
-    return _first_failing(sv, r, padded, RECORDS[TestId.E_AVERAGE].rule, k, alpha)
+    return _first_failing(ev, r, padded, RECORDS[TestId.E_AVERAGE].rule, k, alpha)
 
 
 def _trivial_rejection(perm, ranked, k: int) -> RejectionSet:
@@ -258,7 +255,7 @@ def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
 
 
 def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
-    """Domino on e-values: identical scan over the descending sorted view."""
+    """Domino on e-values: identical scan over the descending order."""
     return _domino(e, cfg, EvidenceKind.E_VALUE)
 
 

@@ -13,7 +13,7 @@ Each built-in test is described once, by its :class:`LocalTestRecord` in
 1, its rule on one subset, and its L-shaped scan kernel, which every
 closure-exact Domino path runs.  A rule takes checked values in
 significance order (p ascending, e descending), as the kernels do, so the
-oracles of ``engine`` apply it to members read off a sorted view.  The one
+oracles of ``engine`` apply it to members read off the cached order.  The one
 checked entry, :meth:`LocalTestDescriptor.evaluate`, checks the level and
 the values, sorts them and applies the rule; the public tests call it.  The
 kernels reproduce the rules' decisions: the generalized Holm step-down for

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvidenceKind, EvidenceVector, sort_evidence
+from .core import EvidenceKind, EvidenceVector
 from .engine import (
     DominoConfig,
     check_condition_bruteforce,
@@ -50,13 +50,13 @@ def _random_pvalues(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _paired_checks(name: str, oracle, checks) -> SuiteResult:
-    """Compare ``oracle`` with brute force on every (sv, r, test, alpha)."""
+    """Compare ``oracle`` with brute force on every (ev, r, test, alpha)."""
     compared = 0
-    for sv, r, test, alpha in checks:
+    for ev, r, test, alpha in checks:
         compared += 1
-        brute = check_condition_bruteforce(sv, r, test, alpha)
-        if oracle(sv, r, test, alpha).passed != brute.passed:
-            values = f"{sv.ev.kind.value}={sv.ev.values.tolist()}"
+        brute = check_condition_bruteforce(ev, r, test, alpha)
+        if oracle(ev, r, test, alpha).passed != brute.passed:
+            values = f"{ev.kind.value}={ev.values.tolist()}"
             return SuiteResult(name, False, f"disagreement at {values}, r={r}, "
                                f"k={test.k}, test={test.id.value}, alpha={alpha}")
     return SuiteResult(name, True, f"{compared} paired condition checks agree")
@@ -68,10 +68,10 @@ def _rectangular_checks(n_instances: int, seed: int):
     cases = [t for t in _DIFFERENTIAL_CASES if t.evidence_kind is EvidenceKind.P_VALUE]
     for _ in range(n_instances):
         m = int(rng.integers(4, 11))
-        sv = sort_evidence(EvidenceVector.p_values(_random_pvalues(rng, m)))
+        ev = EvidenceVector.p_values(_random_pvalues(rng, m))
         alpha = float(rng.choice([0.05, 0.2]))
         for test in cases:
-            yield sv, int(rng.integers(test.k, m + 1)), test, alpha
+            yield ev, int(rng.integers(test.k, m + 1)), test, alpha
 
 
 def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
@@ -85,18 +85,18 @@ def _mean_reduction_checks(n_instances: int, seed: int):
     for _ in range(n_instances):
         m = int(rng.integers(3, 9))
         e = np.where(rng.random(m) < 0.35, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
-        sv = sort_evidence(EvidenceVector.e_values(e))
+        ev = EvidenceVector.e_values(e)
         for k in (1, 2):
             test = local_test(TestId.E_CLOSURE_K, k)
             for r in range(k, m + 1):
-                yield sv, r, test, 0.05
+                yield ev, r, test, 0.05
 
 
 def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteResult:
     """The e-value mean reduction decides like brute force with the closure
     e-test, at every rank."""
-    def reduction(sv, r, test, alpha):
-        return domino_e_mean_reduction_check(sv, r, test.k, alpha)
+    def reduction(ev, r, test, alpha):
+        return domino_e_mean_reduction_check(ev, r, test.k, alpha)
 
     checks = _mean_reduction_checks(n_instances, seed)
     return _paired_checks("mean-reduction-equivalence", reduction, checks)

@@ -26,7 +26,6 @@ from kbfdr.core import (
     EvidenceVector,
     OutOfRangeError,
     RejectionSet,
-    SortedView,
     SubsetTooSmallError,
     reject_by_rank,
     require_level,
@@ -69,13 +68,12 @@ def holm_step_down(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     """Generalized Holm in loop form, on the full order: step down while
     ((m+k-max(i, k))/k) * p_(i) <= alpha, the float expression ``holm_k``
     and Bonferroni-Domino share."""
-    sv = sort_evidence(p)
     r = 0
-    for i, value in enumerate(sv.rank_values().tolist(), start=1):
-        if ((sv.m + k - max(i, k)) / k) * value > alpha:
+    for i, value in enumerate(sort_evidence(p)[1].tolist(), start=1):
+        if ((p.m + k - max(i, k)) / k) * value > alpha:
             break
         r = i
-    return reject_by_rank(sv, r)
+    return reject_by_rank(p, r)
 
 
 def simes_tail_threshold_bisection(v: np.ndarray, alpha: float) -> int:
@@ -186,13 +184,13 @@ def e_closure_enumeration(e_subset, k: int, alpha: float) -> int:
     return 0
 
 
-def _chain_fallback(sv: SortedView, k: int) -> RejectionSet:
+def _chain_fallback(p: EvidenceVector, k: int) -> RejectionSet:
     """The chain scan's set when no rank passes: the k-1 most significant
     hypotheses, or for k = 1 the p-values equal to 0, marked ``fallback``."""
     if k >= 2:
-        return RejectionSet(reject_by_rank(sv, k - 1).ranked, fallback=True)
-    n = int(np.count_nonzero(sv.ev.values <= 0.0))
-    return RejectionSet(sv.perm[:n], fallback=True)
+        return RejectionSet(reject_by_rank(p, k - 1).ranked, fallback=True)
+    n = int(np.count_nonzero(p.values <= 0.0))
+    return RejectionSet(p.perm[:n], fallback=True)
 
 
 def domino_p_fast_bonferroni(
@@ -212,9 +210,8 @@ def domino_p_fast_bonferroni(
     require_level(alpha)
     if not 1 <= k <= p.m:
         raise OutOfRangeError(f"need 1 <= k <= m, got k={k}, m={p.m}")
-    sv = sort_evidence(p)
-    rank_vals = sv.rank_values()
-    trivial = _chain_fallback(sv, k)
+    rank_vals = sort_evidence(p)[1]
+    trivial = _chain_fallback(p, k)
     if trivial.size >= k:
         return trivial
     r0 = int(np.searchsorted(rank_vals, alpha, side="right"))
@@ -222,5 +219,5 @@ def domino_p_fast_bonferroni(
         ells = np.arange(1, r + 1)
         stats = ((k + r - ells) / k) * rank_vals[:r]
         if (stats <= alpha).all():
-            return reject_by_rank(sv, r)
+            return reject_by_rank(p, r)
     return trivial

@@ -95,10 +95,9 @@ class TestHolmK:
 
 
 def _uncached_bh(ev, alpha):
-    sv = sort_evidence(ev)
-    thresholds = (np.arange(1, sv.m + 1) * alpha) / sv.m
-    passing = np.flatnonzero(sv.rank_values() <= thresholds)
-    return reject_by_rank(sv, int(passing[-1]) + 1 if passing.size else 0)
+    thresholds = (np.arange(1, ev.m + 1) * alpha) / ev.m
+    passing = np.flatnonzero(sort_evidence(ev)[1] <= thresholds)
+    return reject_by_rank(ev, int(passing[-1]) + 1 if passing.size else 0)
 
 
 class TestCachedThresholds:

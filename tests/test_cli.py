@@ -128,6 +128,17 @@ class TestRun:
         assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
                      "--test", "eavg"]) == EXIT_CONFLICT
 
+    @pytest.mark.parametrize("proc, test, message", [
+        ("domino-e", "simes", "simes is not an e-value test"),
+        ("domino", "eavg", "eavg is not a p-value test"),
+    ])
+    def test_a_test_of_the_other_kind_exits_3(self, p_file, e_file, proc, test, message,
+                                               capsys):
+        path = e_file if proc == "domino-e" else p_file
+        assert main(["run", path, "--proc", proc, "--alpha", "0.05",
+                     "--test", test]) == EXIT_CONFLICT
+        assert capsys.readouterr().err == f"configuration conflict: {message}\n"
+
     @pytest.mark.parametrize("proc", ["bh", "holm"])
     @pytest.mark.parametrize("flags", [
         ["--k", "0", "--alpha", "0.05"],

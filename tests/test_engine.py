@@ -47,60 +47,55 @@ from reference import (
 )
 
 
-def p_view(values):
-    return sort_evidence(EvidenceVector.p_values(values))
-
-
-def e_view(values):
-    return sort_evidence(EvidenceVector.e_values(values))
-
-
 BONF1 = local_test("bonferroni", 1)
 
 
 class TestBruteForce:
     def test_all_supersets_pass(self):
-        trace = check_condition_bruteforce(p_view([0.002, 0.01, 0.9]), 2, BONF1, 0.05)
+        ev = EvidenceVector.p_values([0.002, 0.01, 0.9])
+        trace = check_condition_bruteforce(ev, 2, BONF1, 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 4
         assert trace.first_failing_subset is None
 
     def test_full_set_fails(self):
-        trace = check_condition_bruteforce(p_view([0.02, 0.02, 0.9]), 2, BONF1, 0.05)
+        ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
+        trace = check_condition_bruteforce(ev, 2, BONF1, 0.05)
         assert not trace.passed
         # 3 * 0.02 = 0.06 > 0.05 on the full set
         assert trace.first_failing_subset == frozenset({0, 1, 2})
 
     def test_all_zeros_pass_everywhere(self):
-        sv = p_view([0.0, 0.0, 0.0])
+        ev = EvidenceVector.p_values([0.0, 0.0, 0.0])
         for r in (1, 2, 3):
-            assert check_condition_bruteforce(sv, r, BONF1, 0.05).passed
+            assert check_condition_bruteforce(ev, r, BONF1, 0.05).passed
 
     def test_cap(self):
         # m = 20 is allowed; every first member fails, so the calls are quick.
         cfg = DominoConfig(BONF1, 0.05)
-        assert not check_condition_bruteforce(p_view([0.5] * 20), 20, BONF1, 0.05).passed
+        ev = EvidenceVector.p_values([0.5] * 20)
+        assert not check_condition_bruteforce(ev, 20, BONF1, 0.05).passed
         assert domino_bruteforce(EvidenceVector.p_values([0.5] * 20), cfg).size == 0
         with pytest.raises(CapExceededError):
-            check_condition_bruteforce(p_view([0.5] * 21), 21, BONF1, 0.05)
+            check_condition_bruteforce(EvidenceVector.p_values([0.5] * 21), 21, BONF1, 0.05)
         with pytest.raises(CapExceededError):
             domino_bruteforce(EvidenceVector.p_values([0.5] * 21), cfg)
 
     def test_rank_validation(self):
-        sv = p_view([0.1, 0.2])
+        ev = EvidenceVector.p_values([0.1, 0.2])
         with pytest.raises(OutOfRangeError):
-            check_condition_bruteforce(sv, 0, BONF1, 0.05)
+            check_condition_bruteforce(ev, 0, BONF1, 0.05)
         with pytest.raises(OutOfRangeError):
-            check_condition_bruteforce(sv, 1, local_test("bonferroni", 2), 0.05)
+            check_condition_bruteforce(ev, 1, local_test("bonferroni", 2), 0.05)
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            check_condition_bruteforce(e_view([1.0, 2.0]), 1, BONF1, 0.05)
+            check_condition_bruteforce(EvidenceVector.e_values([1.0, 2.0]), 1, BONF1, 0.05)
 
     def test_failing_subset_is_earliest(self):
         # order: added-cardinality first, then lexicographic over ranks
-        sv = p_view([0.9, 0.9, 0.9])
-        trace = check_condition_bruteforce(sv, 3, BONF1, 0.05)
+        ev = EvidenceVector.p_values([0.9, 0.9, 0.9])
+        trace = check_condition_bruteforce(ev, 3, BONF1, 0.05)
         assert not trace.passed
         assert trace.evaluated_subsets == 1
         assert trace.first_failing_subset == frozenset({2})
@@ -126,16 +121,16 @@ class TestRectangular:
             # test's.
             ([0.016, 0.0064, 0.7966, 0.0045], 4, (local_test("bonferroni", 2),)),
         ]:
-            sv = p_view(values)
+            ev = EvidenceVector.p_values(values)
             for test in tests:
-                brute = check_condition_bruteforce(sv, r, test, 0.05)
-                rect = check_condition_rectangular(sv, r, test, 0.05)
+                brute = check_condition_bruteforce(ev, r, test, 0.05)
+                rect = check_condition_rectangular(ev, r, test, 0.05)
                 assert rect.passed == brute.passed
 
     def test_family_size_at_r_equals_m(self):
         # at r = m no weaker hypotheses exist: family is {M ∪ A_a}
-        sv = p_view([0.001, 0.002, 0.003])
-        trace = check_condition_rectangular(sv, 3, BONF1, 0.05)
+        ev = EvidenceVector.p_values([0.001, 0.002, 0.003])
+        trace = check_condition_rectangular(ev, 3, BONF1, 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 3
 
@@ -150,11 +145,11 @@ class TestRectangular:
             m = int(rng.integers(max(k, 2), 10))
             p = rng.random(m)
             p[rng.random(m) < 0.5] *= float(rng.choice([0.01, 0.1, 1.0]))
-            sv = p_view(p)
+            ev = EvidenceVector.p_values(p)
             r = int(rng.integers(k, m + 1))
             alpha = float(rng.choice([0.05, 0.2]))
-            brute = check_condition_bruteforce(sv, r, test, alpha)
-            rect = check_condition_rectangular(sv, r, test, alpha)
+            brute = check_condition_bruteforce(ev, r, test, alpha)
+            rect = check_condition_rectangular(ev, r, test, alpha)
             assert rect.passed == brute.passed
 
     @pytest.mark.parametrize("test_id,k", [("eavg", 1), ("eclosure", 1), ("eclosure", 2)])
@@ -164,10 +159,10 @@ class TestRectangular:
         for _ in range(200):
             m = int(rng.integers(max(k, 2), 9))
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
-            sv = e_view(e)
+            ev = EvidenceVector.e_values(e)
             r = int(rng.integers(k, m + 1))
-            brute = check_condition_bruteforce(sv, r, test, 0.05)
-            rect = check_condition_rectangular(sv, r, test, 0.05)
+            brute = check_condition_bruteforce(ev, r, test, 0.05)
+            rect = check_condition_rectangular(ev, r, test, 0.05)
             assert rect.passed == brute.passed
 
 
@@ -261,7 +256,7 @@ def test_the_boundary_is_certified_under_ties(test_id, k, values):
         if rej.fallback:
             assert rej.size < k, rej
         elif rej.size >= k:
-            assert check_condition_bruteforce(sort_evidence(ev), rej.size, test, 0.05).passed, rej
+            assert check_condition_bruteforce(ev, rej.size, test, 0.05).passed, rej
         if values == [0.7, 0.7]:
             assert rej.indices == holm_k(ev, 2, 0.05).indices == frozenset()
 
@@ -306,12 +301,14 @@ class TestDominoE:
 
 class TestMeanReduction:
     def test_passes_at_top_rank(self):
-        trace = domino_e_mean_reduction_check(e_view([50.0, 25.0, 0.1]), 1, 1, 0.05)
+        ev = EvidenceVector.e_values([50.0, 25.0, 0.1])
+        trace = domino_e_mean_reduction_check(ev, 1, 1, 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 3
 
     def test_fails_on_weak_pair(self):
-        trace = domino_e_mean_reduction_check(e_view([50.0, 25.0, 0.1]), 2, 1, 0.05)
+        ev = EvidenceVector.e_values([50.0, 25.0, 0.1])
+        trace = domino_e_mean_reduction_check(ev, 2, 1, 0.05)
         assert not trace.passed
         # mean{25, 0.1} = 12.55 < 20; the failing superset is M plus the
         # smallest outsider
@@ -320,10 +317,10 @@ class TestMeanReduction:
     def test_all_values_at_threshold_pass(self):
         # alpha = 1/16 makes the threshold exactly representable
         alpha = 0.0625
-        sv = e_view([16.0, 16.0, 16.0])
+        ev = EvidenceVector.e_values([16.0, 16.0, 16.0])
         for r in (1, 2, 3):
-            assert domino_e_mean_reduction_check(sv, r, 1, alpha).passed
-        assert domino_e_mean_reduction_check(sv, 2, 2, alpha).passed
+            assert domino_e_mean_reduction_check(ev, r, 1, alpha).passed
+        assert domino_e_mean_reduction_check(ev, 2, 2, alpha).passed
 
     def test_matches_bruteforce_supersets(self):
         rng = np.random.default_rng(21)
@@ -331,10 +328,10 @@ class TestMeanReduction:
         for _ in range(300):
             m = int(rng.integers(2, 9))
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
-            sv = e_view(e)
+            ev = EvidenceVector.e_values(e)
             r = int(rng.integers(1, m + 1))
-            fast = domino_e_mean_reduction_check(sv, r, 1, 0.05)
-            brute = check_condition_bruteforce(sv, r, avg, 0.05)
+            fast = domino_e_mean_reduction_check(ev, r, 1, 0.05)
+            brute = check_condition_bruteforce(ev, r, avg, 0.05)
             assert fast.passed == brute.passed
 
 
@@ -441,7 +438,7 @@ def test_entry_points_reject_a_level_outside_0_1(call, alpha):
     (check_condition_rectangular, "bonferroni"),
     (check_condition_rectangular, "harmonic"),
     (check_condition_rectangular, "eavg"),
-    (lambda sv, r, test, alpha: domino_e_mean_reduction_check(sv, r, test.k, alpha), "eavg"),
+    (lambda ev, r, test, alpha: domino_e_mean_reduction_check(ev, r, test.k, alpha), "eavg"),
 ], ids=["brute-simes", "brute-harmonic", "rect-bonferroni", "rect-harmonic", "rect-eavg",
         "mean-reduction"])
 def test_condition_checks_reject_a_level_outside_0_1(check, test_id, alpha):
@@ -449,11 +446,11 @@ def test_condition_checks_reject_a_level_outside_0_1(check, test_id, alpha):
     # divided by zero at alpha = 0.
     test = local_test(test_id)
     if test.evidence_kind is EvidenceKind.P_VALUE:
-        sv = p_view([0.5, 0.01])
+        ev = EvidenceVector.p_values([0.5, 0.01])
     else:
-        sv = e_view([50.0, 1.0])
+        ev = EvidenceVector.e_values([50.0, 1.0])
     with pytest.raises(ValueError, match="alpha must lie in"):
-        check(sv, 1, test, alpha)
+        check(ev, 1, test, alpha)
 
 
 class TestLevelControlSmallScale:
@@ -609,18 +606,17 @@ class TestDefaultMatchesBruteForce:
 
 def _condition_traces(ev, test, alpha):
     """The three condition checks' traces at every rank of ev."""
-    sv = sort_evidence(ev)
     traces = []
     for r in range(test.k, ev.m + 1):
-        traces.append(check_condition_bruteforce(sv, r, test, alpha))
-        traces.append(check_condition_rectangular(sv, r, test, alpha))
+        traces.append(check_condition_bruteforce(ev, r, test, alpha))
+        traces.append(check_condition_rectangular(ev, r, test, alpha))
         if ev.kind is EvidenceKind.E_VALUE:
-            traces.append(domino_e_mean_reduction_check(sv, r, test.k, alpha))
+            traces.append(domino_e_mean_reduction_check(ev, r, test.k, alpha))
     return traces
 
 
 class TestOraclesApplyTheRules:
-    """The condition checks decide members read off a sorted view with the
+    """The condition checks decide members read off the cached order with the
     records' rules: their values were checked once, by the
     ``EvidenceVector``, and come in significance order."""
 
@@ -705,7 +701,7 @@ class TestEValueOverflow:
             rej = decide(ev, DominoConfig(test, 0.05))
             assert rej.indices == frozenset({0, 1})
             assert rej.boundary_rank == 2
-        assert domino_e_mean_reduction_check(e_view([1e308, 1e308]), 2, 2, 0.05).passed
+        assert domino_e_mean_reduction_check(ev, 2, 2, 0.05).passed
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_next_to_weak_evidence(self):
@@ -900,16 +896,15 @@ class TestLShapedKernels:
                              alpha=0.1, k=1, reps=1, seed=int(rng.integers(1 << 30)))
             inst = gen_instance(sc, 0)
             ev = inst.pvalues if test.evidence_kind is EvidenceKind.P_VALUE else inst.evalues
-            sv = sort_evidence(ev)
             expected = 0
             for r in range(m, 0, -1):
-                if check_condition_rectangular(sv, r, test, 0.1).passed:
+                if check_condition_rectangular(ev, r, test, 0.1).passed:
                     expected = r
                     break
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
             rej = decide(ev, DominoConfig(test, 0.1))
             if expected:
-                assert _outcome(rej) == _outcome(reject_by_rank(sv, expected))
+                assert _outcome(rej) == _outcome(reject_by_rank(ev, expected))
             else:
                 assert rej.boundary_rank == 0
 
@@ -1022,7 +1017,7 @@ class TestLShapedKernels:
                 for rep in range(2):
                     inst = gen_instance(sc, rep)
                     for harmonic, ev in ((True, inst.pvalues), (False, inst.evalues)):
-                        v = sort_evidence(ev).rank_values()
+                        v = sort_evidence(ev)[1]
                         for k in (1, 2, 3):
                             want = sum_rank_unpreselected(v, k, 0.05, harmonic)
                             assert _sum_rank(v, k, 0.05, harmonic) == want, (m, rho, rep, k)
@@ -1105,8 +1100,7 @@ class TestRejectionsArePrefixes:
         for test, alpha, ev in differential_corpus():
             k = test.k
             full_order = significance_order(ev, range(ev.m))
-            sv = sort_evidence(ev)
-            sets = [_trivial_rejection(sv.perm, sv.rank_values(), k)]
+            sets = [_trivial_rejection(*sort_evidence(ev), k)]
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
             cfg = DominoConfig(test, alpha)
             sets += [decide(ev, cfg), domino_bruteforce(ev, cfg)]

@@ -16,8 +16,9 @@ import kbfdr
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Names that left the package: test-only reference code that lives in
-# tests/reference.py, then the scalar combined-evidence layer and the
-# enumeration caps, which are deleted.
+# tests/reference.py, then the scalar combined-evidence layer, the
+# enumeration caps and the sorted-view wrapper with its head sort, which are
+# deleted.
 MOVED = (
     "domino_p_fast_bonferroni",
     "significance_order",
@@ -28,6 +29,8 @@ MOVED = (
     "arithmetic_e_mean",
     "SubsetTooLargeError",
     "DEFAULT_BRUTE_FORCE_CAP",
+    "SortedView",
+    "sort_head",
 )
 
 

@@ -34,10 +34,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,7 +170,7 @@ def _exactly(values, n: int, c: float, alpha: float, start=Fraction(0)) -> bool:
     """The sum rule for a member of size n at factor c on the exact sum of
     ``start`` and ``values``; a member holding +inf passes, whatever its
     bounds, before any exact sum."""
-    if start == math.inf or math.inf in values:
+    if math.inf in values:
         return True
     return Fraction(alpha) * sum(map(Fraction, values), start) >= Fraction(c) * n
 
@@ -343,23 +342,27 @@ def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
     size k + i and float sum sums[i], holds ``head`` and the first offset + i
     values of u, the weakest first.  The walk starts at the last sum not
     above its upper bound and steps back past sums in the rounding band whose
-    exact sum passes; ``exact_tails`` (of the j weakest) is filled on need.
-    Every member from the first one holding +inf on passes; the walk skips them at once."""
+    exact sum passes; ``exact_tails`` is filled on need with the exact sums
+    of the j weakest, as integers in units of 2^-1074 (every double is a
+    multiple of it), up to the first +inf.  Every member from the first one
+    holding +inf on passes; the walk skips them at once."""
     factors, lower, upper = tables[:3]
     unsure = sums <= upper[k - 1 : k - 1 + sums.size]
-    end = sums.size if np.count_nonzero(unsure) else 0
+    end = sums.size
     while end:
         i = end - 1 - int(unsure[end - 1 :: -1].argmax())
         if not unsure[i]:
             break
         if sums[i] < lower[k - 1 + i]:
             return i
-        if not exact_tails:  # +inf from the first +inf on, which no Fraction holds
+        if not exact_tails:
+            finite = takewhile(math.isfinite, u.tolist())
             exact_tails.extend(accumulate(
-                u.tolist(), lambda s, x: s + Fraction(x) if x < math.inf else x, initial=Fraction(0)))
-        held = 0 if math.inf in head else max(bisect_left(exact_tails, math.inf) - offset, 0)
+                (n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, finite)),
+                initial=0))
+        held = 0 if math.inf in head else max(len(exact_tails) - offset, 0)
         if i < held and not _exactly(head, k + i, factors[k - 1 + i], alpha,
-                                     exact_tails[offset + i]):
+                                     Fraction(exact_tails[offset + i], 1 << 1074)):
             return i
         end = min(i, held)
     return -1
@@ -397,14 +400,18 @@ def _sum_rank(v: np.ndarray, k: int, alpha: float, harmonic: bool, quiet: bool =
     exact_tails = []
     # The ranks k..k+count-1 pass every top-n set of their families.
     count = m - k - _last_failing(tail[k + 1 :], k, alpha, tables, (), k, weak[2:], exact_tails)
+    if count <= 0:
+        return 0
     strong = weak[:1:-1]  # u at ranks 1..m
-    base = strong[: m - k + 1]  # base[r-k]: the float sum of M_r
+    base = strong[:count]  # base[r-k]: the float sum of M_r
     for i in range(1, k):
-        base = base + strong[i : m - k + 1 + i]
-    hardest = np.maximum.accumulate(need - weight * tail[: m - k + 1])[::-1]
-    for r in ((base[:count] >= hardest[:count]).nonzero()[0] + k)[::-1].tolist():
-        if _last_failing(base[r - k] + tail[1 : m - r + 1], k, alpha, tables,
-                         strong[r - k : r], 0, weak[2:], exact_tails) < 0:
+        base = base + strong[i : count + i]
+    # hardest[r-k] is the running maximum at m - r.
+    hardest = np.maximum.accumulate(need - weight * tail[: m - k + 1])[: -count - 1 : -1]
+    for i in (base >= hardest).nonzero()[0][::-1].tolist():
+        r = i + k
+        if _last_failing(base[i] + tail[1 : m - r + 1], k, alpha, tables,
+                         strong[i:r], 0, weak[2:], exact_tails) < 0:
             return r
     return 0
 

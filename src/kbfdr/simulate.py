@@ -122,12 +122,24 @@ class SimInstance:
     kept, so a replication whose procedures all read p-values never
     computes them.  If the p-values' full order is cached by then, the
     e-values take it when it sorts them too, as it does for mu_c > 0.
+    ``x`` is read-only: a writable one is frozen as a copy.
     """
 
     x: np.ndarray
     pvalues: EvidenceVector
     truth: GroundTruth
     scenario: SimScenario
+
+    def __post_init__(self) -> None:
+        if self.x.flags.writeable:  # the e-values are read from it later
+            x = self.x.copy()
+            x.flags.writeable = False
+            object.__setattr__(self, "x", x)
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, as EvidenceVector: x unpickles
+        # writable, and the cached e-values are left behind.
+        return type(self), (self.x, self.pvalues, self.truth, self.scenario)
 
     @functools.cached_property
     def evalues(self) -> EvidenceVector:
@@ -198,15 +210,18 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
     rng = np.random.Generator(np.random.PCG64(substream_seed(sc.seed, rep)))
     alt = rng.random(sc.m) < sc.pi1
     mu = np.zeros(sc.m)
-    n_alt = int(np.count_nonzero(alt))
-    if n_alt:
-        mu[alt] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, n_alt)
+    # Written through indices: a boolean-mask write branches on every
+    # element, and on a random mask most of those branches mispredict.
+    idx = alt.nonzero()[0]
+    if idx.size:
+        mu[idx] = _truncated_positive_normal(rng, sc.mu_c, sc.sigma, idx.size)
     x = _equicorrelated_noise(rng, sc.m, sc.sigma, sc.rho)
     x += mu
-    x.flags.writeable = False  # the e-values are read from it later
+    x.flags.writeable = False  # so the instance keeps it without a copy
+    q = x / -sc.sigma  # = -x / sigma, one pass fewer
     return SimInstance(
         x=x,
-        pvalues=EvidenceVector.p_values(ndtr(x / -sc.sigma)),  # = -x / sigma, one pass fewer
+        pvalues=EvidenceVector.p_values(ndtr(q, out=q)),
         truth=GroundTruth(alt),
         scenario=sc,
     )

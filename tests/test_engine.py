@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1062,6 +1063,40 @@ class TestLShapedKernels:
                 assert got == sum_rank_unpreselected(v, k, alpha, harmonic), (v.tolist(), k, alpha)
                 checked += 1
         assert checked > 150
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sum_kernel_at_the_edge_counts_of_its_top_leg(self, k, harmonic):
+        # The top-n sets, n >= k, leave the ranks k..k+count-1 as candidates,
+        # and the kernel reads M_r's sums and the preselection for those
+        # alone.  In u = 1/p or e, from the strongest down: every value at
+        # least c(m)/alpha passes every set (count = m-k+1); one strong value
+        # B over the weak rest passes only the full set (count = 1); the
+        # weak values alone fail it (count = 0).  B, and some of the values
+        # in the first case, are infinite at times; the weak ones may tie.
+        factor = _harmonic_factor if harmonic else (lambda n: 1.0)
+        rng = np.random.default_rng(57 + k)
+        for alpha in (0.05, 0.2):
+            for m in (k, k + 1, 5, 40):
+                weak = rng.uniform(0.2, 0.9, m) / alpha
+                if rng.random() < 0.5:
+                    weak = np.round(weak, 0)
+                strong = factor(m) / alpha * rng.uniform(1.01, 3.0, m)
+                strong[rng.random(m) < 0.2] = np.inf
+                big = np.inf if rng.random() < 0.3 else 2.0 * factor(m) * m / alpha
+                for count, u in ((m - k + 1, strong), (1, np.append(weak[1:], big)), (0, weak)):
+                    if count == 1 and m == k:  # the full set is the only one
+                        continue
+                    with np.errstate(divide="ignore"):
+                        v = np.sort(1.0 / u) if harmonic else np.sort(u)[::-1]
+                    values = [1.0 / x if x else math.inf for x in v] if harmonic else list(v)
+                    weakest = [math.inf if math.inf in values[m - n :] else
+                               sum(map(Fraction, values[m - n :])) for n in range(m + 1)]
+                    failing = [n for n in range(k, m + 1)
+                               if not Fraction(alpha) * weakest[n] >= Fraction(factor(n)) * n]
+                    assert (m - max(failing) if failing else m - k + 1) == count, (m, u)
+                    want = sum_rank_unpreselected(v, k, alpha, harmonic)
+                    assert _sum_rank(v, k, alpha, harmonic) == want, (v.tolist(), k, alpha)
 
 
 class TestKernelsStayLinear:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -29,7 +30,7 @@ from kbfdr import (
     sort_evidence,
     substream_seed,
 )
-from kbfdr.simulate import CSV_HEADER, SimScenario, _truncated_positive_normal
+from kbfdr.simulate import CSV_HEADER, SimInstance, SimScenario, _truncated_positive_normal
 
 
 def scenario(**kw) -> SimScenario:
@@ -106,12 +107,15 @@ class TestGenInstance:
             atol=0,
         )
 
-    @pytest.mark.parametrize("rho", [0.0, 0.25, -1.0 / 49])
-    @pytest.mark.parametrize("pi1", [0.0, 0.3, 1.0])
-    def test_the_draws_of_the_plain_expressions(self, pi1, rho):
+    @pytest.mark.parametrize("pi1, rho, m", [
+        *(pytest.param(pi1, rho, 50, id=f"{pi1}-{rho}")
+          for pi1 in (0.0, 0.3, 1.0) for rho in (0.0, 0.25, -1.0 / 49)),
+        pytest.param(0.2, 0.25, 10_000, id="m10000"),  # the baselines_1e4 grid's size
+    ])
+    def test_the_draws_of_the_plain_expressions(self, pi1, rho, m):
         """Truth, observations and p-values are, bit for bit, those of
         (u < pi1).astype(int), mu + (a z + b sum(z)) and ndtr(-x / sigma)."""
-        sc = scenario(pi1=pi1, rho=rho, sigma=0.7)
+        sc = scenario(m=m, pi1=pi1, rho=rho, sigma=0.7)
         for rep in range(3):
             rng = np.random.Generator(np.random.PCG64(substream_seed(sc.seed, rep)))
             theta = (rng.random(sc.m) < sc.pi1).astype(int)
@@ -127,6 +131,23 @@ class TestGenInstance:
             assert inst.truth.theta.tobytes() == theta.tobytes()
             assert inst.x.tobytes() == x.tobytes()
             assert inst.pvalues.values.tobytes() == ndtr(-x / sc.sigma).tobytes()
+
+    def test_x_is_read_only_and_copied_only_when_writable(self):
+        inst = gen_instance(scenario(), 0)
+        assert SimInstance(inst.x, inst.pvalues, inst.truth, inst.scenario).x is inst.x
+        x = inst.x.copy()
+        frozen = SimInstance(x, inst.pvalues, inst.truth, inst.scenario).x
+        assert frozen is not x and x.flags.writeable and not frozen.flags.writeable
+        assert frozen.tobytes() == x.tobytes()
+
+    def test_a_pickle_round_trip_keeps_x_read_only(self):
+        sc = scenario(m=200, mu_c=2.5)
+        inst = gen_instance(sc, 1)
+        inst.evalues  # cached on the instance, and not pickled
+        back = pickle.loads(pickle.dumps(inst))
+        assert not back.x.flags.writeable
+        assert "evalues" not in vars(back)
+        assert back.evalues.values.tobytes() == gen_instance(sc, 1).evalues.values.tobytes()
 
     def test_degenerate_bernoulli(self):
         assert (gen_instance(scenario(pi1=1.0), 0).truth.theta == 1).all()

@@ -7,7 +7,7 @@ Holm baselines; per-run error metrics; and a reproducible Monte Carlo
 harness with a CSV-emitting CLI.
 """
 
-from .baselines import bh, external_boundary, holm_k
+from .baselines import bh, holm_k
 from .core import (
     CapExceededError,
     DimensionMismatchError,
@@ -100,7 +100,6 @@ __all__ = [
     "e_average",
     "e_closure_k",
     "emit_table",
-    "external_boundary",
     "gen_instance",
     "harmonic_mean_test",
     "holm_k",

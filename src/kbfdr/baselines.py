@@ -4,16 +4,14 @@ Both reject a prefix of the significance ranking, and neither can reject a
 p-value above its last critical value, so both sort only the head of the
 ranking at or below it.  Generalized Holm is the step-down kernel of
 Bonferroni-Domino (``local_tests._step_down_rank``), so the two decide with
-one float expression and differ only in Domino's fallback.  An external
-boundary procedure can be plugged in as a function mapping (sorted
-p-values, alpha) to a boundary rank; no such procedure is built in.
+one float expression and differ only in Domino's fallback.  Any other
+boundary procedure is a rule from the sorted p-values and alpha to a rank:
+``reject_by_rank(p, rule(sort_evidence(p)[1], alpha))`` rejects its set.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
-from typing import Callable
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .core import (  # noqa: F401
     sort_evidence,
 )
 from .local_tests import _step_down_rank
-
-RankSelector = Callable[[np.ndarray, float], int]
 
 
 def _require_p(p: EvidenceVector, name: str) -> None:
@@ -81,31 +77,7 @@ def holm_k(p: EvidenceVector, k: int, alpha: float) -> RejectionSet:
     """
     _require_p(p, "holm_k")
     require_level(alpha)
-    require_order(k)
+    k = require_order(k)
     perm, ranked = p._rank_order(alpha if k <= p.m else np.inf)
     return _threshold_set(perm, ranked, _step_down_rank(ranked, p.m, k, alpha))
 
-
-def external_boundary(
-    p: EvidenceVector, alpha: float, select_rank: RankSelector
-) -> RejectionSet:
-    """Run a user-supplied boundary procedure.
-
-    ``select_rank`` receives the ascending sorted p-values and alpha and must
-    return an integer boundary rank in [0, m]; the rejection set is everything at
-    least as significant as the value at that rank, ties included.  The
-    sorted p-values are the read-only array cached on ``p`` and shared with
-    every other procedure, so a plugin that needs to modify them must copy
-    them first.
-    """
-    _require_p(p, "external_boundary")
-    require_level(alpha)
-    perm, ranked = p._rank_order()
-    r = select_rank(ranked, alpha)
-    try:
-        r = operator.index(r)
-    except TypeError:
-        raise ValueError(f"plugin returned {r!r}, not an integer rank") from None
-    if not 0 <= r <= p.m:
-        raise ValueError(f"plugin returned rank {r}, outside [0, {p.m}]")
-    return _threshold_set(perm, ranked, r)

@@ -158,7 +158,7 @@ def _resolve_run_test(args) -> TestId:
         return TestId(args.test)
     if args.proc == "domino":
         # Dependence-driven defaults for order 1; the generalized Bonferroni
-        # test is the only built-in of higher order.
+        # test is the only built-in p-value test of higher order.
         if args.k == 1:
             if args.dependence in ("independent", "prds"):
                 return TestId.SIMES

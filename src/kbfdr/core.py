@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,17 +66,28 @@ def require_level(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def require_order(k: int) -> None:
-    """Reject a boundary order k < 1."""
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def require_order(k: int) -> int:
+    """The boundary order k as an int; refuse a non-integer or k < 1."""
+    if type(k) is not int:
+        k = _integer("k", k)
     if k < 1:
         raise OutOfRangeError(f"k must be >= 1, got {k}")
+    return k
 
 
-def require_rank(m: int, r: int, k: int) -> None:
-    """Reject an order k < 1, or a rank r outside [k, m]."""
-    require_order(k)
+def require_rank(m: int, r: int, k: int) -> tuple[int, int]:
+    """(r, k) as ints: k an order, as for :func:`require_order`, r in [k, m]."""
+    k, r = require_order(k), _integer("r", r)
     if r < k or r > m:
         raise OutOfRangeError(f"need k <= r <= m, got r={r}, k={k}, m={m}")
+    return r, k
 
 
 def _stable_order(values: np.ndarray, descending: bool,
@@ -188,18 +200,6 @@ class EvidenceVector:
             order = _stable_order(self.values, self.kind is EvidenceKind.E_VALUE, theirs[1][0])
             self.__dict__["_order"] = (np.inf, _read_only(*order))
 
-    @property
-    def perm(self) -> np.ndarray:
-        """The significance permutation, computed on first use and kept.
-
-        ``perm[i]`` is the original index of the hypothesis at rank i+1.
-        Rank 1 is the most significant hypothesis (smallest p-value or
-        largest e-value); ties are broken by ascending original index.  It
-        is numpy's default argsort of the evidence, with any run of equal
-        values that sort left out of index order put back in index order.
-        """
-        return self._rank_order()[0]
-
     @classmethod
     def p_values(cls, values) -> "EvidenceVector":
         return cls(EvidenceKind.P_VALUE, np.asarray(values, dtype=float))
@@ -260,8 +260,7 @@ class RejectionSet:
 
     def marginal_indices(self, k: int) -> tuple[int, ...]:
         """The min(k, |R|) least significant rejections, least first."""
-        require_order(k)
-        tail = self.ranked[max(self.size - k, 0) :]
+        tail = self.ranked[max(self.size - require_order(k), 0) :]
         return tuple(tail[::-1].tolist())
 
     def _key(self) -> tuple:
@@ -306,9 +305,10 @@ class GroundTruth:
 
 
 def sort_evidence(ev: EvidenceVector) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, ranked)``: the order of :attr:`EvidenceVector.perm` and the
-    values in it, the read-only pair cached on ``ev`` that every procedure
-    run on it shares."""
+    """``(perm, ranked)``: the read-only significance order cached on ``ev``
+    and shared by every procedure run on it.  ``perm[i]`` is the index at
+    rank i+1 and ``ranked[i]`` its value; rank 1 is the most significant
+    (smallest p-value or largest e-value), and ties go by ascending index."""
     return ev._rank_order()
 
 
@@ -342,6 +342,7 @@ def reject_by_rank(ev: EvidenceVector, r: int) -> RejectionSet:
     descending original index, as the stable order yields.  ``ranked`` is
     a view of the order cached on ``ev``, not a copy.
     """
+    r = _integer("r", r)
     if r < 0 or r > ev.m:
         raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={ev.m}")
     return _threshold_set(*ev._rank_order(), r)

@@ -36,8 +36,8 @@ ascending value order, the L-shaped family of e-value means, decided by the
 rule of ``e_average``.  :func:`domino_bruteforce` runs the superset check at
 each rank, for m <= 20.
 
-A call is fixed by the local test (its id and order k) and alpha;
-``DominoConfig`` and both condition oracles read k from the test.
+A call is fixed by the local test (its id and order k) and alpha; Domino
+and the brute-force and rectangular checks read k from ``test.k``.
 """
 
 from __future__ import annotations
@@ -73,20 +73,14 @@ _BRUTE_FORCE_CAP = 20
 
 @dataclass(frozen=True)
 class DominoConfig:
-    """Local test and level for one Domino invocation.
-
-    The test fixes the order: ``k`` is a read-only view of ``test.k``.
-    """
+    """Local test and level for one Domino invocation; the test fixes the
+    order, ``test.k``."""
 
     test: LocalTestDescriptor
     alpha: float
 
     def __post_init__(self) -> None:
         require_level(self.alpha)
-
-    @property
-    def k(self) -> int:
-        return self.test.k
 
 
 @dataclass(frozen=True)
@@ -96,11 +90,10 @@ class ConditionTrace:
     r: int
     evaluated_subsets: int
     first_failing_subset: frozenset[int] | None
-    passed: bool
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_failing_subset is None):
-            raise ValueError("passed must match the absence of a failing subset")
+    @property
+    def passed(self) -> bool:
+        return self.first_failing_subset is None
 
 
 def _require_kind(ev: EvidenceVector, test: LocalTestDescriptor) -> None:
@@ -140,9 +133,8 @@ def _first_failing(
     for ranks in members:
         evaluated += 1
         if not rule([rank_vals[i] for i in ranks], k, alpha):
-            failing = frozenset(int(perm[i]) for i in ranks)
-            return ConditionTrace(r, evaluated, failing, False)
-    return ConditionTrace(r, evaluated, None, True)
+            return ConditionTrace(r, evaluated, frozenset(int(perm[i]) for i in ranks))
+    return ConditionTrace(r, evaluated, None)
 
 
 def check_condition_bruteforce(
@@ -161,7 +153,7 @@ def check_condition_bruteforce(
             f"brute force capped at m <= {_BRUTE_FORCE_CAP}, got m={m}"
         )
     require_level(alpha)
-    require_rank(m, r, k)
+    r, k = require_rank(m, r, k)
     _require_kind(ev, test)
     marginal = tuple(range(r - k, r))  # 0-based ranks of M_{r,k}
     free = [*range(r - k), *range(r, m)]
@@ -178,10 +170,10 @@ def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
     and raises ``CapExceededError`` for m > 20.
     """
     _require_fit(ev, cfg, ev.kind)
-    for r in range(ev.m, cfg.k - 1, -1):
+    for r in range(ev.m, cfg.test.k - 1, -1):
         if check_condition_bruteforce(ev, r, cfg.test, cfg.alpha).passed:
             return reject_by_rank(ev, r)
-    return _trivial_rejection(*ev._rank_order(), cfg.k)
+    return _trivial_rejection(*ev._rank_order(), cfg.test.k)
 
 
 def check_condition_rectangular(
@@ -196,7 +188,7 @@ def check_condition_rectangular(
     """
     k, m = test.k, ev.m
     require_level(alpha)
-    require_rank(m, r, k)
+    r, k = require_rank(m, r, k)
     _require_kind(ev, test)
     family = ([*range(r - k - a, r), *range(m - b, m)]
               for a in range(r - k + 1) for b in range(m - r + 1))
@@ -216,7 +208,7 @@ def domino_e_mean_reduction_check(
     """
     require_level(alpha)
     m = ev.m
-    require_rank(m, r, k)
+    r, k = require_rank(m, r, k)
     if ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),

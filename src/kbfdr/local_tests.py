@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EvidenceKind, OutOfRangeError, SubsetTooSmallError, require_level
+from .core import EvidenceKind, SubsetTooSmallError, require_level, require_order
 
 
 class TestId(enum.Enum):
@@ -84,8 +84,7 @@ class LocalTestDescriptor:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise OutOfRangeError(f"test order must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", require_order(self.k))
         if RECORDS[self.id].order_one_only and self.k != 1:
             raise ValueError(f"{self.id.value} is only defined for k = 1")
 

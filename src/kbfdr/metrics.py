@@ -84,13 +84,13 @@ def kbfdr_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
 
     They are the last k entries of ``R.ranked``.
     """
-    require_order(k)
+    k = require_order(k)
     return _boundary_all_null(truth.theta[R.ranked], k)
 
 
 def kfwer_indicator(R: RejectionSet, truth: GroundTruth, k: int) -> int:
     """1 iff at least k true nulls were rejected."""
-    require_order(k)
+    k = require_order(k)
     return int(R.size - np.count_nonzero(truth.theta[R.ranked]) >= k)
 
 
@@ -109,7 +109,7 @@ def run_sample(
         raise DimensionMismatchError(
             f"evidence has m={evidence.m}, truth has m={truth.m}"
         )
-    require_order(k)
+    k = require_order(k)
     alt = truth.theta[R.ranked]  # 1 where a rejection is a true discovery
     n_rej = alt.size
     n_true = int(np.count_nonzero(alt))

@@ -190,7 +190,7 @@ def _chain_fallback(p: EvidenceVector, k: int) -> RejectionSet:
     if k >= 2:
         return RejectionSet(reject_by_rank(p, k - 1).ranked, fallback=True)
     n = int(np.count_nonzero(p.values <= 0.0))
-    return RejectionSet(p.perm[:n], fallback=True)
+    return RejectionSet(sort_evidence(p)[0][:n], fallback=True)
 
 
 def domino_p_fast_bonferroni(

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from kbfdr import (
     EvidenceVector,
     bh,
     domino_p,
-    external_boundary,
     holm_k,
     local_test,
     reject_by_rank,
@@ -183,7 +180,7 @@ class TestHeadSort:
                             want = holm_step_down(full, k, alpha)
                         assert got == want, (name, k, values.tolist())
                         assert got.ranked.tobytes() == stable[: got.size].tobytes()
-                    assert shared.perm.tobytes() == stable.tobytes()
+                    assert sort_evidence(shared)[0].tobytes() == stable.tobytes()
 
 
 class TestExactCriticalValues:
@@ -207,43 +204,15 @@ class TestExactCriticalValues:
         assert holm == domino_p(ev, DominoConfig(local_test("bonferroni", 3), 0.05))
 
 
-class TestExternalPlugin:
-    def test_rank_selector_contract(self):
-        # a selector replicating the BH boundary must reproduce bh()
-        def bh_rank(sorted_p, alpha):
-            m = len(sorted_p)
-            passing = np.flatnonzero(sorted_p <= np.arange(1, m + 1) * alpha / m)
-            return int(passing[-1]) + 1 if passing.size else 0
+def test_a_boundary_rule_runs_through_reject_by_rank():
+    # A rule replicating the BH boundary on the sorted p-values reproduces bh().
+    def bh_rank(sorted_p, alpha):
+        m = len(sorted_p)
+        passing = np.flatnonzero(sorted_p <= np.arange(1, m + 1) * alpha / m)
+        return int(passing[-1]) + 1 if passing.size else 0
 
-        ev = EvidenceVector.p_values([0.01, 0.02, 0.04, 0.9])
-        assert external_boundary(ev, 0.05, bh_rank).indices == bh(ev, 0.05).indices
-
-    def test_plugin_cannot_write_the_shared_sort(self):
-        # The plugin's array is the one every procedure on ev reads.
-        def overwrite(sorted_p, alpha):
-            sorted_p[0] = 1.0
-            return 0
-
-        ev = EvidenceVector.p_values([0.01, 0.02, 0.04, 0.9])
-        with pytest.raises(ValueError, match="read-only"):
-            external_boundary(ev, 0.05, overwrite)
-        assert bh(ev, 0.05).indices == frozenset({0, 1})
-
-    def test_invalid_rank_rejected(self):
-        ev = EvidenceVector.p_values([0.1, 0.2])
-        with pytest.raises(ValueError):
-            external_boundary(ev, 0.05, lambda sp, a: 5)
-
-    @pytest.mark.parametrize("rank", [2.9, 2.0, "3", None])
-    def test_a_rank_that_is_not_an_integer_is_rejected(self, rank):
-        ev = EvidenceVector.p_values([0.01, 0.02, 0.03, 0.9])
-        with pytest.raises(ValueError, match=re.escape(f"plugin returned {rank!r}")):
-            external_boundary(ev, 0.05, lambda sp, a: rank)
-
-    @pytest.mark.parametrize("rank", [3, np.int64(3), np.uint8(3)])
-    def test_python_and_numpy_integer_ranks_are_taken(self, rank):
-        ev = EvidenceVector.p_values([0.01, 0.02, 0.03, 0.9])
-        assert external_boundary(ev, 0.05, lambda sp, a: rank).ranked.tolist() == [0, 1, 2]
+    ev = EvidenceVector.p_values([0.01, 0.02, 0.04, 0.9])
+    assert reject_by_rank(ev, bh_rank(sort_evidence(ev)[1], 0.05)) == bh(ev, 0.05)
 
 
 class TestBoundaryVsFamilywise:

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import threading
 
 import numpy as np
@@ -14,9 +15,11 @@ from kbfdr import (
     OutOfRangeError,
     RejectionSet,
     bh,
+    check_condition_bruteforce,
     holm_k,
     kbfdr_indicator,
     kfwer_indicator,
+    local_test,
     reject_by_rank,
     run_sample,
     sort_evidence,
@@ -108,7 +111,7 @@ class TestSortEvidence:
     def test_one_sort_per_evidence_vector(self):
         ev = EvidenceVector.p_values([0.3, 0.1, 0.2])
         first, second = sort_evidence(ev), sort_evidence(ev)
-        assert first[0] is second[0] is ev.perm
+        assert first[0] is second[0] is sort_evidence(ev)[0]
         assert first[1] is second[1]
         assert first[0].dtype == np.intp
         with pytest.raises(ValueError):
@@ -147,10 +150,10 @@ def test_sort_is_the_stable_argsort(draw, m):
     kind, values = _SORT_DRAWS[draw]
     ev = EvidenceVector(kind, values(np.random.default_rng(m), m))
     key = ev.values if kind is EvidenceKind.P_VALUE else -ev.values
-    assert np.array_equal(ev.perm, np.argsort(key, kind="stable"))
+    assert np.array_equal(sort_evidence(ev)[0], np.argsort(key, kind="stable"))
     ranked = sort_evidence(ev)[1]
     # Compared as bits, so -0.0 and 0.0 differ.
-    assert ranked.tobytes() == ev.values[ev.perm].tobytes()
+    assert ranked.tobytes() == ev.values[sort_evidence(ev)[0]].tobytes()
     assert not ranked.flags.writeable
     assert sort_evidence(ev)[1] is ranked
 
@@ -158,7 +161,7 @@ def test_sort_is_the_stable_argsort(draw, m):
 def _counted_prefix_length(ev, r):
     """The tied prefix as a count over the unsorted values, O(m) per rank."""
     vals = ev.values
-    thresh = vals[ev.perm[r - 1]]
+    thresh = vals[sort_evidence(ev)[0][r - 1]]
     if ev.kind is EvidenceKind.P_VALUE:
         return int(np.count_nonzero(vals <= thresh))
     return int(np.count_nonzero(vals >= thresh))
@@ -198,7 +201,7 @@ def test_sort_orders_a_lone_tied_pair_by_index():
         i, j = rng.choice(100, 2, replace=False)
         values[j] = values[i]
         ev = EvidenceVector.p_values(values)
-        assert np.array_equal(ev.perm, np.argsort(values, kind="stable")), seed
+        assert np.array_equal(sort_evidence(ev)[0], np.argsort(values, kind="stable")), seed
 
 
 # Crafted (kind, values, candidate) cases for an offered order: a candidate
@@ -275,9 +278,9 @@ class TestSortLike:
     def test_takes_the_full_order_of_the_source(self):
         p = EvidenceVector.p_values([0.3, 0.1, 0.2])
         e = EvidenceVector.e_values([1.0, 9.0, 4.0])
-        p_perm = p.perm
+        p_perm = sort_evidence(p)[0]
         e._sort_like(p)
-        assert e.perm is p_perm
+        assert sort_evidence(e)[0] is p_perm
         assert sort_evidence(e)[1].tolist() == [9.0, 4.0, 1.0]
 
     def test_without_a_full_order_at_the_source_nothing_is_cached(self):
@@ -291,25 +294,25 @@ class TestSortLike:
     def test_a_source_of_another_length_is_ignored(self):
         p = EvidenceVector.p_values([0.1, 0.2])
         e = EvidenceVector.e_values([1.0, 9.0, 4.0])
-        p.perm
+        sort_evidence(p)
         e._sort_like(p)
         assert "_order" not in vars(e)
-        assert e.perm.tolist() == [1, 2, 0]
+        assert sort_evidence(e)[0].tolist() == [1, 2, 0]
 
     def test_a_full_order_already_held_is_kept(self):
         p = EvidenceVector.p_values([0.3, 0.1, 0.2])
         e = EvidenceVector.e_values([1.0, 9.0, 4.0])
-        own = e.perm
-        p.perm
+        own = sort_evidence(e)[0]
+        sort_evidence(p)
         e._sort_like(p)
-        assert e.perm is own
+        assert sort_evidence(e)[0] is own
 
     def test_a_refused_order_is_replaced_by_the_stable_one(self):
         p = EvidenceVector.p_values([0.3, 0.1, 0.2])
         e = EvidenceVector.e_values([9.0, 1.0, 4.0])
-        p.perm
+        sort_evidence(p)
         e._sort_like(p)
-        assert e.perm.tolist() == [0, 2, 1]
+        assert sort_evidence(e)[0].tolist() == [0, 2, 1]
 
 
 def _p_corpus():
@@ -342,7 +345,7 @@ def test_a_head_is_the_full_order_cut_short(ev):
         vec = EvidenceVector.p_values(values)
         for cut in order:
             check(vec, cut)
-        assert vec.perm.tobytes() == stable.tobytes()
+        assert sort_evidence(vec)[0].tobytes() == stable.tobytes()
         assert sort_evidence(vec)[1].tobytes() == values[stable].tobytes()
         for cut in order:
             check(vec, cut)
@@ -363,7 +366,7 @@ def test_a_head_is_cut_from_a_cached_order_with_a_cut_as_large(monkeypatch):
     ev._rank_order(0.05)
     ev._rank_order(0.01)
     assert sizes == [n]
-    assert ev.perm.tobytes() == np.argsort(values, kind="stable").tobytes()
+    assert sort_evidence(ev)[0].tobytes() == np.argsort(values, kind="stable").tobytes()
     ev._rank_order(0.5)
     assert sizes == [n, 1000]
 
@@ -397,7 +400,7 @@ def test_a_sort_in_progress_does_not_hold_up_another_vector(monkeypatch):
 
     monkeypatch.setattr(core, "_stable_order", blocking)
     slow = EvidenceVector.p_values([0.5, 0.4, 0.3, 0.2, 0.1])
-    sorter = threading.Thread(target=lambda: slow.perm, daemon=True)
+    sorter = threading.Thread(target=lambda: sort_evidence(slow), daemon=True)
     sorter.start()
     try:
         assert entered.wait(10)
@@ -405,7 +408,7 @@ def test_a_sort_in_progress_does_not_hold_up_another_vector(monkeypatch):
         fast = EvidenceVector.p_values([0.2, 0.1])
         reader = threading.Thread(
             target=lambda: done.append(
-                (fast.perm.tolist(),
+                (sort_evidence(fast)[0].tolist(),
                  EvidenceVector.p_values([0.3, 0.1])._rank_order(0.2)[0].tolist())
             ),
             daemon=True,
@@ -418,7 +421,7 @@ def test_a_sort_in_progress_does_not_hold_up_another_vector(monkeypatch):
         release.set()
         sorter.join(10)
     assert not sorter.is_alive()
-    assert slow.perm.tolist() == [4, 3, 2, 1, 0]
+    assert sort_evidence(slow)[0].tolist() == [4, 3, 2, 1, 0]
 
 
 @pytest.mark.parametrize(
@@ -446,7 +449,7 @@ def test_arrays_unpickle_read_only():
     """numpy arrays unpickle writable, so each record is rebuilt through its
     checks; an evidence vector leaves its cached order behind."""
     ev = EvidenceVector.e_values([1.0, np.inf, 0.5])
-    ev.perm
+    sort_evidence(ev)
     loaded = pickle.loads(pickle.dumps(ev))
     assert "_order" not in vars(loaded)
     assert loaded.kind is ev.kind and loaded.values.tobytes() == ev.values.tobytes()
@@ -575,6 +578,36 @@ def test_order_zero_is_out_of_range(call):
         call(0)
 
 
+# Every public function that takes a rank or an order, each at 3 on _P.
+_RANK_OR_ORDER = {
+    "reject_by_rank": lambda r: reject_by_rank(_P, r),
+    "holm_k": lambda k: holm_k(_P, k, 0.05),
+    "local_test": lambda k: local_test("bonferroni", k),
+    "marginal_indices": lambda k: RejectionSet([0, 1]).marginal_indices(k),
+    "kbfdr_indicator": lambda k: kbfdr_indicator(RejectionSet([0, 1]), _TRUTH, k),
+    "run_sample": lambda k: run_sample(RejectionSet([0, 1]), _TRUTH, _P, k),
+    "check_condition_rank": lambda r: check_condition_bruteforce(
+        _P, r, local_test("bonferroni"), 0.05),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True, np.True_, np.float64(3.0)],
+                         ids=repr)
+@pytest.mark.parametrize("name", _RANK_OR_ORDER)
+def test_a_rank_or_order_that_is_not_an_integer_is_refused(name, value):
+    # A fractional order used to decide with fractional factors, and a
+    # float or bool rank to fail inside numpy.
+    with pytest.raises(OutOfRangeError, match=re.escape(f"must be an integer, got {value!r}")):
+        _RANK_OR_ORDER[name](value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.uint8(3)], ids=repr)
+@pytest.mark.parametrize("name", _RANK_OR_ORDER)
+def test_python_and_numpy_integers_are_taken_alike(name, value):
+    # np.uint8 arithmetic would wrap, as 2 - np.uint8(3) in marginal_indices.
+    assert _RANK_OR_ORDER[name](value) == _RANK_OR_ORDER[name](3)
+
+
 class TestMarginalSet:
     """The marginal set of a rank-r rejection, read at order k."""
 
@@ -600,7 +633,7 @@ class TestRejectByRank:
         ev = EvidenceVector.p_values([0.5, 0.01, 0.04, 0.9])
         rej = reject_by_rank(ev, 2)
         assert rej.ranked.tolist() == [1, 2]
-        assert np.shares_memory(rej.ranked, ev.perm)
+        assert np.shares_memory(rej.ranked, sort_evidence(ev)[0])
 
     def test_tie_pulls_both_in(self):
         ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
@@ -681,7 +714,7 @@ def test_marginal_set_inside_rejection(values, data):
     k = data.draw(st.integers(1, min(3, ev.m)))
     r = data.draw(st.integers(k, ev.m))
     # M_{r,k}: the k rank-consecutive indices ending at rank r
-    assert frozenset(ev.perm[r - k : r].tolist()) <= reject_by_rank(ev, r).indices
+    assert frozenset(sort_evidence(ev)[0][r - k : r].tolist()) <= reject_by_rank(ev, r).indices
 
 
 @given(p_vectors, st.data())

@@ -5,6 +5,7 @@ a renamed or moved function would otherwise fail only in a traced benchmark
 run.  The tracer is loaded from its file and read, not edited.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,8 +18,8 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # Names that left the package: test-only reference code that lives in
 # tests/reference.py, then the scalar combined-evidence layer, the
-# enumeration caps and the sorted-view wrapper with its head sort, which are
-# deleted.
+# enumeration caps, the sorted-view wrapper with its head sort, and the
+# external boundary plug-in with its rank-selector type, which are deleted.
 MOVED = (
     "domino_p_fast_bonferroni",
     "significance_order",
@@ -31,6 +32,8 @@ MOVED = (
     "DEFAULT_BRUTE_FORCE_CAP",
     "SortedView",
     "sort_head",
+    "external_boundary",
+    "RankSelector",
 )
 
 
@@ -62,3 +65,14 @@ def test_reference_code_is_not_in_the_package(name):
 
 def test_no_traced_name_has_left():
     assert not {attr for _, attr in _traced_layers()} & set(MOVED)
+
+
+def test_each_job_has_one_handle():
+    # The order is sort_evidence(ev)[0], the order k is cfg.test.k, and
+    # passed is read off the failing subset, not stored beside it.
+    assert not hasattr(kbfdr.EvidenceVector.p_values([0.5]), "perm")
+    assert not hasattr(kbfdr.DominoConfig(kbfdr.local_test("simes"), 0.05), "k")
+    fields = [f.name for f in dataclasses.fields(kbfdr.ConditionTrace)]
+    assert fields == ["r", "evaluated_subsets", "first_failing_subset"]
+    assert not kbfdr.ConditionTrace(2, 1, frozenset({0})).passed
+    assert kbfdr.ConditionTrace(2, 1, None).passed

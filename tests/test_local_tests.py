@@ -52,7 +52,7 @@ class TestDescriptor:
     @pytest.mark.parametrize("tid", [t.value for t in TestId])
     @pytest.mark.parametrize("k", [0, -1])
     def test_order_below_one_is_out_of_range(self, tid, k):
-        with pytest.raises(OutOfRangeError, match=f"test order must be >= 1, got {k}"):
+        with pytest.raises(OutOfRangeError, match=f"k must be >= 1, got {k}"):
             local_test(tid, k)
 
 
@@ -424,7 +424,7 @@ def test_local_tests_check_their_input(test, args):
     (e_average, ([1.0], 2.0), ValueError),
 ])
 def test_local_tests_refuse_an_invalid_order_or_level(test, args, error):
-    match = "test order must be >= 1" if error is OutOfRangeError else "alpha must lie in"
+    match = "k must be >= 1" if error is OutOfRangeError else "alpha must lie in"
     with pytest.raises(error, match=match):
         test(*args)
 

@@ -2,7 +2,8 @@
 
 Three subcommands:
 
-* ``run``       apply a procedure to an evidence CSV and write rejections
+* ``run``       apply a procedure to an evidence CSV and write rejections,
+                deciding through the ``make_procedure`` token its flags name
 * ``simulate``  execute a scenario grid from a config file, emit metrics CSV
 * ``validate``  run the built-in self-check suites
 
@@ -22,10 +23,10 @@ from importlib import resources
 
 import numpy as np
 
-from .baselines import bh, holm_k
-from .core import EvidenceKind, EvidenceVector, RejectionSet
-from .engine import DominoConfig, domino_e, domino_p
-from .local_tests import TestId, local_test
+# Not called here: bench/tracing.py wraps these names in this module.
+from .baselines import bh, holm_k  # noqa: F401
+from .core import EvidenceKind, EvidenceVector, RejectionSet, require_level
+from .local_tests import TestId
 from .simulate import SignalMeanError, SimScenario, emit_table, make_procedure, run_grid
 from .validation import SUITES, run_suites
 
@@ -168,6 +169,7 @@ def _resolve_run_test(args) -> TestId:
 
 
 def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
+    """Decide by the ``make_procedure`` token the flags name: bh, holm:K or TEST:K."""
     if args.k < 1:
         raise ConfigConflict(f"k must be >= 1, got {args.k}")
     if args.proc in ("bh", "holm"):
@@ -175,14 +177,15 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
             raise ConfigConflict(f"{args.proc} requires a p-value file")
         if args.test is not None:
             raise ConfigConflict(f"--test does not apply to {args.proc}")
+    token = ("bh" if args.proc == "bh" else f"holm:{args.k}" if args.proc == "holm"
+             else f"{_resolve_run_test(args).value}:{args.k}")
     try:
-        if args.proc == "bh":
-            return bh(ev, args.alpha)
-        if args.proc == "holm":
-            return holm_k(ev, args.k, args.alpha)
-        test = local_test(_resolve_run_test(args), args.k)
-        decide = domino_p if args.proc == "domino" else domino_e
-        return decide(ev, DominoConfig(test, args.alpha))
+        proc = make_procedure(token)
+        kind = EvidenceKind.E_VALUE if args.proc == "domino-e" else EvidenceKind.P_VALUE
+        if ev.kind is not kind:  # refused as domino_p and domino_e refuse it, level first
+            require_level(args.alpha)
+            raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
+        return proc.decide(ev, args.alpha)
     except ValueError as exc:
         raise ConfigConflict(str(exc)) from exc
 

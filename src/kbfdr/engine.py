@@ -58,7 +58,7 @@ from .core import (
 from .local_tests import RECORDS, LocalTestDescriptor, LocalTestRecord, TestId, local_test
 
 # Re-exported only because ``bench/tracing.py`` wraps these names in the
-# engine; no engine path calls them (ROADMAP items 5 and 6).
+# engine; no engine path calls them (ROADMAP item 19 and its bench half).
 from .core import sort_evidence  # noqa: F401
 from .local_tests import (  # noqa: F401
     bonferroni_k,

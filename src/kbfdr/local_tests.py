@@ -35,7 +35,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, takewhile
 from typing import Callable, Sequence
 
@@ -165,13 +164,20 @@ def _sum_bounds(sizes, factors, alpha):
     return threshold - band, threshold + band
 
 
-def _exactly(values, n: int, c: float, alpha: float, start=Fraction(0)) -> bool:
+def _units(x: float) -> int:
+    """A finite double x >= 0 in units of 2^-1074, which divides every double."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _exactly(values, n: int, c: float, alpha: float, start: int = 0) -> bool:
     """The sum rule for a member of size n at factor c on the exact sum of
-    ``start`` and ``values``; a member holding +inf passes, whatever its
-    bounds, before any exact sum."""
+    ``start`` (in units of 2^-1074) and ``values``, compared on integers:
+    alpha * sum >= c * n scaled by 2^2148.  A member holding +inf passes,
+    whatever its bounds, before any exact sum."""
     if math.inf in values:
         return True
-    return Fraction(alpha) * sum(map(Fraction, values), start) >= Fraction(c) * n
+    return _units(alpha) * sum(map(_units, values), start) >= (_units(c) * n) << 1074
 
 
 def harmonic_mean_test(p_subset: Sequence[float], alpha: float) -> int:
@@ -356,12 +362,10 @@ def _last_failing(sums, k, alpha, tables, head, offset, u, exact_tails) -> int:
             return i
         if not exact_tails:
             finite = takewhile(math.isfinite, u.tolist())
-            exact_tails.extend(accumulate(
-                (n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, finite)),
-                initial=0))
+            exact_tails.extend(accumulate(map(_units, finite), initial=0))
         held = 0 if math.inf in head else max(len(exact_tails) - offset, 0)
         if i < held and not _exactly(head, k + i, factors[k - 1 + i], alpha,
-                                     Fraction(exact_tails[offset + i], 1 << 1074)):
+                                     exact_tails[offset + i]):
             return i
         end = min(i, held)
     return -1

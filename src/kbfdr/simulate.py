@@ -10,6 +10,9 @@ exp((mu_c * x - 0.5 * mu_c^2) / sigma^2).
 Replications are reproducible regardless of scheduling: replication i uses an
 independent substream seeded by a fixed 64-bit mix of the scenario seed and
 i, so instances depend only on (seed, i) and the distribution parameters.
+
+A procedure, parsed from its token by :func:`make_procedure`, decides on one
+evidence vector, the instance's p- or e-values, and is scored against it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     InvalidRhoError,
     OutOfRangeError,
     RejectionSet,
+    _integer,
     require_level,
 )
 from .engine import DominoConfig, domino_e, domino_p
@@ -79,6 +83,8 @@ class SimScenario:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "k", "reps", "seed"):  # kept as checked ints
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.pi1 <= 1.0:
@@ -229,16 +235,16 @@ def gen_instance(sc: SimScenario, rep: int) -> SimInstance:
 
 @dataclass(frozen=True)
 class ProcedureSpec:
-    """A named rejection procedure to evaluate inside the harness.
-
-    ``k`` is the boundary order used both by the procedure (where it has
-    one) and by the metrics; None falls back to the scenario's k.
+    """A named rejection procedure: ``decide(ev, alpha)`` rejects on
+    evidence of ``evidence_kind``.  ``k`` is the boundary order used both by
+    the procedure (where it has one) and by the metrics; None falls back to
+    the scenario's k.
     """
 
     name: str
     evidence_kind: EvidenceKind
     k: int | None
-    run: Callable[[SimInstance, SimScenario], RejectionSet]
+    decide: Callable[[EvidenceVector, float], RejectionSet]
 
     def order(self, sc: SimScenario) -> int:
         """The boundary order in effect for this procedure in ``sc``."""
@@ -246,11 +252,13 @@ class ProcedureSpec:
 
 
 def make_procedure(token: str) -> ProcedureSpec:
-    """Parse a procedure token ``name[:k]``.
+    """Parse a procedure token ``name[:k]``: the one map from a name to its
+    decision, for ``kbfdr simulate`` and ``kbfdr run`` alike.
 
     Names: the ``TestId`` values simes, harmonic, bonferroni, eavg and
     eclosure (Domino variants, which decide like the full closure), bh and
-    holm (baselines).
+    holm (baselines).  ``decide`` finds the procedure in this module's
+    globals at call time, where a wrapper can be installed.
     """
     parts = [part.strip() for part in token.split(":")]
     if len(parts) > 2:
@@ -259,35 +267,23 @@ def make_procedure(token: str) -> ProcedureSpec:
     k = int(parts[1]) if len(parts) > 1 and parts[1] else None
     if k is not None and k < 1:
         raise OutOfRangeError(f"procedure order must be >= 1, got {k} in {token!r}")
-
     if name == "bh":
-
-        def run_bh(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-            return bh_procedure(inst.pvalues, sc.alpha)
-
-        return ProcedureSpec("bh", EvidenceKind.P_VALUE, k, run_bh)
+        return ProcedureSpec("bh", EvidenceKind.P_VALUE, k, lambda ev, a: bh_procedure(ev, a))
     kk = 1 if k is None else k
     if name == "holm":
-
-        def run_holm(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-            return holm_procedure(inst.pvalues, kk, sc.alpha)
-
-        return ProcedureSpec(f"holm_k{kk}", EvidenceKind.P_VALUE, kk, run_holm)
+        return ProcedureSpec(f"holm_k{kk}", EvidenceKind.P_VALUE, kk,
+                             lambda ev, a: holm_procedure(ev, kk, a))
     try:
         test_id = TestId(name)
     except ValueError:
         raise ValueError(f"unknown procedure {name!r}") from None
     test = local_test(test_id, kk)
-    kind = test.evidence_kind
     config = functools.cache(functools.partial(DominoConfig, test))  # one per alpha
 
-    def run_domino(inst: SimInstance, sc: SimScenario) -> RejectionSet:
-        cfg = config(sc.alpha)
-        if kind is EvidenceKind.P_VALUE:
-            return domino_p(inst.pvalues, cfg)
-        return domino_e(inst.evalues, cfg)
+    def decide(ev: EvidenceVector, alpha: float) -> RejectionSet:
+        return (domino_p if ev.kind is EvidenceKind.P_VALUE else domino_e)(ev, config(alpha))
 
-    return ProcedureSpec(f"{name}_k{kk}", kind, kk, run_domino)
+    return ProcedureSpec(f"{name}_k{kk}", test.evidence_kind, kk, decide)
 
 
 def iter_run_samples(
@@ -296,19 +292,15 @@ def iter_run_samples(
     """Evaluate all procedures on one shared instance per replication.
 
     Sharing instances across procedures reduces between-procedure variance;
-    samples are yielded in replication order.
+    each procedure decides on, and is scored against, the instance's
+    evidence of its kind.  Samples are yielded in replication order.
     """
     for rep in range(sc.reps):
         inst = gen_instance(sc, rep)
         samples = []
         for proc in procedures:
-            rejection = proc.run(inst, sc)
-            evidence = (
-                inst.pvalues
-                if proc.evidence_kind is EvidenceKind.P_VALUE
-                else inst.evalues
-            )
-            samples.append(run_sample(rejection, inst.truth, evidence, proc.order(sc)))
+            ev = inst.pvalues if proc.evidence_kind is EvidenceKind.P_VALUE else inst.evalues
+            samples.append(run_sample(proc.decide(ev, sc.alpha), inst.truth, ev, proc.order(sc)))
         yield rep, samples
 
 

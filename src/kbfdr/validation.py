@@ -62,11 +62,11 @@ def _paired_checks(name: str, oracle, checks) -> SuiteResult:
     return SuiteResult(name, True, f"{compared} paired condition checks agree")
 
 
-def _rectangular_checks(n_instances: int, seed: int):
-    """One random rank per instance and p-value test."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _rectangular_checks():
+    """One random rank per instance (300, seed 7) and p-value test."""
+    rng = np.random.Generator(np.random.PCG64(7))
     cases = [t for t in _DIFFERENTIAL_CASES if t.evidence_kind is EvidenceKind.P_VALUE]
-    for _ in range(n_instances):
+    for _ in range(300):
         m = int(rng.integers(4, 11))
         ev = EvidenceVector.p_values(_random_pvalues(rng, m))
         alpha = float(rng.choice([0.05, 0.2]))
@@ -74,15 +74,15 @@ def _rectangular_checks(n_instances: int, seed: int):
             yield ev, int(rng.integers(test.k, m + 1)), test, alpha
 
 
-def rectangular_vs_bruteforce(n_instances: int = 300, seed: int = 7) -> SuiteResult:
-    checks = _rectangular_checks(n_instances, seed)
-    return _paired_checks("rectangular-vs-brute", check_condition_rectangular, checks)
+def rectangular_vs_bruteforce() -> SuiteResult:
+    return _paired_checks("rectangular-vs-brute", check_condition_rectangular,
+                          _rectangular_checks())
 
 
-def _mean_reduction_checks(n_instances: int, seed: int):
-    """Every rank of every instance, for the closure e-test at k in {1, 2}."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(n_instances):
+def _mean_reduction_checks():
+    """Every rank of 150 instances (seed 11), closure e-test at k in {1, 2}."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(150):
         m = int(rng.integers(3, 9))
         e = np.where(rng.random(m) < 0.35, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
         ev = EvidenceVector.e_values(e)
@@ -92,14 +92,13 @@ def _mean_reduction_checks(n_instances: int, seed: int):
                 yield ev, r, test, 0.05
 
 
-def mean_reduction_equivalence(n_instances: int = 150, seed: int = 11) -> SuiteResult:
+def mean_reduction_equivalence() -> SuiteResult:
     """The e-value mean reduction decides like brute force with the closure
     e-test, at every rank."""
     def reduction(ev, r, test, alpha):
         return domino_e_mean_reduction_check(ev, r, test.k, alpha)
 
-    checks = _mean_reduction_checks(n_instances, seed)
-    return _paired_checks("mean-reduction-equivalence", reduction, checks)
+    return _paired_checks("mean-reduction-equivalence", reduction, _mean_reduction_checks())
 
 
 def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.ndarray:
@@ -117,14 +116,14 @@ def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.n
     return values
 
 
-def differential_corpus(n_instances: int = 120, seed: int = 13):
+def differential_corpus():
     """The instances ``default-vs-brute`` decides: (test, alpha, evidence).
 
-    Each of ``n_instances`` draws m <= 12 and alpha, then one evidence
+    Each of 120 draws (seed 13) picks m <= 12 and alpha, then one evidence
     vector per built-in test and order k <= min(3, m).
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(n_instances):
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(120):
         m = int(rng.integers(1, 13))
         alpha = float(rng.choice([0.05, 0.2]))
         for test in _DIFFERENTIAL_CASES:
@@ -134,10 +133,10 @@ def differential_corpus(n_instances: int = 120, seed: int = 13):
             yield test, alpha, EvidenceVector(test.evidence_kind, values)
 
 
-def default_vs_bruteforce(n_instances: int = 120, seed: int = 13) -> SuiteResult:
+def default_vs_bruteforce() -> SuiteResult:
     """Domino decides like brute-force Domino for m <= 12."""
     compared = 0
-    for test, alpha, ev in differential_corpus(n_instances, seed):
+    for test, alpha, ev in differential_corpus():
         decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
         cfg = DominoConfig(test, alpha)
         compared += 1
@@ -153,10 +152,10 @@ def default_vs_bruteforce(n_instances: int = 120, seed: int = 13) -> SuiteResult
     )
 
 
-def pointwise_indicators(seed: int = 5) -> SuiteResult:
+def pointwise_indicators() -> SuiteResult:
     procedures = [make_procedure("bonferroni:1"), make_procedure("bonferroni:2")]
     mixed = SimScenario(m=30, pi1=0.2, mu_c=3.0, sigma=1.0, rho=0.25,
-                        alpha=0.1, k=1, reps=200, seed=seed)
+                        alpha=0.1, k=1, reps=200, seed=5)
     for _, samples in iter_run_samples(mixed, procedures):
         for s in samples:
             if s.kbfdr_ind > s.kfwer_ind:
@@ -164,7 +163,7 @@ def pointwise_indicators(seed: int = 5) -> SuiteResult:
                     "pointwise-indicators", False, "boundary indicator exceeded k-FWER"
                 )
     null = SimScenario(m=30, pi1=0.0, mu_c=3.0, sigma=1.0, rho=0.25,
-                       alpha=0.1, k=1, reps=200, seed=seed)
+                       alpha=0.1, k=1, reps=200, seed=5)
     for _, samples in iter_run_samples(null, procedures):
         for s in samples:
             if s.kbfdr_ind != s.kfwer_ind:

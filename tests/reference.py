@@ -6,8 +6,9 @@ and generalized Holm step-down the array-native procedures are checked
 against, the textbook Holm critical values, the plain bisection for the
 Simes kernel's tail threshold, Hommel's procedure in its textbook form, the
 sum kernel's rank from its whole family under the exact sum rule, the
-closure e-test as a double enumeration over witnesses and supersets, and the
-Bonferroni chain scan, whose divergence from the closure the tests document.
+closure e-test as a double enumeration over witnesses and supersets, the
+Bonferroni chain scan, whose divergence from the closure the tests document,
+and a corpus of tie-heavy evidence vectors.
 
 The chain scan keeps its own copy of Domino's k-1 fallback, so a change to
 the engine's fallback does not move the chain's expectations.
@@ -33,6 +34,7 @@ from kbfdr.core import (
     sort_evidence,
 )
 from kbfdr.local_tests import _harmonic_factor
+from kbfdr.validation import _DIFFERENTIAL_CASES
 
 
 def significance_order(ev: EvidenceVector, indices) -> tuple[int, ...]:
@@ -221,3 +223,21 @@ def domino_p_fast_bonferroni(
         if (stats <= alpha).all():
             return reject_by_rank(p, r)
     return trivial
+
+
+def tie_heavy_corpus():
+    """(test, alpha, evidence) for every differential case in each of 200
+    draws (seed 29) of m <= 8, each value drawn from a few levels at and
+    around the decision thresholds."""
+    rng = np.random.Generator(np.random.PCG64(29))
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        alpha = float(rng.choice([0.05, 0.2]))
+        for test in _DIFFERENTIAL_CASES:
+            if test.k > m:
+                continue
+            if test.evidence_kind is EvidenceKind.P_VALUE:
+                levels = [0.0, alpha / 4, alpha / 2, alpha, 0.3, 0.7, 1.0]
+            else:
+                levels = [0.0, 0.5, 1.0, 1 / alpha, 2 / alpha, 1e308, math.inf]
+            yield test, alpha, EvidenceVector(test.evidence_kind, rng.choice(levels, m))

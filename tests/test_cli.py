@@ -12,6 +12,7 @@ from kbfdr import (
     EvidenceVector,
     bh,
     domino_e,
+    domino_p,
     holm_k,
     local_test,
 )
@@ -121,24 +122,6 @@ class TestRun:
         missing = str(tmp_path / "nope.csv")
         assert main(["run", missing, "--proc", "bh", "--alpha", "0.05"]) == EXIT_PARSE
 
-    def test_kind_conflict_exits_3(self, p_file, e_file):
-        assert main(["run", p_file, "--proc", "domino-e", "--k", "1",
-                     "--alpha", "0.05"]) == EXIT_CONFLICT
-        assert main(["run", e_file, "--proc", "bh", "--alpha", "0.05"]) == EXIT_CONFLICT
-        assert main(["run", p_file, "--proc", "domino", "--alpha", "0.05",
-                     "--test", "eavg"]) == EXIT_CONFLICT
-
-    @pytest.mark.parametrize("proc, test, message", [
-        ("domino-e", "simes", "simes is not an e-value test"),
-        ("domino", "eavg", "eavg is not a p-value test"),
-    ])
-    def test_a_test_of_the_other_kind_exits_3(self, p_file, e_file, proc, test, message,
-                                               capsys):
-        path = e_file if proc == "domino-e" else p_file
-        assert main(["run", path, "--proc", proc, "--alpha", "0.05",
-                     "--test", test]) == EXIT_CONFLICT
-        assert capsys.readouterr().err == f"configuration conflict: {message}\n"
-
     @pytest.mark.parametrize("proc", ["bh", "holm"])
     @pytest.mark.parametrize("flags", [
         ["--k", "0", "--alpha", "0.05"],
@@ -176,11 +159,6 @@ class TestRun:
         assert exit_info.value.code == EXIT_PARSE
         assert "unrecognized arguments: --mode brute" in capsys.readouterr().err
 
-    def test_order_conflict_exits_3(self, p_file):
-        # simes is order-1 only
-        assert main(["run", p_file, "--proc", "domino", "--k", "2",
-                     "--alpha", "0.05", "--test", "simes"]) == EXIT_CONFLICT
-
     def test_malformed_rows_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("index,p_value\n1,0.1\n3,0.2\n", encoding="utf-8")
@@ -216,6 +194,124 @@ class TestDependenceDefaults:
     def test_explicit_test_wins(self):
         args = self._args(test="harmonic")
         assert _resolve_run_test(args) is TestId.HARMONIC_MEAN
+
+
+def _flag_matrix():
+    """(flags, the library call that decides the same) for each row."""
+    yield ["--proc", "bh"], lambda p, e: bh(p, 0.05)
+    for k in (1, 2):
+        yield ["--proc", "holm", "--k", str(k)], lambda p, e, k=k: holm_k(p, k, 0.05)
+    for dependence, test in (("independent", "simes"), ("prds", "simes"),
+                             ("arbitrary", "harmonic")):
+        yield (["--proc", "domino", "--dependence", dependence],
+               lambda p, e, test=test: domino_p(p, DominoConfig(local_test(test), 0.05)))
+    for dependence in ("independent", "arbitrary"):  # bonferroni whatever the dependence
+        yield (["--proc", "domino", "--dependence", dependence, "--k", "2"],
+               lambda p, e: domino_p(p, DominoConfig(local_test("bonferroni", 2), 0.05)))
+    for test, k in (("simes", 1), ("harmonic", 1), ("bonferroni", 1), ("bonferroni", 2)):
+        yield (["--proc", "domino", "--test", test, "--k", str(k)],
+               lambda p, e, test=test, k=k: domino_p(p, DominoConfig(local_test(test, k), 0.05)))
+    yield (["--proc", "domino-e"],
+           lambda p, e: domino_e(e, DominoConfig(local_test("eclosure"), 0.05)))
+    for test, k in (("eavg", 1), ("eclosure", 1), ("eclosure", 2)):
+        yield (["--proc", "domino-e", "--test", test, "--k", str(k)],
+               lambda p, e, test=test, k=k: domino_e(e, DominoConfig(local_test(test, k), 0.05)))
+
+
+class TestRunMatchesTheLibrary:
+    """Each ``kbfdr run`` flag set rejects what a direct call of ``bh``,
+    ``holm_k``, ``domino_p`` or ``domino_e`` rejects, with the same marginal
+    ranks."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        rng = np.random.default_rng(10)
+        # Evidence of graded strength, on which the p-value rows reject 4
+        # (harmonic), 6 (holm:1, bonferroni:1), 7 (simes), 10 (holm:2,
+        # bonferroni:2) and 12 (bh) values, and the e-value rows 8 or 9.
+        p = np.concatenate([rng.uniform(0, 1e-4, 4), rng.uniform(1e-4, 3e-3, 6),
+                            rng.uniform(3e-3, 0.03, 8), rng.uniform(0, 1, 22)])
+        e = np.concatenate([rng.uniform(200, 2000, 8), rng.uniform(10, 40, 8),
+                            rng.uniform(0, 2, 8)])
+        root = tmp_path_factory.mktemp("matrix")
+        paths = []
+        for kind, values in (("p_value", p), ("e_value", e)):
+            path = root / f"{kind}.csv"
+            rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start=1))
+            path.write_text(f"index,{kind}\n{rows}", encoding="utf-8")
+            paths.append(str(path))
+        return paths, EvidenceVector.p_values(p), EvidenceVector.e_values(e)
+
+    @pytest.mark.parametrize("flags, decide", [
+        pytest.param(flags, decide, id=" ".join(flags)) for flags, decide in _flag_matrix()
+    ])
+    def test_rejected_rows(self, files, tmp_path, flags, decide):
+        (p_path, e_path), p, e = files
+        path = e_path if "domino-e" in flags else p_path
+        out = tmp_path / "rej.csv"
+        assert main(["run", path, *flags, "--alpha", "0.05", "--out", str(out)]) == EXIT_OK
+        expected = decide(p, e)
+        k = int(flags[flags.index("--k") + 1]) if "--k" in flags else 1
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert {j for j, row in enumerate(rows) if row[2] == "1"} == expected.indices
+        marginal = sorted((int(row[3]), j) for j, row in enumerate(rows) if row[3])
+        assert tuple(j for _, j in marginal) == expected.marginal_indices(k)
+        assert 0 < expected.size < len(rows)  # the matrix's rows all decide something
+
+
+# Each conflict of `kbfdr run`: the flags, the file and the one stderr line,
+# where two conflicts coincide the one reported first.
+_CONFLICTS = [
+    ("bh", "p", ["--k", "0"], "k must be >= 1, got 0"),
+    ("holm", "e", ["--k", "0"], "k must be >= 1, got 0"),
+    ("domino", "e", ["--k", "0", "--alpha", "2"], "k must be >= 1, got 0"),
+    ("domino-e", "p", ["--k", "0", "--test", "simes"], "k must be >= 1, got 0"),
+    ("bh", "e", [], "bh requires a p-value file"),
+    ("holm", "e", ["--test", "simes", "--alpha", "2"], "holm requires a p-value file"),
+    ("bh", "p", ["--test", "simes"], "--test does not apply to bh"),
+    ("holm", "p", ["--test", "eavg", "--alpha", "nan"], "--test does not apply to holm"),
+    ("bh", "p", ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    ("holm", "p", ["--alpha", "-1", "--k", "2"], "alpha must lie in (0, 1), got -1.0"),
+    ("domino", "p", ["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+    ("domino-e", "e", ["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+    ("domino", "e", ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    ("domino-e", "p", ["--alpha", "1", "--test", "simes"], "alpha must lie in (0, 1), got 1.0"),
+    ("domino", "e", [], "domino_p requires p-values"),
+    ("domino", "e", ["--test", "eavg"], "domino_p requires p-values"),
+    ("domino-e", "p", [], "domino_e requires e-values"),
+    ("domino-e", "p", ["--test", "simes"], "domino_e requires e-values"),
+    ("domino", "p", ["--test", "eavg"], "eavg is not a p-value test"),
+    ("domino", "p", ["--test", "eclosure", "--k", "2"], "eclosure is not a p-value test"),
+    ("domino-e", "e", ["--test", "simes"], "simes is not an e-value test"),
+    ("domino-e", "e", ["--test", "bonferroni", "--k", "3"], "bonferroni is not an e-value test"),
+    ("domino", "p", ["--test", "simes", "--k", "2"], "simes is only defined for k = 1"),
+    ("domino", "e", ["--test", "harmonic", "--k", "2", "--alpha", "2"],
+     "harmonic is only defined for k = 1"),
+    ("domino-e", "p", ["--test", "eavg", "--k", "3"], "eavg is only defined for k = 1"),
+    ("domino", "p", ["--k", "4"], "k=4 exceeds m=3"),
+    ("domino", "p", ["--test", "bonferroni", "--k", "5", "--dependence", "arbitrary"],
+     "k=5 exceeds m=3"),
+    ("domino-e", "e", ["--k", "4"], "k=4 exceeds m=3"),
+]
+
+
+@pytest.mark.parametrize("proc, kind, flags, message", [
+    pytest.param(*row, id=f"{row[0]}-{row[1]}-{' '.join(row[2])}") for row in _CONFLICTS
+])
+def test_each_run_conflict_exits_3_with_its_message(p_file, e_file, capsys, proc, kind,
+                                                    flags, message):
+    path = p_file if kind == "p" else e_file
+    argv = ["run", path, "--proc", proc, *(["--alpha", "0.05"] if "--alpha" not in flags
+                                            else []), *flags]
+    assert main(argv) == EXIT_CONFLICT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"configuration conflict: {message}\n")
+
+
+def test_baselines_run_past_m(p_file, capsys):
+    # bh and holm are defined for any k; only Domino needs k <= m.
+    for proc in ("bh", "holm"):
+        assert main(["run", p_file, "--proc", proc, "--k", "5", "--alpha", "0.05"]) == EXIT_OK
 
 
 CONFIG = """\

@@ -1,4 +1,5 @@
-"""scipy is loaded only where an instance is drawn.
+"""scipy is loaded only where an instance is drawn, and fractions and
+decimal not at all: the exact sums are integers.
 
 Each test runs a fresh interpreter, since this process has long since
 imported scipy through the other tests.
@@ -19,6 +20,7 @@ _RUNS = textwrap.dedent(
     import numpy as np
     import kbfdr
     assert "scipy" not in sys.modules, "import kbfdr"
+    assert not {"fractions", "decimal"} & set(sys.modules), "import kbfdr"
     from kbfdr.cli import EXIT_OK, main
 
     p_file, e_file, out = sys.argv[1:]
@@ -27,6 +29,7 @@ _RUNS = textwrap.dedent(
         argv = ["run", path, "--proc", proc, "--alpha", "0.05", "--out", out]
         assert main(argv) == EXIT_OK, proc
         assert "scipy" not in sys.modules, proc
+    assert not {"fractions", "decimal"} & set(sys.modules), "kbfdr run"
 
     from kbfdr.simulate import SimScenario, gen_instance
     sc = SimScenario(m=50, pi1=0.2, mu_c=3.0, sigma=1.5, rho=0.25, alpha=0.05,

@@ -37,7 +37,7 @@ from kbfdr.engine import _trivial_rejection
 from kbfdr.local_tests import RECORDS, TestId, _harmonic_factor, _sum_rank
 from kbfdr.core import EvidenceKind
 from kbfdr.simulate import SimScenario, gen_instance
-from kbfdr.validation import _DIFFERENTIAL_CASES, _edge_evidence, differential_corpus
+from kbfdr.validation import _edge_evidence, differential_corpus
 from reference import (
     domino_p_fast_bonferroni,
     e_closure_enumeration,
@@ -45,6 +45,7 @@ from reference import (
     marginal_of,
     significance_order,
     sum_rank_unpreselected,
+    tie_heavy_corpus,
 )
 
 
@@ -267,23 +268,6 @@ def _uncertified(ev, test, alpha):
                 else not check_condition_bruteforce(ev, rej.size, test, alpha).passed)]
 
 
-def _tie_heavy_corpus(n_instances=200, seed=29):
-    """(test, alpha, evidence) for every differential case, m <= 8, each
-    value drawn from a few levels at and around the decision thresholds."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(n_instances):
-        m = int(rng.integers(1, 9))
-        alpha = float(rng.choice([0.05, 0.2]))
-        for test in _DIFFERENTIAL_CASES:
-            if test.k > m:
-                continue
-            if test.evidence_kind is EvidenceKind.P_VALUE:
-                levels = [0.0, alpha / 4, alpha / 2, alpha, 0.3, 0.7, 1.0]
-            else:
-                levels = [0.0, 0.5, 1.0, 1 / alpha, 2 / alpha, 1e308, math.inf]
-            yield test, alpha, EvidenceVector(test.evidence_kind, rng.choice(levels, m))
-
-
 @pytest.mark.parametrize("order_one", [
     True,
     pytest.param(False, marks=pytest.mark.xfail(
@@ -291,7 +275,7 @@ def _tie_heavy_corpus(n_instances=200, seed=29):
 ], ids=["k=1", "k>=2"])
 def test_the_boundary_is_certified_on_whole_corpora(order_one):
     checked, failures = 0, []
-    for test, alpha, ev in itertools.chain(differential_corpus(), _tie_heavy_corpus()):
+    for test, alpha, ev in itertools.chain(differential_corpus(), tie_heavy_corpus()):
         if (test.k == 1) is order_one:
             checked += 1
             if _uncertified(ev, test, alpha):

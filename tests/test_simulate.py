@@ -67,6 +67,20 @@ class TestScenarioValidation:
     def test_scenario_id_is_stable(self):
         assert scenario().scenario_id == scenario().scenario_id
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", True), ("k", 2.0), ("m", 10.0), ("m", "10"), ("reps", 2.0),
+        ("reps", None), ("seed", 1.5), ("seed", np.float64(3.0)),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused(self, field, value):
+        # At the parent, k=2.5 and k=True ran, and the others failed inside run_grid.
+        with pytest.raises(OutOfRangeError, match=f"{field} must be an integer, got"):
+            scenario(**{field: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        sc = scenario(m=np.int64(20), k=np.uint8(2), reps=np.int32(3), seed=np.int64(7))
+        assert [type(v) for v in (sc.m, sc.k, sc.reps, sc.seed)] == [int] * 4
+        assert sc.scenario_id == scenario(m=20, k=2, reps=3, seed=7).scenario_id
+
 
 class TestSubstreamSeed:
     def test_deterministic(self):
@@ -164,7 +178,9 @@ class TestLazyEvalues:
         sc = scenario(m=200)
         inst = gen_instance(sc, 0)
         for token in ("bh", "holm:1", "holm:2", "simes:1", "bonferroni:2"):
-            make_procedure(token).run(inst, sc)
+            proc = make_procedure(token)
+            ev = inst.pvalues if proc.evidence_kind is EvidenceKind.P_VALUE else inst.evalues
+            proc.decide(ev, sc.alpha)
         assert "evalues" not in vars(inst)
 
     def test_first_read_is_the_likelihood_ratio(self):
@@ -243,7 +259,7 @@ def test_no_reference_cycle_through_the_sort_caches():
             proc = make_procedure(token)
             p_kind = proc.evidence_kind is EvidenceKind.P_VALUE
             evidence = inst.pvalues if p_kind else inst.evalues
-            run_sample(proc.run(inst, sc), inst.truth, evidence, proc.order(sc))
+            run_sample(proc.decide(evidence, sc.alpha), inst.truth, evidence, proc.order(sc))
         refs = [weakref.ref(obj) for obj in (inst, inst.pvalues, inst.evalues)]
         del inst, evidence
         assert [ref() for ref in refs] == [None, None, None]
@@ -268,7 +284,8 @@ def test_a_table1_replication_is_freed_without_the_cycle_collector():
             for proc in procedures:
                 p_kind = proc.evidence_kind is EvidenceKind.P_VALUE
                 evidence = inst.pvalues if p_kind else inst.evalues
-                samples.append(run_sample(proc.run(inst, sc), inst.truth, evidence, proc.order(sc)))
+                samples.append(run_sample(proc.decide(evidence, sc.alpha), inst.truth, evidence,
+                                          proc.order(sc)))
             refs = [weakref.ref(inst.pvalues), weakref.ref(inst.evalues)]
             del inst, evidence
             assert [ref() for ref in refs] == [None, None]
@@ -337,7 +354,8 @@ class TestMakeProcedure:
             proc = make_procedure(test_id.value)
             assert proc.name == f"{test_id.value}_k1"
             assert proc.evidence_kind is test.evidence_kind
-            assert proc.run(inst, sc) == expected
+            ev = inst.pvalues if proc.evidence_kind is EvidenceKind.P_VALUE else inst.evalues
+            assert proc.decide(ev, sc.alpha) == expected
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,8 @@ _HEADER_KINDS = {
     ("index", "e_value"): EvidenceKind.E_VALUE,
 }
 _COMMA, _NEWLINE = ord(","), ord("\n")
+# Bytes the plain reader scans at a time, and rows the writer builds at a time.
+_SCAN_BLOCK, _WRITE_CHUNK = 1 << 16, 4096
 
 
 def read_evidence_csv(path: str) -> EvidenceVector:
@@ -59,8 +61,9 @@ def read_evidence_csv(path: str) -> EvidenceVector:
     reads them, so quoted cells, CRLF or CR line ends and blank or
     whitespace-only rows (which are skipped) are accepted. A file of the
     plain shape, a header and then one ``int,float`` line per row, is parsed
-    by one ``np.loadtxt`` call where its guards allow (see ``_read_plain``);
-    every other file goes through ``csv.reader``.
+    by one ``np.loadtxt`` call over a single UTF-8 copy of the text where its
+    guards allow (see ``_read_plain``); every other file goes through
+    ``csv.reader``.
 
     Raises ParseFailure naming the file. A bad row, and an error of
     ``csv.reader`` itself such as a field over ``csv.field_size_limit()``,
@@ -87,28 +90,51 @@ def _read_plain(text: str):
     Only text on which ``csv.reader`` gives the same rows is taken: no quote,
     CR, empty field (so no blank line), field over ``csv.field_size_limit()``
     or ``\x1c``-``\x1f``, which numpy strips as whitespace but ``int`` and
-    ``float`` reject. One ``np.loadtxt`` call parses the rows, and any error or
-    warning refuses the file: older numpy reads an index ``1.0`` through a float
-    with a warning only. The indices must count 1, 2, ..., n; the values equal
-    ``float``'s bit for bit, since both use ``PyOS_string_to_double``.
+    ``float`` reject. The text is encoded to UTF-8 once. The guards scan that
+    buffer ``_SCAN_BLOCK`` bytes at a time, and one ``np.loadtxt`` call reads
+    its lines after the header through an ``io.TextIOWrapper`` over an
+    ``io.BytesIO``, which shares the buffer: lines end only at a line feed,
+    as in an ``io.StringIO`` of the text, but a few kilobytes are decoded at
+    a time instead of a copy of 4 bytes a character. Any error or warning of
+    that call refuses the file: older numpy reads an index ``1.0`` through a
+    float with a warning only. The indices must count 1, 2, ..., n; the
+    values equal ``float``'s bit for bit, since both use
+    ``PyOS_string_to_double``.
     """
     if any(char in text for char in '"\r\x1c\x1d\x1e\x1f'):
         return None
-    head, _, body = text.partition("\n")
-    kind = _HEADER_KINDS.get(tuple(cell.strip().lower() for cell in head.split(",")))
-    if kind is None or not body:
+    head_end = text.find("\n")
+    if head_end < 0 or head_end + 1 == len(text):
         return None
-    # A field spans one gap between separators, less one; UTF-8 continuation
-    # bytes are never "," or "\n", and a field is never shorter in bytes.
-    raw = np.frombuffer(body.removesuffix("\n").encode(), dtype=np.uint8)
-    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
-    gaps = np.diff(seps, prepend=-1, append=raw.size)
-    if gaps.min() < 2 or max(len(head), int(gaps.max()) - 1) > csv.field_size_limit():
+    head = text[:head_end]
+    kind = _HEADER_KINDS.get(tuple(cell.strip().lower() for cell in head.split(",")))
+    if kind is None:
+        return None
+    data = text.encode()
+    # The body's bytes, less one final newline. A field spans one gap between
+    # separators, less one, the body's ends counting as separators at -1 and
+    # raw.size; UTF-8 continuation bytes are never "," or "\n", and a field
+    # is never shorter in bytes. Each block's first gap starts at the last
+    # separator before it.
+    raw = np.frombuffer(data, dtype=np.uint8)[data.index(b"\n") + 1:
+                                              len(data) - data.endswith(b"\n")]
+    last, shortest, longest = -1, raw.size + 1, 0
+    for start in range(0, raw.size, _SCAN_BLOCK):
+        block = raw[start:start + _SCAN_BLOCK]
+        seps = np.flatnonzero((block == _COMMA) | (block == _NEWLINE))
+        if seps.size:
+            seps += start
+            gaps = np.diff(seps, prepend=last)
+            shortest, longest = min(shortest, gaps.min()), max(longest, gaps.max())
+            last = seps[-1]
+    shortest, longest = min(shortest, raw.size - last), max(longest, raw.size - last)
+    if shortest < 2 or max(len(head), int(longest) - 1) > csv.field_size_limit():
         return None
     try:
-        with warnings.catch_warnings():
+        with (warnings.catch_warnings(),
+              io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as lines):
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, skiprows=1,
                               dtype=[("index", np.int64), ("value", np.float64)])
     except (ValueError, Warning):
         return None
@@ -192,23 +218,44 @@ def _apply_procedure(args, ev: EvidenceVector) -> RejectionSet:
 
 def _write_rejections(path, ev: EvidenceVector, rejection: RejectionSet,
                       marginal: tuple[int, ...]) -> None:
-    # Built column by column: each row is the index, a comma, repr(value)
-    # and a tail that holds the rejected flag and the marginal rank.
-    tails = [",0,\n"] * ev.m
-    for j in rejection.ranked.tolist():
-        tails[j] = ",1,\n"
-    for rank, j in enumerate(marginal, start=1):
-        tails[j] = f",1,{rank}\n"
-    parts = [","] * (4 * ev.m)
-    parts[0::4] = map(str, range(1, ev.m + 1))
-    parts[2::4] = map(repr, ev.values.tolist())
-    parts[3::4] = tails
-    payload = "index,evidence,rejected,marginal_rank\n" + "".join(parts)
+    """Write the rejection CSV to ``path``, or to stdout when it is None.
+
+    The header goes first, then the rows in chunks of ``_WRITE_CHUNK``: the
+    cells of each chunk are built from its slice of the values, so the
+    memory the writer holds beyond one flag byte a row does not grow with m.
+    """
+    chunks = _rejection_chunks(ev, rejection, marginal)
     if path is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
+
+
+def _rejection_chunks(ev: EvidenceVector, rejection: RejectionSet,
+                      marginal: tuple[int, ...]):
+    """The rejection CSV's header, then its rows ``_WRITE_CHUNK`` at a time."""
+    yield "index,evidence,rejected,marginal_rank\n"
+    rejected = np.zeros(ev.m, dtype=bool)
+    rejected[rejection.ranked] = True
+    ranks = sorted(zip(marginal, range(1, len(marginal) + 1)))  # (row, rank) by row
+    pending = 0  # the first of ranks not yet in a chunk
+    for start in range(0, ev.m, _WRITE_CHUNK):
+        stop = min(start + _WRITE_CHUNK, ev.m)
+        # Built column by column: each row is the index, a comma, repr(value)
+        # and a tail that holds the rejected flag and the marginal rank.
+        tails = [",0,\n"] * (stop - start)
+        for j in np.flatnonzero(rejected[start:stop]).tolist():
+            tails[j] = ",1,\n"
+        while pending < len(ranks) and ranks[pending][0] < stop:
+            j, rank = ranks[pending]
+            tails[j - start] = f",1,{rank}\n"
+            pending += 1
+        parts = [","] * (4 * (stop - start))
+        parts[0::4] = map(str, range(start + 1, stop + 1))
+        parts[2::4] = map(repr, ev.values[start:stop].tolist())
+        parts[3::4] = tails
+        yield "".join(parts)
 
 
 def cmd_run(args) -> int:
@@ -217,7 +264,9 @@ def cmd_run(args) -> int:
     marginal = rejection.marginal_indices(args.k)
     _write_rejections(args.out, ev, rejection, marginal)
     boundary = repr(float(ev.values[marginal[0]])) if marginal else "NA"
-    print(f"rejections={rejection.size} boundary={boundary}")
+    # Off stdout while the rows are on it, so that they stay a CSV.
+    print(f"rejections={rejection.size} boundary={boundary}",
+          file=sys.stdout if args.out is not None else sys.stderr)
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kbfdr import (
     DominoConfig,
     EvidenceKind,
     EvidenceVector,
+    RejectionSet,
     bh,
     domino_e,
     domino_p,
@@ -58,6 +60,17 @@ class TestRun:
         assert lines[2] == "2,0.01,1,1"
         assert lines[3] == "3,0.9,0,"
         assert "rejections=2 boundary=0.01" in capsys.readouterr().out
+
+    def test_stdout_is_the_csv_and_the_summary_goes_to_stderr(self, p_file, tmp_path,
+                                                                capsys):
+        argv = ["run", p_file, "--proc", "bh", "--alpha", "0.05"]
+        out = tmp_path / "rej.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == ("rejections=2 boundary=0.01\n", "")
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err == "rejections=2 boundary=0.01\n"
 
     def test_bh(self, p_file, tmp_path):
         out = tmp_path / "rej.csv"
@@ -753,6 +766,63 @@ class TestWriteRejections:
             out = tmp_path / "rej.csv"
             cli._write_rejections(str(out), ev, rejection, marginal)
             assert out.read_bytes() == _old_rejection_bytes(ev, rejection, marginal)
+
+
+    @pytest.mark.parametrize("m", [cli._WRITE_CHUNK - 1, cli._WRITE_CHUNK,
+                                   cli._WRITE_CHUNK + 1, 2 * cli._WRITE_CHUNK + 1])
+    def test_chunk_edges(self, tmp_path, capsys, m):
+        # Rejected runs across every chunk boundary and at both ends; the
+        # marginal rows straddle the first boundary, or end the only chunk.
+        chunk = cli._WRITE_CHUNK
+        rng = np.random.default_rng(m)
+        ev = EvidenceVector(EvidenceKind.P_VALUE, rng.random(m))
+        rows = {0, m - 1} | {j for edge in range(chunk, m, chunk)
+                             for j in range(edge - 3, min(edge + 3, m))}
+        straddle = [j for j in (chunk - 2, chunk - 1, chunk, chunk + 1) if j < m] \
+            if m > chunk else [m - 2, m - 1]
+        others = [j for j in rng.permutation(sorted(rows)).tolist() if j not in straddle]
+        rejection = RejectionSet(others + straddle)
+        marginal = rejection.marginal_indices(len(straddle) + 1)
+        assert set(straddle) < set(marginal)
+        expected = _old_rejection_bytes(ev, rejection, marginal)
+        out = tmp_path / "rej.csv"
+        cli._write_rejections(str(out), ev, rejection, marginal)
+        assert out.read_bytes() == expected
+        cli._write_rejections(None, ev, rejection, marginal)
+        assert capsys.readouterr().out.encode() == expected
+
+
+def _traced_peak(call):
+    """The peak of the memory that ``tracemalloc`` traces while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    def test_read_and_write_peaks(self, tmp_path):
+        # The reader holds the text, one UTF-8 copy and the parsed rows: its
+        # peak is a small multiple of the file. The writer holds one chunk of
+        # rows and a flag byte a row: its peak barely grows with m.
+        rng = np.random.default_rng(3)
+        write_peaks = []
+        for m in (20_000, 100_000):
+            path = tmp_path / f"p_{m}.csv"
+            path.write_text("index,p_value\n" + "".join(
+                f"{i},{v!r}\n" for i, v in enumerate((rng.random(m) ** 4).tolist(), start=1)),
+                encoding="utf-8")
+            read = []
+            read_peak = _traced_peak(lambda: read.append(read_evidence_csv(str(path))))
+            assert read_peak <= 5 * path.stat().st_size, m
+            ev, = read
+            rejection = bh(ev, 0.05)
+            marginal = rejection.marginal_indices(1)
+            write_peaks.append(_traced_peak(lambda: cli._write_rejections(
+                str(tmp_path / "rej.csv"), ev, rejection, marginal)))
+        assert write_peaks[1] <= 1.5 * write_peaks[0]
 
 
 class TestOrderBelowOne:

@@ -778,8 +778,10 @@ class TestWriteRejections:
         ev = EvidenceVector(EvidenceKind.P_VALUE, rng.random(m))
         rows = {0, m - 1} | {j for edge in range(chunk, m, chunk)
                              for j in range(edge - 3, min(edge + 3, m))}
-        straddle = [j for j in (chunk - 2, chunk - 1, chunk, chunk + 1) if j < m] \
-            if m > chunk else [m - 2, m - 1]
+        if m > chunk:
+            straddle = [j for j in range(chunk - 2, chunk + 2) if j < m]
+        else:
+            straddle = [m - 2, m - 1]
         others = [j for j in rng.permutation(sorted(rows)).tolist() if j not in straddle]
         rejection = RejectionSet(others + straddle)
         marginal = rejection.marginal_indices(len(straddle) + 1)
@@ -793,11 +795,10 @@ class TestWriteRejections:
 
 
 def _traced_peak(call):
-    """The peak of the memory that ``tracemalloc`` traces while ``call`` runs."""
+    """``call()`` and the peak of the memory ``tracemalloc`` traced meanwhile."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -814,14 +815,13 @@ class TestMemoryBound:
             path.write_text("index,p_value\n" + "".join(
                 f"{i},{v!r}\n" for i, v in enumerate((rng.random(m) ** 4).tolist(), start=1)),
                 encoding="utf-8")
-            read = []
-            read_peak = _traced_peak(lambda: read.append(read_evidence_csv(str(path))))
+            ev, read_peak = _traced_peak(lambda: read_evidence_csv(str(path)))
             assert read_peak <= 5 * path.stat().st_size, m
-            ev, = read
             rejection = bh(ev, 0.05)
             marginal = rejection.marginal_indices(1)
-            write_peaks.append(_traced_peak(lambda: cli._write_rejections(
-                str(tmp_path / "rej.csv"), ev, rejection, marginal)))
+            _, write_peak = _traced_peak(lambda: cli._write_rejections(
+                str(tmp_path / "rej.csv"), ev, rejection, marginal))
+            write_peaks.append(write_peak)
         assert write_peaks[1] <= 1.5 * write_peaks[0]
 
 

@@ -24,7 +24,6 @@ from .core import (
 )
 from .engine import (
     ConditionTrace,
-    DominoConfig,
     check_condition_bruteforce,
     check_condition_rectangular,
     domino_bruteforce,
@@ -71,7 +70,6 @@ __all__ = [
     "CapExceededError",
     "ConditionTrace",
     "DimensionMismatchError",
-    "DominoConfig",
     "EmptyInputError",
     "EvidenceKind",
     "EvidenceVector",

@@ -312,7 +312,7 @@ def sort_evidence(ev: EvidenceVector) -> tuple[np.ndarray, np.ndarray]:
     return ev._rank_order()
 
 
-def _threshold_set(perm, ranked, r: int, fallback: bool = False) -> RejectionSet:
+def _threshold_set(perm, ranked, r: int) -> RejectionSet:
     """Everything at least as significant as the value at rank r, as a view
     of ``perm``; r = 0 yields the empty set.
 
@@ -326,7 +326,7 @@ def _threshold_set(perm, ranked, r: int, fallback: bool = False) -> RejectionSet
     n = r
     if 0 < r < ranked.size and ranked[r] == ranked[r - 1]:
         n += int(np.count_nonzero(ranked[r:] == ranked[r - 1]))
-    return RejectionSet(perm[:n], fallback)
+    return RejectionSet(perm[:n])
 
 
 def reject_by_rank(ev: EvidenceVector, r: int) -> RejectionSet:
@@ -335,9 +335,9 @@ def reject_by_rank(ev: EvidenceVector, r: int) -> RejectionSet:
     Rejection is threshold-based, so ties at the boundary are absorbed even
     when that pushes |R|, and so ``boundary_rank``, beyond r; r = 0 yields
     the empty set.  At k >= 2 that is not yet tie-safe (ROADMAP item 1):
-    bonferroni:2 Domino on p = [0.7, 0.7] falls back to rank 1 and rejects
-    {0, 1}, and so does brute force, as the strict xfail
-    ``test_the_boundary_is_certified_under_ties`` records.  Among tied
+    eclosure:2 Domino on e = [inf, 0.5, 0.5] passes rank 2 and rejects
+    {0, 1, 2}, though rank 3 fails, and so does brute force, as the strict
+    xfail ``test_the_boundary_is_certified_under_ties`` records.  Among tied
     boundary values the marginal indices, at any order k, are taken by
     descending original index, as the stable order yields.  ``ranked`` is
     a view of the order cached on ``ev``, not a copy.

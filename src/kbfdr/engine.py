@@ -4,7 +4,7 @@ Domino scans candidate boundary ranks r from m down to k.  A rank passes when
 every superset of the marginal set M_{r,k} (the k least significant members
 of the size-r candidate set) is rejected by the configured k-local test; the
 first passing rank fixes the rejection threshold.  If no rank passes, the
-trivial fallback keeps only the k-1 most significant hypotheses.
+trivial fallback keeps at most the k-1 most significant hypotheses.
 
 Write A_a for the a least significant indices stronger than M and B_b for
 the b least significant indices overall.  For an elementwise-monotone
@@ -36,8 +36,9 @@ ascending value order, the L-shaped family of e-value means, decided by the
 rule of ``e_average``.  :func:`domino_bruteforce` runs the superset check at
 each rank, for m <= 20.
 
-A call is fixed by the local test (its id and order k) and alpha; Domino
-and the brute-force and rectangular checks read k from ``test.k``.
+Every Domino entry point takes ``(evidence, test, alpha)`` and every
+condition check ``(ev, r, test, alpha)``: a call is fixed by the local test
+(its id and order k, read from ``test.k``) and the level, checked first.
 """
 
 from __future__ import annotations
@@ -72,18 +73,6 @@ _BRUTE_FORCE_CAP = 20
 
 
 @dataclass(frozen=True)
-class DominoConfig:
-    """Local test and level for one Domino invocation; the test fixes the
-    order, ``test.k``."""
-
-    test: LocalTestDescriptor
-    alpha: float
-
-    def __post_init__(self) -> None:
-        require_level(self.alpha)
-
-
-@dataclass(frozen=True)
 class ConditionTrace:
     """Diagnostics for one condition check at candidate rank r."""
 
@@ -98,17 +87,16 @@ class ConditionTrace:
 
 def _require_kind(ev: EvidenceVector, test: LocalTestDescriptor) -> None:
     if test.evidence_kind is not ev.kind:
-        raise ValueError(
-            f"{test.id.value} expects {test.evidence_kind.value}-values, "
-            f"got {ev.kind.value}-values"
-        )
+        raise ValueError(f"{test.id.value} expects {test.evidence_kind.value}-values, "
+                         f"got {ev.kind.value}-values")
 
 
-def _require_fit(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> LocalTestRecord:
-    """Check that the evidence and the test are of ``kind`` and k <= m; return its record."""
+def _require_fit(ev: EvidenceVector, test: LocalTestDescriptor, alpha: float,
+                 kind: EvidenceKind) -> LocalTestRecord:
+    """Check alpha, then that evidence and test are of ``kind`` and k <= m; return the record."""
+    require_level(alpha)
     if ev.kind is not kind:
         raise ValueError(f"domino_{kind.value} requires {kind.value}-values")
-    test = cfg.test
     if (record := RECORDS[test.id]).evidence_kind is not kind:
         raise ValueError(f"{test.id.value} is not {'an e' if kind is EvidenceKind.E_VALUE else 'a p'}"
                          "-value test")
@@ -162,18 +150,18 @@ def check_condition_bruteforce(
     return _first_failing(ev, r, supersets, RECORDS[test.id].rule, k, alpha)
 
 
-def domino_bruteforce(ev: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+def domino_bruteforce(ev: EvidenceVector, test: LocalTestDescriptor, alpha: float) -> RejectionSet:
     """Domino by superset enumeration at every rank, from m down to k.
 
     The reference oracle for :func:`domino_p` and :func:`domino_e`, for
     either evidence kind; it enumerates up to 2^(m-k) supersets per rank
     and raises ``CapExceededError`` for m > 20.
     """
-    _require_fit(ev, cfg, ev.kind)
-    for r in range(ev.m, cfg.test.k - 1, -1):
-        if check_condition_bruteforce(ev, r, cfg.test, cfg.alpha).passed:
+    _require_fit(ev, test, alpha, ev.kind)
+    for r in range(ev.m, test.k - 1, -1):
+        if check_condition_bruteforce(ev, r, test, alpha).passed:
             return reject_by_rank(ev, r)
-    return _trivial_rejection(*ev._rank_order(), cfg.test.k)
+    return _trivial_rejection(*ev._rank_order(), test.k)
 
 
 def check_condition_rectangular(
@@ -196,7 +184,7 @@ def check_condition_rectangular(
 
 
 def domino_e_mean_reduction_check(
-    ev: EvidenceVector, r: int, k: int, alpha: float
+    ev: EvidenceVector, r: int, test: LocalTestDescriptor, alpha: float
 ) -> ConditionTrace:
     """Closure condition over e-value means, reduced to a linear scan.
 
@@ -208,9 +196,10 @@ def domino_e_mean_reduction_check(
     """
     require_level(alpha)
     m = ev.m
-    r, k = require_rank(m, r, k)
+    r, k = require_rank(m, r, test.k)
     if ev.kind is not EvidenceKind.E_VALUE:
         raise ValueError("mean-reduction check requires e-values")
+    _require_kind(ev, test)
     # Outsiders in ascending value order: weak tail first (ranks m..r+1),
     # then the stronger block (ranks r-k..1), both read upward.
     outsiders = [*range(m - 1, r - 1, -1), *range(r - k - 1, -1, -1)]
@@ -219,36 +208,39 @@ def domino_e_mean_reduction_check(
 
 
 def _trivial_rejection(perm, ranked, k: int) -> RejectionSet:
-    """Fallback set when no rank passes: the k-1 most significant hypotheses,
-    with their boundary ties, marked ``fallback``.
+    """Fallback set when no rank passes, marked ``fallback``: the longest
+    prefix of at most k-1 ranks that splits no block of tied values.
 
     At k = 1 it is empty, and no perfect evidence (p = 0 or e = +inf) is
     lost there: every built-in test rejects each member holding such a
     value, so rank 1 passes whenever one is present.
     """
-    return _threshold_set(perm, ranked, k - 1, fallback=True)
+    n = k - 1
+    if 0 < n < ranked.size and ranked[n] == ranked[n - 1]:
+        n -= int((ranked[:n] == ranked[n - 1]).sum())
+    return RejectionSet(perm[:n], fallback=True)
 
 
-def _domino(ev: EvidenceVector, cfg: DominoConfig, kind: EvidenceKind) -> RejectionSet:
+def _domino(ev: EvidenceVector, test: LocalTestDescriptor, alpha: float,
+            kind: EvidenceKind) -> RejectionSet:
     """Domino over the L-shaped family: the largest passing rank wins.  The
     kernel reads, and the set is cut from, the order cached on ``ev``."""
-    scan = _require_fit(ev, cfg, kind).scan
+    scan = _require_fit(ev, test, alpha, kind).scan
     perm, ranked = ev._rank_order()
-    k = cfg.test.k
-    r = scan(ranked, k, cfg.alpha)
-    if r >= k:
+    r = scan(ranked, test.k, alpha)
+    if r >= test.k:
         return _threshold_set(perm, ranked, r)
-    return _trivial_rejection(perm, ranked, k)
+    return _trivial_rejection(perm, ranked, test.k)
 
 
-def domino_p(p: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+def domino_p(p: EvidenceVector, test: LocalTestDescriptor, alpha: float) -> RejectionSet:
     """Domino on p-values: largest passing rank wins, else the trivial set."""
-    return _domino(p, cfg, EvidenceKind.P_VALUE)
+    return _domino(p, test, alpha, EvidenceKind.P_VALUE)
 
 
-def domino_e(e: EvidenceVector, cfg: DominoConfig) -> RejectionSet:
+def domino_e(e: EvidenceVector, test: LocalTestDescriptor, alpha: float) -> RejectionSet:
     """Domino on e-values: identical scan over the descending order."""
-    return _domino(e, cfg, EvidenceKind.E_VALUE)
+    return _domino(e, test, alpha, EvidenceKind.E_VALUE)
 
 
 def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:
@@ -258,4 +250,4 @@ def domino_p_fast_harmonic(p: EvidenceVector, alpha: float) -> RejectionSet:
     sets of every rank, and one vector per candidate rank covers {r} with
     the weak tail.  Any zero p-value makes every set it enters a rejection.
     """
-    return domino_p(p, DominoConfig(local_test(TestId.HARMONIC_MEAN), alpha))
+    return domino_p(p, local_test(TestId.HARMONIC_MEAN), alpha)

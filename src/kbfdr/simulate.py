@@ -36,7 +36,7 @@ from .core import (
     _integer,
     require_level,
 )
-from .engine import DominoConfig, domino_e, domino_p
+from .engine import domino_e, domino_p
 from .local_tests import TestId, local_test
 from .baselines import bh as bh_procedure
 from .baselines import holm_k as holm_procedure
@@ -278,10 +278,9 @@ def make_procedure(token: str) -> ProcedureSpec:
     except ValueError:
         raise ValueError(f"unknown procedure {name!r}") from None
     test = local_test(test_id, kk)
-    config = functools.cache(functools.partial(DominoConfig, test))  # one per alpha
 
     def decide(ev: EvidenceVector, alpha: float) -> RejectionSet:
-        return (domino_p if ev.kind is EvidenceKind.P_VALUE else domino_e)(ev, config(alpha))
+        return (domino_p if ev.kind is EvidenceKind.P_VALUE else domino_e)(ev, test, alpha)
 
     return ProcedureSpec(f"{name}_k{kk}", test.evidence_kind, kk, decide)
 

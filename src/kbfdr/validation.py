@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import EvidenceKind, EvidenceVector
 from .engine import (
-    DominoConfig,
     check_condition_bruteforce,
     check_condition_rectangular,
     domino_bruteforce,
@@ -95,10 +94,8 @@ def _mean_reduction_checks():
 def mean_reduction_equivalence() -> SuiteResult:
     """The e-value mean reduction decides like brute force with the closure
     e-test, at every rank."""
-    def reduction(ev, r, test, alpha):
-        return domino_e_mean_reduction_check(ev, r, test.k, alpha)
-
-    return _paired_checks("mean-reduction-equivalence", reduction, _mean_reduction_checks())
+    return _paired_checks("mean-reduction-equivalence", domino_e_mean_reduction_check,
+                          _mean_reduction_checks())
 
 
 def _edge_evidence(rng: np.random.Generator, m: int, kind: EvidenceKind) -> np.ndarray:
@@ -138,9 +135,8 @@ def default_vs_bruteforce() -> SuiteResult:
     compared = 0
     for test, alpha, ev in differential_corpus():
         decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-        cfg = DominoConfig(test, alpha)
         compared += 1
-        if decide(ev, cfg) != domino_bruteforce(ev, cfg):
+        if decide(ev, test, alpha) != domino_bruteforce(ev, test, alpha):
             return SuiteResult(
                 "default-vs-brute",
                 False,

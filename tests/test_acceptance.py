@@ -12,7 +12,6 @@ import pytest
 from scipy.stats import kstest
 
 from kbfdr import (
-    DominoConfig,
     EvidenceVector,
     bh,
     check_condition_bruteforce,
@@ -120,12 +119,12 @@ def test_criterion_2_mean_reduction_equivalence():
         for k in (1, 2):
             test = local_test("eclosure", k)
             for r in range(k, m + 1):
-                reduced = domino_e_mean_reduction_check(ev, r, k, 0.05)
+                reduced = domino_e_mean_reduction_check(ev, r, test, 0.05)
                 brute_check = check_condition_bruteforce(ev, r, test, 0.05)
                 checks += 1
                 check_disagreements += int(reduced.passed != brute_check.passed)
-            scan = domino_e(ev, DominoConfig(test, 0.05))
-            brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
+            scan = domino_e(ev, test, 0.05)
+            brute = domino_bruteforce(ev, test, 0.05)
             compared += 1
             disagreements += int(scan.indices != brute.indices)
     assert check_disagreements == 0, f"{check_disagreements} differing checks"
@@ -217,7 +216,7 @@ def test_criterion_6_fastpath_traces():
 
     diverging = ev([0.02, 0.02, 0.9])
     fast = domino_p_fast_bonferroni(diverging, 1, 0.05)
-    brute = domino_bruteforce(diverging, DominoConfig(local_test("bonferroni", 1), 0.05))
+    brute = domino_bruteforce(diverging, local_test("bonferroni", 1), 0.05)
     assert fast.size == 2 and fast.indices == {0, 1}
     assert brute.size == 0
     _report(6, "hand traces exact; divergence instance |R|=2 (fast) vs 0 (brute)")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kbfdr import (
-    DominoConfig,
     EvidenceVector,
     bh,
     domino_p,
@@ -194,14 +193,14 @@ class TestExactCriticalValues:
         assert holm_critical_values(3, 3, 0.1)[-1] == 0.10000000000000002
         ev = EvidenceVector.p_values([0.10000000000000002] * 3)
         assert holm_k(ev, 3, 0.1).size == 0
-        assert domino_p(ev, DominoConfig(local_test("bonferroni", 3), 0.1)).fallback
+        assert domino_p(ev, local_test("bonferroni", 3), 0.1).fallback
 
     def test_exact_critical_value_decides_like_domino(self):
         ev = EvidenceVector.p_values([0.0, 0.0, 0.0, 0.05000000000000001])
         assert holm_critical_values(4, 3, 0.05)[-1] == 0.05000000000000001
         holm = holm_k(ev, 3, 0.05)
         assert holm.ranked.tolist() == [0, 1, 2]
-        assert holm == domino_p(ev, DominoConfig(local_test("bonferroni", 3), 0.05))
+        assert holm == domino_p(ev, local_test("bonferroni", 3), 0.05)
 
 
 def test_a_boundary_rule_runs_through_reject_by_rank():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbfdr import (
-    DominoConfig,
     EvidenceKind,
     EvidenceVector,
     RejectionSet,
@@ -217,18 +216,18 @@ def _flag_matrix():
     for dependence, test in (("independent", "simes"), ("prds", "simes"),
                              ("arbitrary", "harmonic")):
         yield (["--proc", "domino", "--dependence", dependence],
-               lambda p, e, test=test: domino_p(p, DominoConfig(local_test(test), 0.05)))
+               lambda p, e, test=test: domino_p(p, local_test(test), 0.05))
     for dependence in ("independent", "arbitrary"):  # bonferroni whatever the dependence
         yield (["--proc", "domino", "--dependence", dependence, "--k", "2"],
-               lambda p, e: domino_p(p, DominoConfig(local_test("bonferroni", 2), 0.05)))
+               lambda p, e: domino_p(p, local_test("bonferroni", 2), 0.05))
     for test, k in (("simes", 1), ("harmonic", 1), ("bonferroni", 1), ("bonferroni", 2)):
         yield (["--proc", "domino", "--test", test, "--k", str(k)],
-               lambda p, e, test=test, k=k: domino_p(p, DominoConfig(local_test(test, k), 0.05)))
+               lambda p, e, test=test, k=k: domino_p(p, local_test(test, k), 0.05))
     yield (["--proc", "domino-e"],
-           lambda p, e: domino_e(e, DominoConfig(local_test("eclosure"), 0.05)))
+           lambda p, e: domino_e(e, local_test("eclosure"), 0.05))
     for test, k in (("eavg", 1), ("eclosure", 1), ("eclosure", 2)):
         yield (["--proc", "domino-e", "--test", test, "--k", str(k)],
-               lambda p, e, test=test, k=k: domino_e(e, DominoConfig(local_test(test, k), 0.05)))
+               lambda p, e, test=test, k=k: domino_e(e, local_test(test, k), 0.05))
 
 
 class TestRunMatchesTheLibrary:
@@ -759,7 +758,7 @@ class TestWriteRejections:
             values = 1.0 / rng.random(10_000)
             values[:6] = [np.inf, 1e308, 0.0, 1.0, 5e-324, 1e308]
             ev = EvidenceVector(EvidenceKind.E_VALUE, values)
-            cases = [(domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05)), 2)]
+            cases = [(domino_e(ev, local_test("eclosure", 2), 0.05), 2)]
         for rejection, k in cases:
             assert rejection.size >= k
             marginal = rejection.marginal_indices(k)

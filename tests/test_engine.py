@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from kbfdr import (
     CapExceededError,
-    DominoConfig,
     EvidenceVector,
     OutOfRangeError,
     bh,
@@ -74,14 +73,13 @@ class TestBruteForce:
 
     def test_cap(self):
         # m = 20 is allowed; every first member fails, so the calls are quick.
-        cfg = DominoConfig(BONF1, 0.05)
         ev = EvidenceVector.p_values([0.5] * 20)
         assert not check_condition_bruteforce(ev, 20, BONF1, 0.05).passed
-        assert domino_bruteforce(EvidenceVector.p_values([0.5] * 20), cfg).size == 0
+        assert domino_bruteforce(EvidenceVector.p_values([0.5] * 20), BONF1, 0.05).size == 0
         with pytest.raises(CapExceededError):
             check_condition_bruteforce(EvidenceVector.p_values([0.5] * 21), 21, BONF1, 0.05)
         with pytest.raises(CapExceededError):
-            domino_bruteforce(EvidenceVector.p_values([0.5] * 21), cfg)
+            domino_bruteforce(EvidenceVector.p_values([0.5] * 21), BONF1, 0.05)
 
     def test_rank_validation(self):
         ev = EvidenceVector.p_values([0.1, 0.2])
@@ -91,8 +89,13 @@ class TestBruteForce:
             check_condition_bruteforce(ev, 1, local_test("bonferroni", 2), 0.05)
 
     def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            check_condition_bruteforce(EvidenceVector.e_values([1.0, 2.0]), 1, BONF1, 0.05)
+        e, p = EvidenceVector.e_values([1.0, 2.0]), EvidenceVector.p_values([0.1, 0.2])
+        with pytest.raises(ValueError, match="bonferroni expects p-values, got e-values"):
+            check_condition_bruteforce(e, 1, BONF1, 0.05)
+        with pytest.raises(ValueError, match="mean-reduction check requires e-values"):
+            domino_e_mean_reduction_check(p, 1, local_test("eavg"), 0.05)
+        with pytest.raises(ValueError, match="simes expects p-values, got e-values"):
+            domino_e_mean_reduction_check(e, 1, local_test("simes"), 0.05)
 
     def test_failing_subset_is_earliest(self):
         # order: added-cardinality first, then lexicographic over ranks
@@ -107,9 +110,9 @@ class TestBruteForce:
         # cap (20) is the only limit that applies.
         ev = EvidenceVector.e_values([50.0] * 13)
         test = local_test("eclosure", 2)
-        brute = domino_bruteforce(ev, DominoConfig(test, 0.05))
+        brute = domino_bruteforce(ev, test, 0.05)
         assert brute.size == 13
-        assert brute == domino_e(ev, DominoConfig(test, 0.05))
+        assert brute == domino_e(ev, test, 0.05)
 
 
 class TestRectangular:
@@ -189,40 +192,37 @@ class TestEClosureReduced:
 
 class TestDominoP:
     def test_rejects_two(self):
-        cfg = DominoConfig(BONF1, 0.05)
-        rej = domino_bruteforce(EvidenceVector.p_values([0.002, 0.01, 0.9]), cfg)
+        rej = domino_bruteforce(EvidenceVector.p_values([0.002, 0.01, 0.9]), BONF1, 0.05)
         assert rej.indices == frozenset({0, 1})
         assert rej.boundary_rank == 2
 
     def test_rejects_nothing_when_all_ranks_fail(self):
-        cfg = DominoConfig(BONF1, 0.05)
-        rej = domino_bruteforce(EvidenceVector.p_values([0.02, 0.02, 0.9]), cfg)
+        rej = domino_bruteforce(EvidenceVector.p_values([0.02, 0.02, 0.9]), BONF1, 0.05)
         assert rej.indices == frozenset()
         assert rej.boundary_rank == 0
 
     def test_trivial_set_keeps_k_minus_one(self):
-        cfg = DominoConfig(local_test("bonferroni", 2), 0.5)
-        rej = domino_bruteforce(EvidenceVector.p_values([1.0, 1.0, 1.0]), cfg)
-        # k-1 = 1 most significant hypothesis; ties at p=1 absorb everything,
-        # here the threshold is p_(1) = 1 so the whole tie block stays
-        assert rej.boundary_rank == 0
-        assert rej.indices == frozenset({0, 1, 2})
+        ev, test = EvidenceVector.p_values([1.0, 1.0, 1.0]), local_test("bonferroni", 2)
+        for decide in (domino_p, domino_bruteforce):
+            rej = decide(ev, test, 0.5)
+            # At most k-1 = 1 hypothesis: rank 1 ties with rank 2, so the
+            # fallback stops before the whole tied block and keeps nothing.
+            assert rej.fallback and rej.boundary_rank == 0
+            assert rej.indices == frozenset()
 
     def test_trivial_set_generic_values(self):
-        cfg = DominoConfig(local_test("bonferroni", 2), 0.001)
-        rej = domino_p(EvidenceVector.p_values([0.2, 0.4, 0.9]), cfg)
+        ev = EvidenceVector.p_values([0.2, 0.4, 0.9])
+        rej = domino_p(ev, local_test("bonferroni", 2), 0.001)
         assert rej.indices == frozenset({0})
         assert rej.boundary_rank == 0
         assert rej.marginal_indices(2) == (0,)
 
     def test_kind_and_order_validation(self):
-        cfg = DominoConfig(BONF1, 0.05)
         for decide in (domino_p, domino_bruteforce):
             with pytest.raises(ValueError):
-                decide(EvidenceVector.e_values([1.0]), cfg)
+                decide(EvidenceVector.e_values([1.0]), BONF1, 0.05)
             with pytest.raises(ValueError):
-                decide(EvidenceVector.p_values([0.1]),
-                       DominoConfig(local_test("bonferroni", 2), 0.05))
+                decide(EvidenceVector.p_values([0.1]), local_test("bonferroni", 2), 0.05)
 
     def test_alpha_monotone_nesting(self):
         rng = np.random.default_rng(8)
@@ -232,28 +232,28 @@ class TestDominoP:
                 p = rng.random(m)
                 p[rng.random(m) < 0.5] *= 0.02
                 ev = EvidenceVector.p_values(p)
-                lo = decide(ev, DominoConfig(BONF1, 0.05))
-                hi = decide(ev, DominoConfig(BONF1, 0.2))
+                lo = decide(ev, BONF1, 0.05)
+                hi = decide(ev, BONF1, 0.2)
                 assert hi.indices >= lo.indices
 
 
 # ROADMAP item 1: a boundary absorbs the ties that follow the rank Domino
 # certified, so at k >= 2 the output's marginal set can be one whose closure
-# condition failed, and the fallback can keep k or more hypotheses.
-@pytest.mark.xfail(strict=True, reason="boundaries are not yet tie-safe at k >= 2")
+# condition failed.  The fallback stops before a tied block, so it keeps at
+# most k-1 hypotheses and the Bonferroni cases are certified.
 @pytest.mark.parametrize("test_id, k, values", [
     ("bonferroni", 2, [0.7, 0.7]),
     ("bonferroni", 2, [1.0, 1.0, 1.0]),
     ("bonferroni", 3, [0.01, 0.7, 0.7, 0.7]),
-    ("eclosure", 2, [math.inf, 0.5, 0.5]),
+    pytest.param("eclosure", 2, [math.inf, 0.5, 0.5], marks=pytest.mark.xfail(
+        strict=True, reason="boundaries are not yet tie-safe at k >= 2")),
 ])
 def test_the_boundary_is_certified_under_ties(test_id, k, values):
     test = local_test(test_id, k)
     ev = EvidenceVector(test.evidence_kind, np.array(values))
     assert not _uncertified(ev, test, 0.05)
     if values == [0.7, 0.7]:
-        cfg = DominoConfig(test, 0.05)
-        assert (domino_p(ev, cfg).indices == domino_bruteforce(ev, cfg).indices
+        assert (domino_p(ev, test, 0.05).indices == domino_bruteforce(ev, test, 0.05).indices
                 == holm_k(ev, 2, 0.05).indices == frozenset())
 
 
@@ -261,9 +261,8 @@ def _uncertified(ev, test, alpha):
     """The sets of default and brute-force Domino that break the certified
     boundary: a fallback keeps fewer than k hypotheses, and any other set
     passes the closure condition at its own rank, |R|."""
-    cfg = DominoConfig(test, alpha)
     decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-    return [rej for rej in (decide(ev, cfg), domino_bruteforce(ev, cfg))
+    return [rej for rej in (decide(ev, test, alpha), domino_bruteforce(ev, test, alpha))
             if (rej.size >= test.k if rej.fallback
                 else not check_condition_bruteforce(ev, rej.size, test, alpha).passed)]
 
@@ -288,26 +287,23 @@ class TestDominoE:
     ECL1 = local_test("eclosure", 1)
 
     def test_rejects_strongest(self):
-        cfg = DominoConfig(self.ECL1, 0.05)
-        rej = domino_e(EvidenceVector.e_values([50.0, 25.0, 0.1]), cfg)
+        rej = domino_e(EvidenceVector.e_values([50.0, 25.0, 0.1]), self.ECL1, 0.05)
         assert rej.indices == frozenset({0})
 
     def test_zero_evidence(self):
-        cfg = DominoConfig(self.ECL1, 0.05)
-        assert domino_e(EvidenceVector.e_values([0.0, 0.0, 0.0]), cfg).indices == frozenset()
+        rej = domino_e(EvidenceVector.e_values([0.0, 0.0, 0.0]), self.ECL1, 0.05)
+        assert rej.indices == frozenset()
 
     def test_infinite_e_dominates(self):
-        cfg = DominoConfig(self.ECL1, 0.05)
-        rej = domino_e(EvidenceVector.e_values([float("inf"), 1.0]), cfg)
+        rej = domino_e(EvidenceVector.e_values([float("inf"), 1.0]), self.ECL1, 0.05)
         assert rej.indices == frozenset({0})
 
     def test_kind_validation(self):
-        cfg = DominoConfig(self.ECL1, 0.05)
         for decide in (domino_e, domino_bruteforce):
             with pytest.raises(ValueError):
-                decide(EvidenceVector.p_values([0.5]), cfg)
+                decide(EvidenceVector.p_values([0.5]), self.ECL1, 0.05)
             with pytest.raises(ValueError):
-                decide(EvidenceVector.e_values([1.0]), DominoConfig(BONF1, 0.05))
+                decide(EvidenceVector.e_values([1.0]), BONF1, 0.05)
 
     def test_eavg_equals_eclosure_at_k1(self):
         # with the arithmetic-mean combiner both reduce to the same condition
@@ -317,21 +313,21 @@ class TestDominoE:
             m = int(rng.integers(2, 9))
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
             ev = EvidenceVector.e_values(e)
-            a = domino_e(ev, DominoConfig(avg, 0.05))
-            c = domino_e(ev, DominoConfig(self.ECL1, 0.05))
+            a = domino_e(ev, avg, 0.05)
+            c = domino_e(ev, self.ECL1, 0.05)
             assert a.indices == c.indices
 
 
 class TestMeanReduction:
     def test_passes_at_top_rank(self):
         ev = EvidenceVector.e_values([50.0, 25.0, 0.1])
-        trace = domino_e_mean_reduction_check(ev, 1, 1, 0.05)
+        trace = domino_e_mean_reduction_check(ev, 1, local_test("eavg"), 0.05)
         assert trace.passed
         assert trace.evaluated_subsets == 3
 
     def test_fails_on_weak_pair(self):
         ev = EvidenceVector.e_values([50.0, 25.0, 0.1])
-        trace = domino_e_mean_reduction_check(ev, 2, 1, 0.05)
+        trace = domino_e_mean_reduction_check(ev, 2, local_test("eavg"), 0.05)
         assert not trace.passed
         # mean{25, 0.1} = 12.55 < 20; the failing superset is M plus the
         # smallest outsider
@@ -342,8 +338,8 @@ class TestMeanReduction:
         alpha = 0.0625
         ev = EvidenceVector.e_values([16.0, 16.0, 16.0])
         for r in (1, 2, 3):
-            assert domino_e_mean_reduction_check(ev, r, 1, alpha).passed
-        assert domino_e_mean_reduction_check(ev, 2, 2, alpha).passed
+            assert domino_e_mean_reduction_check(ev, r, local_test("eavg"), alpha).passed
+        assert domino_e_mean_reduction_check(ev, 2, local_test("eclosure", 2), alpha).passed
 
     def test_matches_bruteforce_supersets(self):
         rng = np.random.default_rng(21)
@@ -353,7 +349,7 @@ class TestMeanReduction:
             e = np.where(rng.random(m) < 0.4, rng.uniform(5, 80, m), rng.uniform(0, 3, m))
             ev = EvidenceVector.e_values(e)
             r = int(rng.integers(1, m + 1))
-            fast = domino_e_mean_reduction_check(ev, r, 1, 0.05)
+            fast = domino_e_mean_reduction_check(ev, r, avg, 0.05)
             brute = check_condition_bruteforce(ev, r, avg, 0.05)
             assert fast.passed == brute.passed
 
@@ -368,7 +364,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.02, 0.02, 0.9])
         fast = domino_p_fast_bonferroni(ev, 1, 0.05)
         assert fast.indices == frozenset({0, 1})
-        brute = domino_bruteforce(ev, DominoConfig(BONF1, 0.05))
+        brute = domino_bruteforce(ev, BONF1, 0.05)
         assert brute.indices == frozenset()
 
     def test_no_candidate_rank(self):
@@ -392,7 +388,7 @@ class TestFastBonferroni:
             p[rng.random(m) < 0.5] *= 0.02
             ev = EvidenceVector.p_values(p)
             fast = domino_p_fast_bonferroni(ev, 1, 0.1)
-            brute = domino_bruteforce(ev, DominoConfig(BONF1, 0.1))
+            brute = domino_bruteforce(ev, BONF1, 0.1)
             assert fast.indices >= brute.indices
 
     def test_containment_fails_for_higher_order(self):
@@ -402,7 +398,7 @@ class TestFastBonferroni:
         ev = EvidenceVector.p_values([0.035, 0.04, 0.05])
         test2 = local_test("bonferroni", 2)
         fast = domino_p_fast_bonferroni(ev, 2, 0.06)
-        brute = domino_bruteforce(ev, DominoConfig(test2, 0.06))
+        brute = domino_bruteforce(ev, test2, 0.06)
         assert fast.indices == frozenset({0, 1})
         assert brute.indices == frozenset({0, 1, 2})
         assert not fast.indices >= brute.indices
@@ -427,27 +423,14 @@ class TestFastHarmonic:
         assert rej.indices == frozenset({0})
 
 
-class TestModeResolution:
-    """A ``DominoConfig`` is a local test and a level, nothing else."""
-
-    def test_the_order_is_the_tests(self):
-        cfg = DominoConfig(local_test("bonferroni", 3), 0.05)
-        assert cfg.test.k == 3
-        with pytest.raises(AttributeError):
-            cfg.test = local_test("bonferroni", 2)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DominoConfig(local_test("bonferroni", 0), 0.05)
-        with pytest.raises(ValueError):
-            DominoConfig(BONF1, 0.0)
-
-
 @pytest.mark.parametrize("alpha", [2.0, 0.0, -1.0, math.nan])
 @pytest.mark.parametrize("call", [
+    lambda p, alpha: domino_p(p, BONF1, alpha),
+    lambda p, alpha: domino_e(EvidenceVector.e_values(1 / p.values), local_test("eavg"), alpha),
+    lambda p, alpha: domino_bruteforce(p, BONF1, alpha),
     lambda p, alpha: domino_p_fast_bonferroni(p, 1, alpha),
     lambda p, alpha: domino_p_fast_harmonic(p, alpha),
-], ids=["fast_bonferroni", "fast_harmonic"])
+], ids=["domino_p", "domino_e", "bruteforce", "fast_bonferroni", "fast_harmonic"])
 def test_entry_points_reject_a_level_outside_0_1(call, alpha):
     with pytest.raises(ValueError, match="alpha must lie in"):
         call(EvidenceVector.p_values([0.01, 0.02, 0.5]), alpha)
@@ -460,7 +443,7 @@ def test_entry_points_reject_a_level_outside_0_1(call, alpha):
     (check_condition_rectangular, "bonferroni"),
     (check_condition_rectangular, "harmonic"),
     (check_condition_rectangular, "eavg"),
-    (lambda ev, r, test, alpha: domino_e_mean_reduction_check(ev, r, test.k, alpha), "eavg"),
+    (domino_e_mean_reduction_check, "eavg"),
 ], ids=["brute-simes", "brute-harmonic", "rect-bonferroni", "rect-harmonic", "rect-eavg",
         "mean-reduction"])
 def test_condition_checks_reject_a_level_outside_0_1(check, test_id, alpha):
@@ -489,7 +472,7 @@ class TestLevelControlSmallScale:
         for rep in range(reps):
             inst = gen_instance(sc, rep)
             for decide in hits:
-                rej = decide(inst.pvalues, DominoConfig(test, alpha))
+                rej = decide(inst.pvalues, test, alpha)
                 hits[decide] += run_sample(rej, inst.truth, inst.pvalues, k).kbfdr_ind
         bound = alpha + 3.0 * np.sqrt(alpha * (1 - alpha) / reps)
         for decide, count in hits.items():
@@ -523,8 +506,8 @@ def _assert_matches_brute(decide, ev, cases, alpha):
     for test_id, k in cases:
         if k > ev.m:
             continue
-        cfg = DominoConfig(local_test(test_id, k), alpha)
-        got, brute = decide(ev, cfg), domino_bruteforce(ev, cfg)
+        test = local_test(test_id, k)
+        got, brute = decide(ev, test, alpha), domino_bruteforce(ev, test, alpha)
         assert _outcome(got) == _outcome(brute), (test_id, k)
 
 
@@ -545,10 +528,10 @@ class TestDefaultMatchesBruteForce:
         # Every pair of the five p = 0.05 has a scaled harmonic mean of
         # 2*0.05 > 0.05, so the closure rejects nothing.
         ev = EvidenceVector.p_values([0.05] * 5)
-        cfg = DominoConfig(local_test("harmonic", 1), 0.05)
-        assert domino_p(ev, cfg).indices == frozenset()
+        test = local_test("harmonic", 1)
+        assert domino_p(ev, test, 0.05).indices == frozenset()
         assert domino_p_fast_harmonic(ev, 0.05).indices == frozenset()
-        brute = domino_bruteforce(ev, cfg)
+        brute = domino_bruteforce(ev, test, 0.05)
         assert brute.indices == frozenset()
 
     def test_harmonic_pair_uses_factor_two(self):
@@ -556,10 +539,10 @@ class TestDefaultMatchesBruteForce:
         # passes at 0.05, scaled by the valid factor 2 it does not, so the
         # closure rejects nothing.
         ev = EvidenceVector.p_values([0.026, 0.027])
-        cfg = DominoConfig(local_test("harmonic", 1), 0.05)
-        assert domino_p(ev, cfg).size == 0
+        test = local_test("harmonic", 1)
+        assert domino_p(ev, test, 0.05).size == 0
         assert domino_p_fast_harmonic(ev, 0.05).size == 0
-        assert domino_bruteforce(ev, cfg).size == 0
+        assert domino_bruteforce(ev, test, 0.05).size == 0
 
     def test_harmonic_pair_in_the_factor_band(self):
         # A pair whose harmonic mean h lies in (alpha/2, alpha/1.884]: the
@@ -568,15 +551,14 @@ class TestDefaultMatchesBruteForce:
         # Random vectors rarely land here, so the pair is built, then padded
         # with 0-4 uniform p-values.
         rng = np.random.default_rng(1884)
-        alpha = 0.05
-        cfg = DominoConfig(local_test("harmonic", 1), alpha)
+        alpha, test = 0.05, local_test("harmonic", 1)
         for _ in range(300):
             h = rng.uniform(alpha / 2, alpha / (math.e * math.log(2)))
             p1 = h * (1.0 + rng.random())  # 1/p1 + 1/p2 = 2/h
             p2 = 1.0 / (2.0 / h - 1.0 / p1)
             pad = rng.random(int(rng.integers(0, 5)))
             ev = EvidenceVector.p_values(np.concatenate(([p1, p2], pad)))
-            assert domino_p(ev, cfg) == domino_bruteforce(ev, cfg), ev.values.tolist()
+            assert domino_p(ev, test, alpha) == domino_bruteforce(ev, test, alpha), p1
 
     # A member whose mean lies within rounding of 1/alpha, summed in one
     # order by the kernel and in another by the rule.
@@ -587,8 +569,8 @@ class TestDefaultMatchesBruteForce:
     ])
     def test_mean_on_the_threshold(self, test_id, k, values):
         ev = EvidenceVector.e_values(values)
-        cfg = DominoConfig(local_test(test_id, k), 0.05)
-        assert domino_e(ev, cfg) == domino_bruteforce(ev, cfg)
+        test = local_test(test_id, k)
+        assert domino_e(ev, test, 0.05) == domino_bruteforce(ev, test, 0.05)
 
     # Decimal e-values whose decimal total is exactly m/alpha = 20 m, so the
     # full set, a member at every rank, sits within rounding of its threshold
@@ -611,8 +593,7 @@ class TestDefaultMatchesBruteForce:
         expected = {}
         for decide, ev, cases in plan:
             for test_id, k in cases:
-                cfg = DominoConfig(local_test(test_id, k), 0.05)
-                expected[test_id, k] = _outcome(domino_bruteforce(ev, cfg))
+                expected[test_id, k] = _outcome(domino_bruteforce(ev, local_test(test_id, k), 0.05))
 
         def refuse(*args, **kwargs):
             raise AssertionError("an oracle ran on a production path")
@@ -622,7 +603,7 @@ class TestDefaultMatchesBruteForce:
             monkeypatch.setattr(engine, name, refuse)
         for decide, ev, cases in plan:
             for test_id, k in cases:
-                got = decide(ev, DominoConfig(local_test(test_id, k), 0.05))
+                got = decide(ev, local_test(test_id, k), 0.05)
                 assert _outcome(got) == expected[test_id, k], (test_id, k)
 
 
@@ -633,7 +614,7 @@ def _condition_traces(ev, test, alpha):
         traces.append(check_condition_bruteforce(ev, r, test, alpha))
         traces.append(check_condition_rectangular(ev, r, test, alpha))
         if ev.kind is EvidenceKind.E_VALUE:
-            traces.append(domino_e_mean_reduction_check(ev, r, test.k, alpha))
+            traces.append(domino_e_mean_reduction_check(ev, r, test, alpha))
     return traces
 
 
@@ -652,7 +633,7 @@ class TestOraclesApplyTheRules:
 
         def decide_all():
             return [(_condition_traces(ev, test, 0.05),
-                     _outcome(domino_bruteforce(ev, DominoConfig(test, 0.05))))
+                     _outcome(domino_bruteforce(ev, test, 0.05)))
                     for test, ev in plan]
 
         expected = decide_all()
@@ -701,9 +682,11 @@ class TestOrderOneFallback:
                 else:  # tie-heavy: at most three distinct values
                     values = rng.choice(_edge_evidence(rng, 3, kind), m)
                 ev = EvidenceVector(kind, values)
-                cfg = DominoConfig(local_test(tid, 1), alpha)
                 decide = domino_p if kind is EvidenceKind.P_VALUE else domino_e
-                sets = [decide(ev, cfg)] + ([domino_bruteforce(ev, cfg)] if m <= 8 else [])
+                test = local_test(tid, 1)
+                sets = [decide(ev, test, alpha)]
+                if m <= 8:
+                    sets.append(domino_bruteforce(ev, test, alpha))
                 perfect = 0.0 if kind is EvidenceKind.P_VALUE else math.inf
                 for rej in sets:
                     if rej.fallback:
@@ -720,10 +703,10 @@ class TestEValueOverflow:
         ev = EvidenceVector.e_values([1e308, 1e308])
         test = local_test("eclosure", 2)
         for decide in (domino_e, domino_bruteforce):
-            rej = decide(ev, DominoConfig(test, 0.05))
+            rej = decide(ev, test, 0.05)
             assert rej.indices == frozenset({0, 1})
             assert rej.boundary_rank == 2
-        assert domino_e_mean_reduction_check(ev, 2, 2, 0.05).passed
+        assert domino_e_mean_reduction_check(ev, 2, test, 0.05).passed
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_next_to_weak_evidence(self):
@@ -731,8 +714,8 @@ class TestEValueOverflow:
         # rank 3 every superset of {1e308, 0.5} still has a mean far above
         # 1/alpha, so the weak value is rejected with the strong pair.
         ev = EvidenceVector.e_values([1e308, 0.5, 1e308])
-        rej = domino_e(ev, DominoConfig(local_test("eclosure", 2), 0.05))
-        brute = domino_bruteforce(ev, DominoConfig(local_test("eclosure", 2), 0.05))
+        rej = domino_e(ev, local_test("eclosure", 2), 0.05)
+        brute = domino_bruteforce(ev, local_test("eclosure", 2), 0.05)
         assert _outcome(rej) == _outcome(brute)
         assert rej.indices == frozenset({0, 1, 2})
 
@@ -765,27 +748,25 @@ def test_kernels_raise_no_warning_on_edge_evidence(test_id, k):
         for alpha in (0.05, 0.2):
             for values in _edge_vectors(kind, alpha):
                 if len(values) >= k:
-                    decide(make(values), DominoConfig(test, alpha))
+                    decide(make(values), test, alpha)
                     decisions += 1
     assert decisions >= 48
 
 
-def test_descriptors_and_configs_pickle_after_use():
-    # A decision leaves nothing on the descriptor or its config but their
-    # fields: both pickle, and the copy equals, hashes and reads alike.
+def test_descriptors_pickle_after_use():
+    # A decision leaves nothing on the descriptor but its fields: it
+    # pickles, and the copy equals, hashes and reads alike.
     for tid in TestId:
         for k in (1,) if RECORDS[tid].order_one_only else (1, 2):
             test = local_test(tid, k)
-            cfg = DominoConfig(test, 0.05)
             if test.evidence_kind is EvidenceKind.P_VALUE:
-                domino_p(EvidenceVector.p_values([0.001, 0.02, 0.5]), cfg)
+                domino_p(EvidenceVector.p_values([0.001, 0.02, 0.5]), test, 0.05)
             else:
-                domino_e(EvidenceVector.e_values([90.0, 30.0, 0.5]), cfg)
-            for obj in (test, cfg):
-                assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
-                copy = pickle.loads(pickle.dumps(obj))
-                assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
-            assert copy.test.id is tid
+                domino_e(EvidenceVector.e_values([90.0, 30.0, 0.5]), test, 0.05)
+            assert set(vars(test)) == {f.name for f in dataclasses.fields(test)}
+            copy = pickle.loads(pickle.dumps(test))
+            assert copy == test and hash(copy) == hash(test) and repr(copy) == repr(test)
+            assert copy.id is tid
 
 
 @pytest.mark.parametrize("test_id, k", [
@@ -808,10 +789,9 @@ def test_a_tiny_level_decides_like_brute_force(test_id, k):
             for values in _edge_vectors(kind, alpha):
                 if len(values) < k:
                     continue
-                cfg = DominoConfig(test, alpha)
-                got = decide(make(values), cfg)
+                got = decide(make(values), test, alpha)
                 if len(values) <= 10:
-                    assert got == domino_bruteforce(make(values), cfg), (alpha, values)
+                    assert got == domino_bruteforce(make(values), test, alpha), (alpha, values)
                     compared += 1
     assert compared >= 64
 
@@ -863,7 +843,7 @@ def test_a_tiny_level_makes_few_exact_comparisons(monkeypatch):
     for alpha in (1e-310, 3e-308):
         for k in (1, 2):
             calls.clear()
-            rej = domino_e(ev, DominoConfig(local_test("eclosure", k), alpha))
+            rej = domino_e(ev, local_test("eclosure", k), alpha)
             assert rej.size == 1000 + k - 1 and not rej.fallback
             assert 0 < len(calls) < 100, (alpha, k, len(calls))
 
@@ -900,7 +880,7 @@ class TestLShapedKernels:
             for alpha in (0.05, 0.2):
                 for k in (1, 2, 3):
                     holm = holm_k(ev, k, alpha)
-                    rej = domino_p(ev, DominoConfig(local_test("bonferroni", k), alpha))
+                    rej = domino_p(ev, local_test("bonferroni", k), alpha)
                     if rej.fallback:
                         assert holm.size < k
                         fallbacks += 1
@@ -924,7 +904,7 @@ class TestLShapedKernels:
                     expected = r
                     break
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-            rej = decide(ev, DominoConfig(test, 0.1))
+            rej = decide(ev, test, 0.1)
             if expected:
                 assert _outcome(rej) == _outcome(reject_by_rank(ev, expected))
             else:
@@ -935,7 +915,7 @@ class TestLShapedKernels:
         # at m = 10^2 and 10^3 over several signal shares and correlations,
         # also rounded to 2 and 3 decimals, then a few cases at m = 10^4.
         rng = np.random.default_rng(47)
-        configs = {a: DominoConfig(local_test("simes"), a) for a in (0.05, 0.1, 0.2)}
+        simes = local_test("simes")
         cases = []
         for m in (100, 1000):
             for seed in range(40):
@@ -953,7 +933,7 @@ class TestLShapedKernels:
         rejected = 0
         for p, alpha in cases:
             ev = EvidenceVector.p_values(p)
-            rej = domino_p(ev, configs[alpha])
+            rej = domino_p(ev, simes, alpha)
             assert rej.indices == hommel(ev, alpha), (p.size, alpha)
             rejected += rej.size > 0
         assert rejected > len(cases) // 2
@@ -1130,7 +1110,7 @@ class TestKernelsStayLinear:
         rng = random.Random(0)
         ev = EvidenceVector.p_values([rng.random() ** 4 for _ in range(100_000)])
         start = time.perf_counter()
-        rej = domino_p(ev, DominoConfig(local_test("harmonic"), 0.05))
+        rej = domino_p(ev, local_test("harmonic"), 0.05)
         assert time.perf_counter() - start < 1.0
         assert rej.size == 1214 and not rej.fallback
 
@@ -1142,7 +1122,7 @@ class TestKernelsStayLinear:
         e[0] = 1e300
         ev = EvidenceVector.e_values(e)
         start = time.perf_counter()
-        rej = domino_e(ev, DominoConfig(local_test("eclosure", 1), 0.05))
+        rej = domino_e(ev, local_test("eclosure", 1), 0.05)
         assert time.perf_counter() - start < 1.0
         assert rej.indices == frozenset({0}) and not rej.fallback
 
@@ -1158,8 +1138,7 @@ class TestRejectionsArePrefixes:
             full_order = significance_order(ev, range(ev.m))
             sets = [_trivial_rejection(*sort_evidence(ev), k)]
             decide = domino_p if test.evidence_kind is EvidenceKind.P_VALUE else domino_e
-            cfg = DominoConfig(test, alpha)
-            sets += [decide(ev, cfg), domino_bruteforce(ev, cfg)]
+            sets += [decide(ev, test, alpha), domino_bruteforce(ev, test, alpha)]
             if test.id is TestId.BONFERRONI_K:
                 sets.append(domino_p_fast_bonferroni(ev, k, alpha))
             if test.id is TestId.HARMONIC_MEAN:

@@ -8,6 +8,7 @@ run.  The tracer is loaded from its file and read, not edited.
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # Names that left the package: test-only reference code that lives in
 # tests/reference.py, then the scalar combined-evidence layer, the
 # enumeration caps, the sorted-view wrapper with its head sort, and the
-# external boundary plug-in with its rank-selector type, which are deleted.
+# external boundary plug-in with its rank-selector type, and the Domino
+# configuration wrapper, which are deleted.
 MOVED = (
     "domino_p_fast_bonferroni",
     "significance_order",
@@ -34,6 +36,7 @@ MOVED = (
     "sort_head",
     "external_boundary",
     "RankSelector",
+    "DominoConfig",
 )
 
 
@@ -68,10 +71,17 @@ def test_no_traced_name_has_left():
 
 
 def test_each_job_has_one_handle():
-    # The order is sort_evidence(ev)[0], the order k is cfg.test.k, and
-    # passed is read off the failing subset, not stored beside it.
+    # The order is sort_evidence(ev)[0], a call takes its test and its level
+    # as they are, and passed is read off the failing subset, not stored
+    # beside it.
     assert not hasattr(kbfdr.EvidenceVector.p_values([0.5]), "perm")
-    assert not hasattr(kbfdr.DominoConfig(kbfdr.local_test("simes"), 0.05), "k")
+    entry_points = (kbfdr.domino_p, kbfdr.domino_e, kbfdr.domino_bruteforce)
+    checks = (kbfdr.check_condition_bruteforce, kbfdr.check_condition_rectangular,
+              kbfdr.domino_e_mean_reduction_check)
+    for func in entry_points:
+        assert list(inspect.signature(func).parameters)[1:] == ["test", "alpha"], func
+    for func in checks:
+        assert list(inspect.signature(func).parameters) == ["ev", "r", "test", "alpha"], func
     fields = [f.name for f in dataclasses.fields(kbfdr.ConditionTrace)]
     assert fields == ["r", "evaluated_subsets", "first_failing_subset"]
     assert not kbfdr.ConditionTrace(2, 1, frozenset({0})).passed

@@ -10,7 +10,6 @@ import scipy
 from scipy.special import ndtr
 
 from kbfdr import (
-    DominoConfig,
     EmptyInputError,
     EvidenceKind,
     EvidenceVector,
@@ -346,11 +345,10 @@ class TestMakeProcedure:
         inst = gen_instance(sc, 0)
         for test_id in TestId:
             test = local_test(test_id)
-            cfg = DominoConfig(test, sc.alpha)
             if test.evidence_kind is EvidenceKind.P_VALUE:
-                expected = domino_p(inst.pvalues, cfg)
+                expected = domino_p(inst.pvalues, test, sc.alpha)
             else:
-                expected = domino_e(inst.evalues, cfg)
+                expected = domino_e(inst.evalues, test, sc.alpha)
             proc = make_procedure(test_id.value)
             assert proc.name == f"{test_id.value}_k1"
             assert proc.evidence_kind is test.evidence_kind
